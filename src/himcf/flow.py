@@ -6,8 +6,15 @@ The flow in normal-angle gauge is the quasilinear wave equation
          = k (S_theta_t)^2 + 1/k,          k = 1/(S_thth + S),
 
 integrated as the first-order system S' = V, V' = rhs with classical RK4 and
-spectral theta-derivatives.  The principal part has characteristic speeds
-|k S_theta_t| +- 1, giving the CFL bound
+spectral theta-derivatives.  Each RK4 stage needs S_thth + S and V_theta;
+both come from one FFT round trip of the stacked rows [S, V]
+(grids.support_derivatives).  A state caches its pair in
+SupportState.derivatives: the validation of an accepted step computes it,
+and the next step reuses it for the CFL bound and as its first stage, so an
+accepted step costs four stacked transforms.
+
+The principal part has characteristic speeds |k S_theta_t| +- 1, giving the
+CFL bound
 
     dt <= cfl_safety * dtheta / (max |k V_theta| + 1).
 
@@ -23,7 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import CflViolation, ConvexityLost, InvalidConfig, OutOfDomain
-from .grids import TWO_PI, AngleGrid, periodic_derivative
+from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
 from .support import DEFAULT_EPS_CONVEX_REL, SupportState, length_from_support
 
@@ -70,6 +77,21 @@ class FlowConfig:
             return self.cfl_safety
         return DEFAULT_CFL_SAFETY if self.adaptive else FIXED_DT_CFL_LIMIT
 
+    def next_dt(self, bound: float, t: float) -> float:
+        """Step size at time t given the state's CFL bound (before safety).
+
+        Adaptive runs take safety * bound; a fixed dt that exceeds it raises
+        CflViolation.  The last step is cut to land on t_end.
+        """
+        if self.adaptive:
+            return min(self.safety * bound, self.t_end - t)
+        dt = min(self.dt, self.t_end - t)
+        if dt > self.safety * bound * (1.0 + 1e-12):
+            raise CflViolation(
+                f"fixed dt = {self.dt:.3e} exceeds CFL bound "
+                f"{self.safety * bound:.3e} at t = {t:.6f}")
+        return dt
+
 
 @dataclass(frozen=True)
 class Termination:
@@ -115,34 +137,34 @@ class FlowTrajectory:
 def support_rhs(s: SupportState, eps_convex: float | None = None) -> np.ndarray:
     """Acceleration a = (V_theta)^2/(S''+S) + (S''+S)."""
     eps = s.default_eps_convex() if eps_convex is None else eps_convex
-    rho = periodic_derivative(s.S, 2) + s.S
+    rho, V_th = s.derivatives
     if np.min(rho) <= eps:
         j = int(np.argmin(rho))
         raise ConvexityLost(
             f"S''+S = {rho[j]:.3e} <= {eps:.3e}", t=s.t,
             theta=float(s.grid.theta[j]))
-    V_th = periodic_derivative(s.V, 1)
     return V_th**2 / rho + rho
 
 
 def cfl_bound(s: SupportState, eps_convex: float | None = None) -> float:
     """Largest stable dt (before safety factor) at the current state."""
     eps = s.default_eps_convex() if eps_convex is None else eps_convex
-    rho = periodic_derivative(s.S, 2) + s.S
+    rho, V_th = s.derivatives
     k = 1.0 / np.maximum(rho, max(eps, 1e-300))
-    V_th = periodic_derivative(s.V, 1)
     speed = float(np.max(np.abs(k * V_th))) + 1.0
     return s.grid.dtheta / speed
 
 
-def _stage_rhs(S, V):
+def _stage_rhs(V, rho, V_th):
     # Stages only guard against sign loss; the eps ceiling is enforced on
     # completed candidate states, where the violation can be classified.
-    rho = periodic_derivative(S, 2) + S
     if np.min(rho) <= 0.0:
         raise ConvexityLost(f"S''+S = {np.min(rho):.3e} <= 0")
-    V_th = periodic_derivative(V, 1)
     return V, V_th**2 / rho + rho
+
+
+def _stage(S, V):
+    return _stage_rhs(V, *support_derivatives(S, V))
 
 
 def step_support(s: SupportState, dt: float, eps_convex: float | None = None,
@@ -158,10 +180,10 @@ def step_support(s: SupportState, dt: float, eps_convex: float | None = None,
             raise CflViolation(
                 f"dt = {dt:.3e} exceeds CFL bound {bound:.3e} at t = {s.t}")
     S, V = s.S, s.V
-    k1S, k1V = _stage_rhs(S, V)
-    k2S, k2V = _stage_rhs(S + 0.5 * dt * k1S, V + 0.5 * dt * k1V)
-    k3S, k3V = _stage_rhs(S + 0.5 * dt * k2S, V + 0.5 * dt * k2V)
-    k4S, k4V = _stage_rhs(S + dt * k3S, V + dt * k3V)
+    k1S, k1V = _stage_rhs(V, *s.derivatives)
+    k2S, k2V = _stage(S + 0.5 * dt * k1S, V + 0.5 * dt * k1V)
+    k3S, k3V = _stage(S + 0.5 * dt * k2S, V + 0.5 * dt * k2V)
+    k4S, k4V = _stage(S + dt * k3S, V + dt * k3V)
     S_new = S + dt / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
     V_new = V + dt / 6.0 * (k1V + 2.0 * k2V + 2.0 * k3V + k4V)
     return SupportState(grid=s.grid, S=S_new, V=V_new, t=s.t + dt, center=s.center)
@@ -178,7 +200,7 @@ def validate_support_state(state: SupportState, eps: float, L0: float) -> _Viola
         return _Violation("ConvexityLost")
     if length_from_support(state) <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
-    rho = periodic_derivative(state.S, 2) + state.S
+    rho = state.derivatives[0]
     m = float(np.min(rho))
     if m <= eps:
         j = int(np.argmin(rho))
@@ -251,18 +273,14 @@ def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTra
             raise InvalidConfig("step budget exhausted before t_end")
 
         bound = cfl_bound(state, eps)
-        if cfg.adaptive:
-            dt = min(cfg.safety * bound, cfg.t_end - state.t)
-        else:
-            dt = min(cfg.dt, cfg.t_end - state.t)
-            if dt > cfg.safety * bound * (1.0 + 1e-12):
-                raise CflViolation(
-                    f"fixed dt = {cfg.dt:.3e} exceeds CFL bound "
-                    f"{cfg.safety * bound:.3e} at t = {state.t:.6f}")
+        dt = cfg.next_dt(bound, state.t)
         cfl_margin = min(cfl_margin, cfg.safety * bound - dt)
 
         trial, violation = attempt(state, dt)
         if violation is None:
+            # The superseded state lives on only as a snapshot; clear its
+            # cached derivative pair (a frozen dataclass cannot del it).
+            vars(state).pop("derivatives", None)
             state = trial
             steps += 1
             if steps % cfg.record_every == 0:
@@ -278,8 +296,7 @@ def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTra
     if snapshots[-1].t < state.t - 1e-15:
         snapshots.append(state)
 
-    final_margin = float(
-        np.min(periodic_derivative(state.S, 2) + state.S) - eps)
+    final_margin = float(np.min(state.derivatives[0]) - eps)
     monitor = MonitorReport(records=(
         margin_record("run-convexity-floor", final_margin, tolerance=0.0,
                       note="final S''+S margin above the configured floor"),

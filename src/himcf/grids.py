@@ -69,3 +69,27 @@ def periodic_derivative(values: np.ndarray, order: int) -> np.ndarray:
         raise ValueError("non-finite samples")
     mult = _derivative_multipliers(v.size, order)
     return np.fft.irfft(np.fft.rfft(v) * mult, v.size)
+
+
+@lru_cache(maxsize=64)
+def _support_multipliers(n: int) -> np.ndarray:
+    table = np.stack([_derivative_multipliers(n, 2), _derivative_multipliers(n, 1)])
+    table.setflags(write=False)
+    return table
+
+
+def support_derivatives(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S_thth + S, V_theta) from one FFT round trip of the stacked rows [S, V].
+
+    Each row equals the separate periodic_derivative call bit for bit; the
+    support flow needs both at every stage, so it pays one transform.
+    """
+    sv = np.array([S, V], dtype=float)
+    if sv.ndim != 2:
+        raise ValueError("expected two 1-d sample sequences of equal length")
+    if not np.all(np.isfinite(sv)):
+        raise ValueError("non-finite samples")
+    n = sv.shape[1]
+    d = np.fft.irfft(np.fft.rfft(sv) * _support_multipliers(n), n)
+    d[0] += sv[0]
+    return d[0], d[1]

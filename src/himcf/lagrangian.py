@@ -154,12 +154,7 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
         if steps >= 2_000_000:
             raise InvalidConfig("step budget exhausted before t_end")
 
-        bound = lagrangian_cfl_bound(curve)
-        if cfg.adaptive:
-            dt = min(cfg.safety * bound, cfg.t_end - curve.t)
-        else:
-            dt = min(cfg.dt, cfg.t_end - curve.t)
-
+        dt = cfg.next_dt(lagrangian_cfl_bound(curve), curve.t)
         trial, violation = attempt(curve, dt)
         if violation is None:
             curve = trial

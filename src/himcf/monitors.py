@@ -28,7 +28,7 @@ import numpy as np
 from .curves import discrete_curvature, polygon_length
 from .errors import InsufficientData, InvalidConfig, OutOfDomain, PreconditionFailed
 from .flow import FlowTrajectory
-from .grids import TWO_PI, periodic_derivative
+from .grids import TWO_PI, periodic_derivative, support_derivatives
 from .radial import classify_regime, closed_form_radius, closed_form_velocity, sphere_geometry
 from .report import CheckRecord, MonitorReport, margin_record, residual_record
 from .support import SupportState, length_from_support
@@ -224,9 +224,8 @@ def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
             res1, t1 = r1, s.t
 
         d2L = (L[i + 1] - 2.0 * L[i] + L[i - 1]) / dt**2
-        rho = periodic_derivative(s.S, 2) + s.S
+        rho, V_th = support_derivatives(s.S, s.V)
         k = 1.0 / rho
-        V_th = periodic_derivative(s.V, 1)
         integral_a = float(np.sum(k * V_th**2 + rho)) * dtheta
         r2 = abs(d2L - integral_a)
         if r2 > res2:
@@ -420,7 +419,8 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> float:
         raise InsufficientData("need >= 3 uniformly spaced snapshots")
     snaps = traj.snapshots[:m]
     dt = times[1] - times[0]
-    ks = [1.0 / (periodic_derivative(s.S, 2) + s.S) for s in snaps]
+    pairs = [support_derivatives(s.S, s.V) for s in snaps]
+    ks = [1.0 / rho for rho, _ in pairs]
 
     worst = 0.0
     for i in range(1, m - 1):
@@ -432,7 +432,7 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> float:
         k_thth = periodic_derivative(k, 2)
         k_tth = periodic_derivative(k_t, 1)
         S_t = np.asarray(s.V)
-        S_tht = periodic_derivative(s.V, 1)
+        S_tht = pairs[i][1]
         rhs = (k**2 * (1.0 / k**2 - S_tht**2) * k_thth
                + 2.0 * k * S_tht * k_tth
                + 4.0 * k**2 * S_tht * S_t * k_th

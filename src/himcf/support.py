@@ -12,11 +12,12 @@ origin to the tangent line with normal (cos theta, sin theta).  Key relations:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvexityLost, NotConvex, OriginNotInterior
-from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative
+from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative, support_derivatives
 
 # Default relative convexity floor: eps = DEFAULT_EPS_CONVEX_REL * mean(S).
 DEFAULT_EPS_CONVEX_REL = 1e-8
@@ -47,6 +48,20 @@ class SupportState:
 
     def default_eps_convex(self) -> float:
         return DEFAULT_EPS_CONVEX_REL * float(np.mean(self.S))
+
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S'' + S, V_theta), computed once per state and kept with it.
+
+        The state is immutable, so the flow solver's validation of a
+        candidate also supplies its next CFL bound and first RK4 stage.
+        run_support_flow drops the pair once the state is superseded, so
+        recorded snapshots hold S and V only.
+        """
+        rho, V_th = support_derivatives(self.S, self.V)
+        rho.setflags(write=False)
+        V_th.setflags(write=False)
+        return rho, V_th
 
     def curvature_denominator(self) -> np.ndarray:
         """S'' + S, the reciprocal curvature in normal-angle gauge."""

@@ -182,6 +182,15 @@ class TestErrorContract:
         err = json.loads(proc.stderr)
         assert err["error"] in ("InvalidConfig", "NotConvex", "ConvexityLost")
 
+    def test_lagrangian_fixed_dt_above_cfl_bound_is_exit_1(self, tmp_path):
+        proc, _ = run_cli(["curve", "--solver", "lagrangian", "--preset",
+                           "circle", "--r0", "1", "--speed", "0.5", "--dt",
+                           "0.2", "--t-end", "1"], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "CflViolation"
+        assert "exceeds CFL bound" in err["message"]
+
 
 class TestConfigFile:
     def test_flags_override_file_values(self, tmp_path):

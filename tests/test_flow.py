@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import himcf.flow
+import himcf.support
 from himcf.errors import CflViolation, ConvexityLost, InvalidConfig
 from himcf.flow import (
     FlowConfig,
@@ -15,7 +17,7 @@ from himcf.flow import (
 )
 from himcf.grids import AngleGrid
 from himcf.presets import circle_support, ellipse_support
-from himcf.support import SupportState, length_from_support
+from himcf.support import DEFAULT_EPS_CONVEX_REL, SupportState, length_from_support
 
 
 def fd_rhs(S, V, dtheta):
@@ -143,6 +145,60 @@ class TestRunSupportFlow:
                                     FlowConfig(N=32, dt=dt, t_end=0.5))
             errs.append(abs(float(traj.snapshots[-1].S[0]) - exact))
         assert errs[0] / errs[1] >= 8.0
+
+
+class TestDerivativeReuse:
+    """run_support_flow reuses each accepted state's S''+S and V_theta."""
+
+    N, DT, T_END = 64, 1e-2, 0.2
+
+    def initial(self):
+        grid = AngleGrid(self.N)
+        s0 = ellipse_support(grid, 1.3, 1.0, speed=0.4)
+        return s0.S, s0.V + 0.1 * np.cos(2 * grid.theta)
+
+    def test_snapshots_equal_chained_public_steps(self):
+        S0, V0 = self.initial()
+        traj = run_support_flow(S0, V0, FlowConfig(N=self.N, dt=self.DT,
+                                                   t_end=self.T_END))
+        eps = DEFAULT_EPS_CONVEX_REL * float(np.mean(S0))
+        # step_support on a fresh state computes its own first stage.
+        state = SupportState(grid=AngleGrid(self.N), S=S0, V=V0)
+        chained = [state]
+        while state.t < self.T_END - 1e-12:
+            state = step_support(state, min(self.DT, self.T_END - state.t), eps)
+            chained.append(state)
+        assert len(traj.snapshots) == len(chained) == 21
+        for a, b in zip(traj.snapshots, chained):
+            assert a.t == b.t
+            assert np.array_equal(a.S, b.S) and np.array_equal(a.V, b.V)
+
+    def test_four_stacked_transforms_per_accepted_step(self, monkeypatch):
+        # The kernel runs once for the initial state's validation (the
+        # set-up constant), then per accepted step once for each of stages
+        # 2-4 and once to validate the candidate; the CFL bound, stage 1 and
+        # the final margin reuse a validated state's pair.
+        SETUP_CALLS = 1
+        calls = []
+        kernel = himcf.flow.support_derivatives
+        assert himcf.support.support_derivatives is kernel
+
+        def counted(S, V):
+            calls.append(len(S))
+            return kernel(S, V)
+
+        monkeypatch.setattr(himcf.flow, "support_derivatives", counted)
+        monkeypatch.setattr(himcf.support, "support_derivatives", counted)
+        S0, V0 = self.initial()
+        traj = run_support_flow(S0, V0, FlowConfig(N=self.N, dt=self.DT,
+                                                   t_end=self.T_END))
+        assert traj.termination.kind == "HorizonReached"
+        steps = len(traj.snapshots) - 1
+        assert steps == 20
+        assert len(calls) == 4 * steps + SETUP_CALLS
+        # Only the final state keeps its pair; recorded snapshots hold S, V.
+        assert ["derivatives" in vars(snap) for snap in traj.snapshots] \
+            == [False] * steps + [True]
 
 
 class TestSigmaField:

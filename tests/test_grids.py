@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from himcf.grids import AngleGrid, periodic_derivative
+from himcf.grids import AngleGrid, periodic_derivative, support_derivatives
 
 
 def test_grid_samples_are_uniform():
@@ -58,6 +58,32 @@ def test_rejects_bad_order_and_nonfinite():
         periodic_derivative(np.array([1.0, np.nan] + [0.0] * 14), 1)
     with pytest.raises(ValueError):
         periodic_derivative(np.ones((4, 4)), 1)
+
+
+@pytest.mark.parametrize("n", [16, 18, 64, 128, 512])
+def test_support_derivatives_match_separate_calls_bit_for_bit(n):
+    # Every size is even, so the first-derivative row zeroes a Nyquist mode;
+    # 18 adds a length that is not a power of two.
+    rng = np.random.default_rng(n)
+    S = 2.0 + 0.3 * rng.standard_normal(n)
+    V = rng.standard_normal(n)
+    rho, V_th = support_derivatives(S, V)
+    assert np.array_equal(rho, periodic_derivative(S, 2) + S)
+    assert np.array_equal(V_th, periodic_derivative(V, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_support_derivatives_reject_nonfinite(bad, row):
+    sv = [np.ones(16), np.zeros(16)]
+    sv[row][5] = bad
+    with pytest.raises(ValueError):
+        support_derivatives(*sv)
+
+
+def test_support_derivatives_reject_mismatched_rows():
+    with pytest.raises(ValueError):
+        support_derivatives(np.ones(16), np.ones(18))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from himcf.curves import polygon_hausdorff, polygon_length
-from himcf.errors import NotConvex
+from himcf.errors import CflViolation, NotConvex
 from himcf.flow import FlowConfig, run_support_flow
 from himcf.grids import AngleGrid
 from himcf.lagrangian import (
+    lagrangian_cfl_bound,
     run_lagrangian_flow,
     step_lagrangian,
     tangential_velocity_max,
@@ -54,6 +55,15 @@ class TestStep:
 
 
 class TestRun:
+    def test_fixed_dt_above_cfl_bound_is_rejected(self):
+        c = circle_curve(256, 1.0, speed=0.5)
+        bound = FlowConfig(dt=1.0).safety * lagrangian_cfl_bound(c)
+        with pytest.raises(CflViolation, match="exceeds CFL bound"):
+            run_lagrangian_flow(c, 0.5, FlowConfig(dt=1.01 * bound, t_end=0.5))
+        traj = run_lagrangian_flow(c, 0.5, FlowConfig(dt=0.5 * bound,
+                                                      t_end=10 * bound))
+        assert traj.termination.kind == "HorizonReached"
+
     def test_shrinking_circle_tracks_exponential(self):
         traj = run_lagrangian_flow(circle_curve(256, 1.0), -1.0,
                                    FlowConfig(t_end=1.0, record_every=10))
