@@ -19,11 +19,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .curves import discrete_curvature, discrete_tangent_normal, normal_angles, polygon_hausdorff, polygon_length
+from .curves import discrete_curvature, discrete_tangent_normal, normal_angles, polygon_hausdorff
 from .errors import (
     CflViolation,
     ConvexityLost,
@@ -32,6 +31,7 @@ from .errors import (
     InvalidConfig,
     InvalidForcing,
     InvalidInitialRadius,
+    NonFinite,
     NotConvex,
     OriginNotInterior,
     OutOfDomain,
@@ -41,6 +41,9 @@ from .flow import FlowConfig, FlowTrajectory, run_support_flow
 from .grids import TWO_PI, AngleGrid
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max
 from .monitors import (
+    _snapshot_curvature,
+    _snapshot_length,
+    _snapshot_polygon,
     check_containment,
     check_length_identities,
     check_simons_sphere,
@@ -64,13 +67,14 @@ from .radial import (
     CYLINDER,
     RadialGeometry,
     classify_regime,
+    closed_form,
     closed_form_radius,
     forced_radial,
     integrate_radial_ode,
     sphere_geometry,
 )
 from .report import CheckRecord, MonitorReport, margin_record, residual_record
-from .support import SupportState, curvature_from_support, length_from_support, support_to_curve
+from .support import PlaneCurve, SupportState, curvature_from_support, length_from_support, support_to_curve
 
 _CONFIG_ERRORS = (
     InvalidConfig,
@@ -83,6 +87,7 @@ _CONFIG_ERRORS = (
     InsufficientData,
     OutOfDomain,
     CflViolation,
+    NonFinite,
 )
 
 
@@ -108,38 +113,34 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _opt(args, config: dict, key: str, default=None):
+def _opt(args, config: dict, key: str, default=None, kind=None):
+    """The flag value, else the config value, else default, converted by kind.
+
+    args may be None to read a plain object such as a curve spec.  A value
+    that kind rejects is an InvalidConfig.
+    """
     value = getattr(args, key, None)
-    if value is not None:
+    if value is None:
+        value = config.get(key, default)
+    if kind is None or value is None:
         return value
-    return config.get(key, default)
-
-
-def _parse_speed(raw):
-    """A speed is a constant or a comma list of cosine coefficients."""
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    text = str(raw)
-    if "," in text:
-        return [float(part) for part in text.split(",")]
-    return float(text)
-
-
-def _parse_coeffs(raw) -> list[float]:
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
     try:
-        return [float(part) for part in str(raw).split(",")]
-    except ValueError:
-        raise InvalidConfig(f"cannot parse coefficient list {raw!r}")
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bad {key} = {value!r}: {exc}")
 
 
-def _speed_on_grid(speed, theta: np.ndarray) -> np.ndarray:
-    if isinstance(speed, list):
-        return cosine_series(speed, theta)
-    return np.full_like(theta, float(speed))
+def _series(raw) -> list[float]:
+    """A constant or a comma list of cosine coefficients, as floats."""
+    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    return [float(v) for v in items]
+
+
+def _grid(n: int) -> AngleGrid:
+    try:
+        return AngleGrid(n)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc))
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -152,9 +153,9 @@ def _records_json(records) -> list[dict]:
 
 # ---------------------------------------------------------------- radial
 
-def _radial_geometry(kind: str, n) -> RadialGeometry:
+def _radial_geometry(kind: str, n: int | None) -> RadialGeometry:
     if kind == "sphere":
-        return sphere_geometry(int(n) if n is not None else 2)
+        return sphere_geometry(n if n is not None else 2)
     if kind == "cylinder":
         return CYLINDER
     if kind == "circle":
@@ -162,28 +163,21 @@ def _radial_geometry(kind: str, n) -> RadialGeometry:
     raise InvalidConfig(f"unknown geometry {kind!r}")
 
 
-def _effective_closed_form(stiffness: float, r0: float, r1: float,
-                           times: np.ndarray) -> np.ndarray:
-    """Constant-coefficient solution of r'' = stiffness * r (stiffness > 0)."""
-    lam = math.sqrt(stiffness)
-    c_plus = 0.5 * (r0 + r1 / lam)
-    c_minus = 0.5 * (r0 - r1 / lam)
-    return c_plus * np.exp(lam * times) + c_minus * np.exp(-lam * times)
-
-
 def cmd_radial(args) -> int:
     config = _load_config(args.config)
     out_dir = _opt(args, config, "out_dir", "out")
     geometry = _radial_geometry(_opt(args, config, "geometry", "sphere"),
-                                _opt(args, config, "n"))
-    r0 = float(_opt(args, config, "r0", 1.0))
-    r1 = float(_opt(args, config, "r1", 0.0))
-    dt = float(_opt(args, config, "dt", 1e-3))
-    t_end = float(_opt(args, config, "t_end", 2.0))
+                                _opt(args, config, "n", None, int))
+    r0 = _opt(args, config, "r0", 1.0, float)
+    r1 = _opt(args, config, "r1", 0.0, float)
+    dt = _opt(args, config, "dt", 1e-3, float)
+    t_end = _opt(args, config, "t_end", 2.0, float)
 
     forcing = config.get("forcing")
     if args.forcing_constant is not None:
         forcing = {"kind": "constant", "value": float(args.forcing_constant)}
+    if forcing is not None and not isinstance(forcing, dict):
+        raise InvalidForcing("forcing must be an object")
     if forcing is not None and forcing.get("kind") in (None, "none"):
         forcing = None
 
@@ -215,20 +209,24 @@ def cmd_radial(args) -> int:
         header = ["t", "r_closed", "r_numeric", "abs_err"]
     else:
         kind = forcing.get("kind")
-        if kind == "constant":
-            value = float(forcing["value"])
-            func = lambda t: value
-            c_lo = c_hi = value
-        elif kind == "table":
-            ts = np.asarray(forcing.get("times", ()), dtype=float)
-            vs = np.asarray(forcing.get("values", ()), dtype=float)
-            if ts.size < 2 or ts.size != vs.size or np.any(np.diff(ts) <= 0):
-                raise InvalidForcing("forcing table needs increasing times and matching values")
-            func = lambda t: float(np.interp(t, ts, vs))
-            c_lo = float(np.min(vs))
-            c_hi = float(np.max(vs))
-        else:
-            raise InvalidForcing(f"unknown forcing kind {kind!r}")
+        try:
+            if kind == "constant":
+                value = float(forcing["value"])
+                func = lambda t: value
+                c_lo = c_hi = value
+            elif kind == "table":
+                ts = np.asarray(forcing.get("times", ()), dtype=float)
+                vs = np.asarray(forcing.get("values", ()), dtype=float)
+                if (ts.ndim != 1 or ts.size < 2 or ts.shape != vs.shape
+                        or not np.all(np.diff(ts) > 0)):
+                    raise InvalidForcing("forcing table needs increasing times and matching values")
+                func = lambda t: float(np.interp(t, ts, vs))
+                c_lo = float(np.min(vs))
+                c_hi = float(np.max(vs))
+            else:
+                raise InvalidForcing(f"unknown forcing kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidForcing(f"malformed {kind} forcing: {exc!r}")
 
         report = forced_radial(geometry, func, c_lo, c_hi, r0, r1, dt, t_end)
         records.append(margin_record("radial/bracket-lower", report.lower_margin,
@@ -237,7 +235,7 @@ def cmd_radial(args) -> int:
                                      tolerance=report.tolerance))
         effective = geometry.stiffness + c_lo
         if kind == "constant" and effective > 0.0:
-            closed = _effective_closed_form(effective, r0, r1, report.times)
+            closed = closed_form(math.sqrt(effective), r0, r1, report.times)
             err = np.abs(report.r - closed)
             records.append(residual_record("radial/closed-form-agreement",
                                            float(np.max(err)), tolerance=1e-8 * r0))
@@ -267,43 +265,41 @@ def cmd_radial(args) -> int:
 
 # ----------------------------------------------------------------- curve
 
-def _initial_support(preset: str, args, config, grid: AngleGrid,
-                     speed) -> SupportState:
-    v = _speed_on_grid(speed, grid.theta)
+def _support_from_spec(spec: dict, grid: AngleGrid) -> SupportState:
+    """Initial data of a curve spec: {"preset", "speed", and the preset's keys}.
+
+    The speed is a constant or a list of cosine coefficients in theta.
+    """
+    if not isinstance(spec, dict) or "preset" not in spec:
+        raise InvalidConfig("curve spec must be an object with a 'preset' key")
+    v = cosine_series(_opt(None, spec, "speed", 0.0, _series), grid.theta)
+    preset = spec["preset"]
     if preset == "circle":
-        return circle_support(grid, float(_opt(args, config, "r0", 1.0)), v)
+        return circle_support(grid, _opt(None, spec, "r0", 1.0, float), v)
     if preset == "ellipse":
-        return ellipse_support(grid, float(_opt(args, config, "a", 2.0)),
-                               float(_opt(args, config, "b", 1.0)), v)
+        return ellipse_support(grid, _opt(None, spec, "a", 2.0, float),
+                               _opt(None, spec, "b", 1.0, float), v)
     if preset == "fourier":
-        coeffs = _opt(args, config, "coeffs")
+        coeffs = _opt(None, spec, "coeffs", None, _series)
         if coeffs is None:
-            raise InvalidConfig("fourier preset needs --coeffs")
-        return fourier_support(grid, _parse_coeffs(coeffs), v)
+            raise InvalidConfig("fourier preset needs coeffs")
+        return fourier_support(grid, coeffs, v)
     raise InvalidConfig(f"unknown preset {preset!r}")
 
 
-def _initial_curve(preset: str, args, config, M: int, speed):
-    if preset == "circle":
-        r0 = float(_opt(args, config, "r0", 1.0))
-        if isinstance(speed, list):
-            alpha = TWO_PI * np.arange(M) / M
-            return circle_curve(M, r0, cosine_series(speed, alpha))
-        return circle_curve(M, r0, speed)
-    if preset == "ellipse":
-        if isinstance(speed, list):
+def _curve_from_spec(spec: dict, M: int) -> PlaneCurve:
+    """The same initial data as M polygon vertices, for the Lagrangian solver."""
+    speed = _opt(None, spec, "speed", 0.0, _series)
+    if spec["preset"] == "circle":
+        alpha = TWO_PI * np.arange(M) / M
+        return circle_curve(M, _opt(None, spec, "r0", 1.0, float),
+                            cosine_series(speed, alpha))
+    if spec["preset"] == "ellipse":
+        if len(speed) > 1:
             raise InvalidConfig("ellipse vertices take a constant speed")
-        return ellipse_curve(M, float(_opt(args, config, "a", 2.0)),
-                             float(_opt(args, config, "b", 1.0)), speed)
-    if preset == "fourier":
-        coeffs = _opt(args, config, "coeffs")
-        if coeffs is None:
-            raise InvalidConfig("fourier preset needs --coeffs")
-        grid = AngleGrid(M)
-        state = fourier_support(grid, _parse_coeffs(coeffs),
-                                _speed_on_grid(speed, grid.theta))
-        return support_to_curve(state)
-    raise InvalidConfig(f"unknown preset {preset!r}")
+        return ellipse_curve(M, _opt(None, spec, "a", 2.0, float),
+                             _opt(None, spec, "b", 1.0, float), speed[0])
+    return support_to_curve(_support_from_spec(spec, _grid(M)))
 
 
 def _outline_indices(count: int, limit: int = 13) -> list[int]:
@@ -330,42 +326,38 @@ def _curve_csv_rows(traj: FlowTrajectory):
             yield (snap.t, th[j], S[j], snap.sigma[j], k[j])
 
 
-def _final_polygon(traj: FlowTrajectory) -> np.ndarray:
-    snap = traj.snapshots[-1]
-    if isinstance(snap, SupportState):
-        return support_to_curve(snap).P
-    return snap.P
-
-
 def cmd_curve(args) -> int:
     config = _load_config(args.config)
     out_dir = _opt(args, config, "out_dir", "out")
-    preset = _opt(args, config, "preset", "circle")
-    N = int(_opt(args, config, "N", 128))
-    M = int(_opt(args, config, "vertices", 256))
-    speed = _parse_speed(_opt(args, config, "speed", -1.0))
+    # The same spec object containment reads for each of its two curves.
+    spec = {"preset": "circle", "speed": -1.0}
+    for key in ("preset", "r0", "a", "b", "coeffs", "speed"):
+        value = _opt(args, config, key)
+        if value is not None:
+            spec[key] = value
+    N = _opt(args, config, "N", 128, int)
+    M = _opt(args, config, "vertices", 256, int)
     solver = _opt(args, config, "solver", "support")
     if getattr(args, "both_solvers", False):
         solver = "both"
     if solver not in ("support", "lagrangian", "both"):
         raise InvalidConfig(f"unknown solver {solver!r}")
 
-    dt = _opt(args, config, "dt")
     cfg = FlowConfig(
         N=N,
-        dt=float(dt) if dt is not None else None,
-        cfl_safety=_opt(args, config, "cfl_safety"),
-        t_end=float(_opt(args, config, "t_end", 1.0)),
-        record_every=int(_opt(args, config, "record_every", 1)),
+        dt=_opt(args, config, "dt", None, float),
+        cfl_safety=_opt(args, config, "cfl_safety", None, float),
+        t_end=_opt(args, config, "t_end", 1.0, float),
+        record_every=_opt(args, config, "record_every", 1, int),
     )
 
     support_traj = None
     lagrangian_traj = None
     if solver in ("support", "both"):
-        state0 = _initial_support(preset, args, config, AngleGrid(N), speed)
+        state0 = _support_from_spec(spec, _grid(N))
         support_traj = run_support_flow(state0.S, state0.V, cfg)
     if solver in ("lagrangian", "both"):
-        curve0 = _initial_curve(preset, args, config, M, speed)
+        curve0 = _curve_from_spec(spec, M)
         lagrangian_traj = run_lagrangian_flow(curve0, curve0.sigma, cfg)
 
     primary = support_traj if support_traj is not None else lagrangian_traj
@@ -382,8 +374,8 @@ def cmd_curve(args) -> int:
         both_full = (support_traj.termination.kind == "HorizonReached"
                      and lagrangian_traj.termination.kind == "HorizonReached")
         if both_full:
-            hausdorff = polygon_hausdorff(_final_polygon(support_traj),
-                                          _final_polygon(lagrangian_traj))
+            hausdorff = polygon_hausdorff(_snapshot_polygon(support_traj.snapshots[-1]),
+                                          _snapshot_polygon(lagrangian_traj.snapshots[-1]))
 
     if primary.is_support:
         rows = _support_csv_rows(primary)
@@ -392,28 +384,17 @@ def cmd_curve(args) -> int:
     write_text_atomic(os.path.join(out_dir, "curve.csv"),
                       csv_text(["t", "theta", "S", "V", "k"], rows))
 
-    outlines = []
-    for traj in (support_traj, lagrangian_traj):
-        if traj is None:
-            continue
-        for i in _outline_indices(len(traj.snapshots)):
-            snap = traj.snapshots[i]
-            outlines.append(support_to_curve(snap).P
-                            if isinstance(snap, SupportState) else snap.P)
+    outlines = [_snapshot_polygon(traj.snapshots[i])
+                for traj in (support_traj, lagrangian_traj) if traj is not None
+                for i in _outline_indices(len(traj.snapshots))]
     write_text_atomic(os.path.join(out_dir, "curve.svg"), svg_text(outlines))
 
-    final = primary.snapshots[-1]
-    if isinstance(final, SupportState):
-        final_L = length_from_support(final)
-        final_k = curvature_from_support(final)
-    else:
-        final_L = polygon_length(final.P)
-        final_k = discrete_curvature(final.P)
+    final_k = _snapshot_curvature(primary.snapshots[-1])
 
     monitor = MonitorReport(records=tuple(records))
     summary = {
         "kind": "curve",
-        "preset": preset,
+        "preset": spec["preset"],
         "solver": solver,
         "N": N,
         "vertices": M if solver != "support" else None,
@@ -434,7 +415,7 @@ def cmd_curve(args) -> int:
             "sub_label": outcome.sub_label,
             "note": outcome.note,
         },
-        "final_length": final_L,
+        "final_length": _snapshot_length(primary.snapshots[-1]),
         "final_k_min": float(np.min(final_k)),
         "final_k_max": float(np.max(final_k)),
         "cross_solver_hausdorff": hausdorff,
@@ -468,24 +449,8 @@ _SCENARIOS = {
 }
 
 
-def _support_from_spec(spec: dict, grid: AngleGrid) -> SupportState:
-    if not isinstance(spec, dict) or "preset" not in spec:
-        raise InvalidConfig("curve spec must be an object with a 'preset' key")
-    speed = _parse_speed(spec.get("speed", 0.0))
-    v = _speed_on_grid(speed, grid.theta)
-    preset = spec["preset"]
-    if preset == "circle":
-        return circle_support(grid, float(spec.get("r0", 1.0)), v)
-    if preset == "ellipse":
-        return ellipse_support(grid, float(spec.get("a", 2.0)),
-                               float(spec.get("b", 1.0)), v)
-    if preset == "fourier":
-        return fourier_support(grid, _parse_coeffs(spec.get("coeffs", "1")), v)
-    raise InvalidConfig(f"unknown preset {preset!r}")
-
-
 def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
-    grid = AngleGrid(cfg.N)
+    grid = _grid(cfg.N)
     outer0 = _support_from_spec(outer_spec, grid)
     inner0 = _support_from_spec(inner_spec, grid)
     outer = run_support_flow(outer0.S, outer0.V, cfg)
@@ -513,13 +478,12 @@ def cmd_containment(args) -> int:
     inner_spec = preset["inner"]
 
     # Fixed steps keep the two recording schedules aligned for comparison.
-    eps = _opt(args, config, "eps_convex", preset["eps_convex"])
     cfg = FlowConfig(
-        N=int(_opt(args, config, "N", 128)),
-        dt=float(_opt(args, config, "dt", preset["dt"])),
-        t_end=float(_opt(args, config, "t_end", preset["t_end"])),
-        eps_convex=float(eps) if eps is not None else None,
-        record_every=int(_opt(args, config, "record_every", preset["record_every"])),
+        N=_opt(args, config, "N", 128, int),
+        dt=_opt(args, config, "dt", preset["dt"], float),
+        t_end=_opt(args, config, "t_end", preset["t_end"], float),
+        eps_convex=_opt(args, config, "eps_convex", preset["eps_convex"], float),
+        record_every=_opt(args, config, "record_every", preset["record_every"], int),
     )
     outer, inner, record = _run_containment_pair(outer_spec, inner_spec, cfg)
 
@@ -731,19 +695,6 @@ _SUITES = {
 }
 
 
-def _thread_count(n_tasks: int) -> int:
-    raw = os.environ.get("HIMCF_THREADS")
-    if raw is None:
-        return max(1, n_tasks)
-    try:
-        count = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"HIMCF_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise InvalidConfig("HIMCF_THREADS must be >= 1")
-    return count
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     out_dir = _opt(args, config, "out_dir", "out")
@@ -753,12 +704,7 @@ def cmd_verify(args) -> int:
         raise InvalidConfig(
             f"unknown suite(s) {unknown}; valid: {sorted(_SUITES)}")
 
-    with ThreadPoolExecutor(max_workers=_thread_count(len(names))) as pool:
-        futures = {name: pool.submit(_SUITES[name]) for name in names}
-        records: list[CheckRecord] = []
-        for name in names:
-            records.extend(futures[name].result())
-
+    records = [r for name in names for r in _SUITES[name]()]
     records.sort(key=lambda r: r.name)
     monitor = MonitorReport(records=tuple(records))
     summary = {

@@ -8,11 +8,10 @@ general smooth curves.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import DegenerateEdge, NotConvex
+from .errors import DegenerateEdge
 from .grids import TWO_PI
-from .support import PlaneCurve, turning_cross
+from .support import PlaneCurve
 
 
 def edge_vectors(P: np.ndarray) -> np.ndarray:
@@ -61,12 +60,6 @@ def turning_angles(P: np.ndarray) -> np.ndarray:
     return np.arctan2(cross, dot)
 
 
-def require_convex(P: np.ndarray) -> None:
-    if np.min(turning_cross(P)) <= 0.0:
-        j = int(np.argmin(turning_cross(P)))
-        raise NotConvex(f"non-positive turning at vertex {j}")
-
-
 def require_nondegenerate(P: np.ndarray) -> None:
     lengths = edge_lengths(P)
     mean = float(lengths.mean())
@@ -85,23 +78,81 @@ def resample_equal_arclength(P: np.ndarray, fields: list[np.ndarray] = (),
                              count: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Redistribute vertices to equal arc-length spacing.
 
-    Positions and the given per-vertex fields are interpolated by periodic
-    cubic splines in the cumulative arc-length parameter.  Vertex count is
-    preserved unless count says otherwise; vertex 0 stays fixed.
+    Positions and the given per-vertex fields are interpolated by one
+    periodic cubic spline in the cumulative arc-length parameter.  Vertex
+    count is preserved unless count says otherwise; vertex 0 stays fixed.
     """
-    lengths = edge_lengths(P)
-    s = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = s[-1]
-    closed_P = np.vstack([P, P[:1]])
-    targets = np.linspace(0.0, total, count or P.shape[0], endpoint=False)
-    spline = CubicSpline(s, closed_P, bc_type="periodic")
-    newP = spline(targets)
-    out_fields = []
-    for f in fields:
-        closed_f = np.concatenate([f, f[:1]])
-        fs = CubicSpline(s, closed_f, bc_type="periodic")
-        out_fields.append(fs(targets))
-    return newP, out_fields
+    s = np.concatenate([[0.0], np.cumsum(edge_lengths(P))])
+    targets = np.linspace(0.0, s[-1], count or P.shape[0], endpoint=False)
+    values = periodic_spline(s, np.column_stack([P, *fields]), targets)
+    return values[:, :2], list(values[:, 2:].T)
+
+
+def periodic_spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Periodic C2 cubic spline through the knots (x[i], y[i]), evaluated at xq.
+
+    x holds M + 1 increasing knots, the last one closing the period, and y
+    holds the M knot values before it (rows; any trailing channel axes).
+    Queries should lie in [x[0], x[M]].  The knot slopes s solve the cyclic
+    tridiagonal system
+
+        h_i s_(i-1) + 2 (h_(i-1) + h_i) s_i + h_(i-1) s_(i+1)
+            = 3 (h_i slope_(i-1) + h_(i-1) slope_i),      h_i = x[i+1] - x[i],
+
+    by Thomas elimination of the first M - 1 rows for two right sides (the
+    data and the column of s_(M-1)), after which the last row gives s_(M-1):
+    the rank-one correction that closes the cycle.  Each interval is then a
+    cubic Hermite piece in powers of xq - x[i].
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    M = y.shape[0]
+    h = np.diff(x)
+    if x.shape != (M + 1,) or M < 3 or not np.min(h) > 0.0:
+        raise ValueError("need M >= 3 knot values and M + 1 increasing knots")
+    yk = y.reshape(M, -1)
+    hk = h[:, None]
+    h_prev = np.roll(h, 1)
+    slope = (np.roll(yk, -1, axis=0) - yk) / hk
+    rhs = 3 * (hk * np.roll(slope, 1, axis=0) + h_prev[:, None] * slope)
+    col = np.zeros(M - 1)
+    col[0], col[-1] = -h[0], -h[-3]
+    sol = _thomas(h[:-1], 2 * (h_prev + h)[:-1], h_prev[:-1],
+                  np.column_stack([rhs[:-1], col]))
+    s1, s2 = sol[:, :-1], sol[:, -1:]
+    s_last = ((rhs[-1] - h[-2] * s1[0] - h[-1] * s1[-1])
+              / (2 * (h[-1] + h[-2]) + h[-2] * s2[0] + h[-1] * s2[-1]))
+    s = np.vstack([s1 + s_last * s2, s_last])
+    t = (s + np.roll(s, -1, axis=0) - 2 * slope) / hk
+    quadratic, cubic = (slope - s) / hk - t, t / hk
+
+    xq = np.asarray(xq, dtype=float)
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, M - 1).ravel()
+    z = xq.ravel()[:, None] - x[i][:, None]
+    z2 = z * z
+    out = yk[i] + s[i] * z + quadratic[i] * z2 + cubic[i] * (z2 * z)
+    return out.reshape(xq.shape + y.shape[1:])
+
+
+def _thomas(lower, diag, upper, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i] per column.
+
+    No pivoting: the spline system is diagonally dominant.
+    """
+    n = len(diag)
+    lower, d, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    fact = [0.0] * n
+    for i in range(n - 1):
+        fact[i] = lower[i + 1] / d[i]
+        d[i + 1] -= fact[i] * upper[i]
+    cols = rhs.T.tolist()
+    for b in cols:
+        for i in range(n - 1):
+            b[i + 1] -= fact[i] * b[i]
+        b[-1] /= d[-1]
+        for i in range(n - 2, -1, -1):
+            b[i] = (b[i] - upper[i] * b[i + 1]) / d[i]
+    return np.array(cols).T
 
 
 def polygon_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:

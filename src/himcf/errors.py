@@ -60,3 +60,7 @@ class InsufficientData(HimcfError):
 
 class OutOfDomain(HimcfError):
     pass
+
+
+class NonFinite(HimcfError, ValueError):
+    """Samples or a state went inf/NaN, as when a run overflows double precision."""

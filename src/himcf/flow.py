@@ -27,18 +27,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .curves import normal_angles, periodic_spline
 from .errors import CflViolation, ConvexityLost, InvalidConfig, OutOfDomain
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
-from .support import DEFAULT_EPS_CONVEX_REL, SupportState, length_from_support
+from .support import SupportState, default_eps_convex, length_from_support
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
 DEFAULT_CFL_SAFETY = 0.5
 FIXED_DT_CFL_LIMIT = 0.9          # policing bound for user-fixed steps
 _BISECT_TOL = 1e-6                # absolute t-resolution of a located violation
-_MAX_STEPS = 2_000_000
+_MAX_STEPS = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,17 @@ class FlowConfig:
     dt: float | None = None
     cfl_safety: float | None = None
     t_end: float = 1.0
-    eps_convex: float | None = None     # None: 1e-8 * mean(S0) at run start
+    eps_convex: float | None = None     # None: default_eps_convex(L0) at run start
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0.0:
-            raise InvalidConfig(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
         if self.cfl_safety is not None and not (0.0 < self.cfl_safety <= 0.9):
             raise InvalidConfig(
                 f"cfl_safety must lie in (0, 0.9], got {self.cfl_safety}")
-        if not self.t_end > 0.0:
-            raise InvalidConfig(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise InvalidConfig(f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1:
             raise InvalidConfig("record_every must be >= 1")
 
@@ -81,15 +81,21 @@ class FlowConfig:
         """Step size at time t given the state's CFL bound (before safety).
 
         Adaptive runs take safety * bound; a fixed dt that exceeds it raises
-        CflViolation.  The last step is cut to land on t_end.
+        CflViolation, and so does a step too small to advance t.  The last
+        step is cut to land on t_end.
         """
         if self.adaptive:
-            return min(self.safety * bound, self.t_end - t)
-        dt = min(self.dt, self.t_end - t)
-        if dt > self.safety * bound * (1.0 + 1e-12):
+            dt = min(self.safety * bound, self.t_end - t)
+        else:
+            dt = min(self.dt, self.t_end - t)
+            if dt > self.safety * bound * (1.0 + 1e-12):
+                raise CflViolation(
+                    f"fixed dt = {self.dt:.3e} exceeds CFL bound "
+                    f"{self.safety * bound:.3e} at t = {t:.6f}")
+        if not t + dt > t:
             raise CflViolation(
-                f"fixed dt = {self.dt:.3e} exceeds CFL bound "
-                f"{self.safety * bound:.3e} at t = {t:.6f}")
+                f"step {dt:.3e} does not advance t = {t:.6e} (CFL bound "
+                f"{bound:.3e}); the run cannot reach t_end = {self.t_end}")
         return dt
 
 
@@ -196,8 +202,6 @@ def validate_support_state(state: SupportState, eps: float, L0: float) -> _Viola
     state is still convex); a sign loss of S''+S is ConvexityLost; a still
     positive S''+S at or below eps means k >= 1/eps, CurvatureBlowup.
     """
-    if not (np.all(np.isfinite(state.S)) and np.all(np.isfinite(state.V))):
-        return _Violation("ConvexityLost")
     if length_from_support(state) <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
     rho = state.derivatives[0]
@@ -233,13 +237,17 @@ def bisect_to_violation(state, dt, first_bad: _Violation, attempt,
     return good, bad, state.t + 0.5 * (lo + hi)
 
 
+# Every stage input and candidate passes a finiteness check that raises
+# NonFinite, so numpy's overflow warnings carry no news during a run.
+@np.errstate(all="ignore")
 def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTrajectory:
     """Integrate the support-PDE IVP S(theta,0) = S0, S_t(theta,0) = V0.
 
     Records a snapshot every record_every accepted steps plus the final
     state.  Termination is HorizonReached at t_end, or the first of
     ConvexityLost / CurvatureBlowup / LengthVanished with the violation time
-    located by step bisection so the recorded horizon is sharp.
+    located by step bisection so the recorded horizon is sharp.  Arithmetic
+    that overflows raises NonFinite.
     """
     S0 = np.asarray(S0, dtype=float)
     V0 = np.asarray(V0, dtype=float)
@@ -247,10 +255,8 @@ def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTra
     if grid.N != cfg.N:
         raise InvalidConfig(f"config N = {cfg.N} but data has {grid.N} samples")
     state = SupportState(grid=grid, S=S0, V=V0, t=0.0)
-    eps = cfg.eps_convex
-    if eps is None:
-        eps = DEFAULT_EPS_CONVEX_REL * float(np.mean(state.S))
     L0 = length_from_support(state)
+    eps = default_eps_convex(L0) if cfg.eps_convex is None else cfg.eps_convex
     if validate_support_state(state, eps, L0) is not None:
         raise ConvexityLost("initial data is not strictly convex", t=0.0)
 
@@ -323,12 +329,7 @@ def sigma_field(traj: FlowTrajectory, t: float, grid: AngleGrid | None = None) -
         return np.array(snap.V)
     if grid is None:
         raise InvalidConfig("a target AngleGrid is required for Lagrangian trajectories")
-    from .curves import normal_angles
-
     th = normal_angles(snap.P)
     th0 = th - th[0]                       # increasing, covers [0, 2*pi)
-    values = np.asarray(snap.sigma)
-    spline = CubicSpline(np.concatenate([th0, [TWO_PI]]),
-                         np.concatenate([values, values[:1]]),
-                         bc_type="periodic")
-    return spline(np.mod(grid.theta - th[0], TWO_PI))
+    return periodic_spline(np.concatenate([th0, [TWO_PI]]), snap.sigma,
+                           np.mod(grid.theta - th[0], TWO_PI))

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NonFinite
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -66,7 +68,7 @@ def periodic_derivative(values: np.ndarray, order: int) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("expected a 1-d sample sequence")
     if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite samples")
+        raise NonFinite("non-finite samples (an overflow or NaN)")
     mult = _derivative_multipliers(v.size, order)
     return np.fft.irfft(np.fft.rfft(v) * mult, v.size)
 
@@ -88,7 +90,7 @@ def support_derivatives(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.nd
     if sv.ndim != 2:
         raise ValueError("expected two 1-d sample sequences of equal length")
     if not np.all(np.isfinite(sv)):
-        raise ValueError("non-finite samples")
+        raise NonFinite("non-finite samples (an overflow or NaN)")
     n = sv.shape[1]
     d = np.fft.irfft(np.fft.rfft(sv) * _support_multipliers(n), n)
     d[0] += sv[0]

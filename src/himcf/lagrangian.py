@@ -14,8 +14,6 @@ the point: agreement of the two is the module's strongest correctness check.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .curves import (
@@ -23,11 +21,14 @@ from .curves import (
     discrete_tangent_normal,
     edge_lengths,
     polygon_length,
+    require_nondegenerate,
     resample_equal_arclength,
     turning_angles,
 )
-from .errors import ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex
+from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import (
+    _MAX_STEPS,
+    LENGTH_VANISH_REL,
     FlowConfig,
     FlowTrajectory,
     Termination,
@@ -35,17 +36,14 @@ from .flow import (
     bisect_to_violation,
 )
 from .report import MonitorReport, margin_record
-from .support import DEFAULT_EPS_CONVEX_REL, PlaneCurve
+from .support import PlaneCurve, default_eps_convex
 
 RESAMPLE_INTERVAL = 50
 
 
 def _geometry(P: np.ndarray):
     """Outward normal and curvature with degeneracy checks."""
-    lengths = edge_lengths(P)
-    mean_len = float(lengths.mean())
-    if np.min(lengths) < 1e-12 * mean_len:
-        raise DegenerateEdge("adjacent vertices collide")
+    require_nondegenerate(P)
     k = discrete_curvature(P)
     if np.min(k) <= 0.0:
         raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
@@ -100,9 +98,7 @@ def lagrangian_cfl_bound(c: PlaneCurve) -> float:
 
 
 def _validate_curve(c: PlaneCurve, kappa_max: float, L0: float) -> _Violation | None:
-    if not (np.all(np.isfinite(c.P)) and np.all(np.isfinite(c.sigma))):
-        return _Violation("ConvexityLost")
-    if polygon_length(c.P) <= 1e-6 * L0:
+    if polygon_length(c.P) <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
     try:
         k = discrete_curvature(c.P)
@@ -115,6 +111,8 @@ def _validate_curve(c: PlaneCurve, kappa_max: float, L0: float) -> _Violation | 
     return None
 
 
+# As in run_support_flow, non-finite values raise NonFinite on their own.
+@np.errstate(all="ignore")
 def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) -> FlowTrajectory:
     """Integrate the normal flow from curve F0 with initial speed f.
 
@@ -130,11 +128,7 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
     _geometry(curve.P)      # raises on degenerate/non-convex initial data
 
     L0 = polygon_length(curve.P)
-    eps = cfg.eps_convex
-    if eps is None:
-        # Same spirit as the support solver: floor relative to the mean
-        # support scale, here the mean circumradius proxy L0/(2*pi).
-        eps = DEFAULT_EPS_CONVEX_REL * L0 / (2.0 * math.pi)
+    eps = default_eps_convex(L0) if cfg.eps_convex is None else cfg.eps_convex
     kappa_max = 1.0 / eps
 
     def attempt(c, h):
@@ -151,7 +145,7 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
         if curve.t >= cfg.t_end - 1e-12:
             termination = Termination("HorizonReached", t=curve.t)
             break
-        if steps >= 2_000_000:
+        if steps >= _MAX_STEPS:
             raise InvalidConfig("step budget exhausted before t_end")
 
         dt = cfg.next_dt(lagrangian_cfl_bound(curve), curve.t)

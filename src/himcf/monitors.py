@@ -31,7 +31,7 @@ from .flow import FlowTrajectory
 from .grids import TWO_PI, periodic_derivative, support_derivatives
 from .radial import classify_regime, closed_form_radius, closed_form_velocity, sphere_geometry
 from .report import CheckRecord, MonitorReport, margin_record, residual_record
-from .support import SupportState, length_from_support
+from .support import SupportState, length_from_support, support_to_curve
 
 # k_theta^2 coefficient of the curvature evolution equation, fixed by the
 # symbolic jet-space derivation in the test suite: -C * k_theta^2 / k**P.
@@ -76,7 +76,7 @@ def comparison_horizon(delta: float, f_max: float) -> float:
 
 def _snapshot_curvature(snap) -> np.ndarray:
     if isinstance(snap, SupportState):
-        return 1.0 / (periodic_derivative(snap.S, 2) + snap.S)
+        return 1.0 / snap.curvature_denominator()
     return discrete_curvature(snap.P)
 
 
@@ -84,6 +84,12 @@ def _snapshot_length(snap) -> float:
     if isinstance(snap, SupportState):
         return length_from_support(snap)
     return polygon_length(snap.P)
+
+
+def _snapshot_polygon(snap) -> np.ndarray:
+    if isinstance(snap, SupportState):
+        return support_to_curve(snap).P
+    return snap.P
 
 
 def outcome_inputs_from_trajectory(traj: FlowTrajectory) -> OutcomeInputs:

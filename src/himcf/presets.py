@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import curve_from_radius_profile, resample_equal_arclength
 from .errors import InvalidConfig
-from .grids import AngleGrid, periodic_derivative
+from .grids import AngleGrid
 from .support import PlaneCurve, SupportState
 
 
@@ -56,13 +56,14 @@ def ellipse_support(grid: AngleGrid, a: float, b: float, speed=0.0) -> SupportSt
 def fourier_support(grid: AngleGrid, coeffs, speed=0.0) -> SupportState:
     """Cosine-series support function; rejects data that is not strictly convex."""
     theta = grid.theta
-    S = cosine_series(coeffs, theta)
-    rho = periodic_derivative(S, 2) + S
+    state = SupportState(grid=grid, S=cosine_series(coeffs, theta),
+                         V=_speed_field(speed, theta))
+    rho = state.curvature_denominator()
     if np.min(rho) <= 0.0:
         raise InvalidConfig(
             f"coefficients give a non-convex curve (min curvature radius "
             f"{float(np.min(rho)):.3e})")
-    return SupportState(grid=grid, S=S, V=_speed_field(speed, theta))
+    return state
 
 
 def circle_curve(M: int, radius: float, speed=0.0) -> PlaneCurve:

@@ -78,16 +78,6 @@ CIRCLE = RadialGeometry(kind="circle")
 
 
 @dataclass(frozen=True)
-class RadialState:
-    geometry: RadialGeometry
-    r: float
-    r_t: float
-    t: float
-    r0: float
-    r1: float
-
-
-@dataclass(frozen=True)
 class RegimeReport:
     regime: str                    # ExpandsForever | DipThenExpand |
                                    # ConvergesToPointInfiniteTime | ConvergesToPointFiniteTime
@@ -131,23 +121,25 @@ class ForcedRunReport:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def closed_form_radius(geometry: RadialGeometry, r0: float, r1: float, t) -> float | np.ndarray:
-    """Exact solution; may be <= 0 past the extinction time (caller's concern)."""
-    lam = geometry.lam
+def closed_form(lam: float, r0: float, r1: float, t,
+                velocity: bool = False) -> float | np.ndarray:
+    """r(t) (or r'(t)) of r'' = lam^2 r with r(0) = r0, r'(0) = r1, lam > 0."""
     c_plus = 0.5 * (r0 + r1 / lam)
     c_minus = 0.5 * (r0 - r1 / lam)
     t = np.asarray(t, dtype=float)
-    out = c_plus * np.exp(lam * t) + c_minus * np.exp(-lam * t)
+    grow = c_plus * np.exp(lam * t)
+    decay = c_minus * np.exp(-lam * t)
+    out = lam * (grow - decay) if velocity else grow + decay
     return float(out) if out.ndim == 0 else out
+
+
+def closed_form_radius(geometry: RadialGeometry, r0: float, r1: float, t) -> float | np.ndarray:
+    """Exact solution; may be <= 0 past the extinction time (caller's concern)."""
+    return closed_form(geometry.lam, r0, r1, t)
 
 
 def closed_form_velocity(geometry: RadialGeometry, r0: float, r1: float, t) -> float | np.ndarray:
-    lam = geometry.lam
-    c_plus = 0.5 * (r0 + r1 / lam)
-    c_minus = 0.5 * (r0 - r1 / lam)
-    t = np.asarray(t, dtype=float)
-    out = lam * (c_plus * np.exp(lam * t) - c_minus * np.exp(-lam * t))
-    return float(out) if out.ndim == 0 else out
+    return closed_form(geometry.lam, r0, r1, t, velocity=True)
 
 
 def classify_regime(geometry: RadialGeometry, r0: float, r1: float) -> RegimeReport:
@@ -221,8 +213,8 @@ def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
     time is refined by bisection on the cubic Hermite dense output of the
     offending step, to 1e-6 in t.
     """
-    if not (dt > 0.0 and t_end > 0.0):
-        raise InvalidConfig("step and horizon must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise InvalidConfig("step and horizon must be positive and finite")
     if not (r0 > 0.0):
         raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
     stiffness = geometry.stiffness
@@ -271,8 +263,8 @@ def forced_radial(geometry: RadialGeometry, c: Callable[[float], float],
     gives r_lo <= r <= r_hi while r stays positive, and a violation beyond
     tolerance signals an integrator bug, not a modeling outcome.
     """
-    if not (dt > 0.0 and t_end > 0.0):
-        raise InvalidConfig("step and horizon must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise InvalidConfig("step and horizon must be positive and finite")
     if not (r0 > 0.0):
         raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
     if not (math.isfinite(c_lo) and math.isfinite(c_hi) and c_lo <= c_hi):

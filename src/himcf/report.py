@@ -71,12 +71,3 @@ class MonitorReport:
     @property
     def flags(self) -> tuple[str, ...]:
         return tuple(f"{r.name}: {r.note}" for r in self.records if r.flagged)
-
-    def merged(self, other: "MonitorReport") -> "MonitorReport":
-        return MonitorReport(records=self.records + other.records)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [r.as_dict() for r in self.records],
-        }

@@ -11,16 +11,24 @@ origin to the tangent line with normal (cos theta, sin theta).  Key relations:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvexityLost, NotConvex, OriginNotInterior
+from .errors import ConvexityLost, NonFinite, NotConvex, OriginNotInterior
 from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative, support_derivatives
 
-# Default relative convexity floor: eps = DEFAULT_EPS_CONVEX_REL * mean(S).
 DEFAULT_EPS_CONVEX_REL = 1e-8
+
+
+def default_eps_convex(length: float) -> float:
+    """Default convexity floor of a curve of length L: DEFAULT_EPS_CONVEX_REL * L/(2 pi).
+
+    L/(2 pi) is mean(S) on a support state and the mean circumradius proxy
+    of a polygon, so both solvers share the rule.
+    """
+    return DEFAULT_EPS_CONVEX_REL * length / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -44,10 +52,10 @@ class SupportState:
         if self.S.shape != (self.grid.N,) or self.V.shape != (self.grid.N,):
             raise ValueError("S and V must match the grid size")
         if not (np.all(np.isfinite(self.S)) and np.all(np.isfinite(self.V))):
-            raise ValueError("non-finite support state")
+            raise NonFinite(f"non-finite support state at t = {self.t}")
 
     def default_eps_convex(self) -> float:
-        return DEFAULT_EPS_CONVEX_REL * float(np.mean(self.S))
+        return default_eps_convex(length_from_support(self))
 
     @cached_property
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -64,11 +72,12 @@ class SupportState:
         return rho, V_th
 
     def curvature_denominator(self) -> np.ndarray:
-        """S'' + S, the reciprocal curvature in normal-angle gauge."""
-        return periodic_derivative(self.S, 2) + self.S
+        """S'' + S, the reciprocal curvature in normal-angle gauge.
 
-    def with_velocity(self, V: np.ndarray) -> "SupportState":
-        return replace(self, V=V)
+        The one place that forms S'' + S without V_theta; the flow solver
+        takes the pair from `derivatives`.
+        """
+        return periodic_derivative(self.S, 2) + self.S
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ class PlaneCurve:
         if self.sigma.shape != (self.P.shape[0],):
             raise ValueError("sigma must have one entry per vertex")
         if not (np.all(np.isfinite(self.P)) and np.all(np.isfinite(self.sigma))):
-            raise ValueError("non-finite curve data")
+            raise NonFinite(f"non-finite curve data at t = {self.t}")
 
     @property
     def M(self) -> int:

@@ -2,23 +2,21 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import himcf.cli
 
 CLI = [sys.executable, "-m", "himcf"]
 
 
-def run_cli(args, tmp_path, name="out", env_extra=None, expect=0):
+def run_cli(args, tmp_path, name="out", expect=0):
     out_dir = tmp_path / name
-    env = dict(os.environ)
-    env.pop("HIMCF_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(CLI + args + ["--out-dir", str(out_dir)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == expect, (proc.stdout, proc.stderr)
     return proc, out_dir
 
@@ -150,17 +148,6 @@ class TestVerify:
         err = json.loads(proc.stderr)
         assert "radial" in err["message"]
 
-    def test_thread_cap_does_not_change_the_report(self, tmp_path):
-        _, out_a = run_cli(["verify", "radial"], tmp_path, name="a")
-        _, out_b = run_cli(["verify", "radial"], tmp_path, name="b",
-                           env_extra={"HIMCF_THREADS": "1"})
-        assert (out_a / "verify_report.json").read_bytes() == \
-            (out_b / "verify_report.json").read_bytes()
-
-    def test_bad_thread_env_is_a_config_error(self, tmp_path):
-        run_cli(["verify", "radial"], tmp_path,
-                env_extra={"HIMCF_THREADS": "0"}, expect=1)
-
 
 class TestErrorContract:
     def test_invalid_radius_is_exit_1_with_json_error(self, tmp_path):
@@ -190,6 +177,35 @@ class TestErrorContract:
         err = json.loads(proc.stderr)
         assert err["error"] == "CflViolation"
         assert "exceeds CFL bound" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--N", "17"],
+        ["containment", "--N", "17"],
+        ["curve", "--speed", "abc"],
+        ["radial", "--config", "{forcing_table}"],
+        ["radial", "--dt", "inf"],
+        ["radial", "--t-end", "inf"],
+        ["curve", "--dt", "inf"],
+    ])
+    def test_bad_config_value_is_exit_1_with_one_json_error(self, argv, tmp_path):
+        table = tmp_path / "forcing.json"
+        table.write_text(json.dumps({"forcing": {
+            "kind": "table", "times": [0.0, "soon"], "values": [0.1, 0.2]}}))
+        argv = [a.format(forcing_table=table) for a in argv]
+        proc, _ = run_cli(argv, tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] in ("InvalidConfig", "InvalidForcing")
+
+    @pytest.mark.parametrize("solver", ["support", "lagrangian"])
+    def test_overflowing_speed_is_exit_1_with_one_json_error(self, solver, tmp_path):
+        proc, _ = run_cli(["curve", "--preset", "circle", "--speed", "0,1e200",
+                           "--t-end", "0.1", "--solver", solver], tmp_path,
+                          expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] in ("NonFinite", "CflViolation")
+        assert "dt must be positive" not in err["message"]
 
 
 class TestConfigFile:
@@ -229,3 +245,37 @@ class TestDeterminism:
         _, out_b = run_cli(args, tmp_path, name="b")
         for fname in ("curve.csv", "curve_summary.json", "curve.svg"):
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, himcf, himcf.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("spec", [
+    {"preset": "circle", "r0": 1.5, "speed": "-1,0.2"},
+    {"preset": "ellipse", "a": 1.3, "b": 0.9, "speed": 0.4},
+    {"preset": "fourier", "coeffs": "1,0,0.05", "speed": "-0.5,0,0.1"},
+])
+def test_curve_and_containment_build_the_same_initial_state(spec, tmp_path,
+                                                            monkeypatch):
+    starts = []
+    real_run = himcf.cli.run_support_flow
+
+    def recording_run(S0, V0, cfg):
+        starts.append((np.array(S0), np.array(V0)))
+        return real_run(S0, V0, cfg)
+
+    monkeypatch.setattr(himcf.cli, "run_support_flow", recording_run)
+    flags = [f"--{key}={value}" for key, value in spec.items()]
+    assert himcf.cli.main(["curve", *flags, "--t-end", "0.01",
+                           "--out-dir", str(tmp_path / "curve")]) == 0
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({"outer": spec, "inner": spec, "t_end": 0.01}))
+    assert himcf.cli.main(["containment", "--config", str(cfg),
+                           "--out-dir", str(tmp_path / "pair")]) == 0
+    (S_curve, V_curve), (S_outer, V_outer), _ = starts
+    assert np.array_equal(S_curve, S_outer)
+    assert np.array_equal(V_curve, V_outer)

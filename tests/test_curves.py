@@ -1,20 +1,21 @@
 """Discrete polygon geometry helpers."""
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from himcf.curves import (
     curve_from_radius_profile,
     discrete_curvature,
     discrete_tangent_normal,
     normal_angles,
+    periodic_spline,
     polygon_hausdorff,
     polygon_length,
-    require_convex,
     require_nondegenerate,
     resample_equal_arclength,
     turning_angles,
 )
-from himcf.errors import DegenerateEdge, NotConvex
+from himcf.errors import DegenerateEdge
 
 
 def circle_points(radius=1.0, M=256, center=(0.0, 0.0)):
@@ -66,13 +67,6 @@ def test_normal_angles_unwrap_monotonically():
     assert ang[-1] - ang[0] < 2 * np.pi
 
 
-def test_require_convex_rejects_dented_polygon():
-    P = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.2], [0.0, -1.0]])
-    with pytest.raises(NotConvex):
-        require_convex(P)
-    require_convex(circle_points(M=32))
-
-
 def test_require_nondegenerate_rejects_coincident_vertices():
     P = circle_points(M=32)
     P_bad = P.copy()
@@ -100,6 +94,19 @@ class TestHausdorff:
         P = circle_points(1.0, M=512)
         Q = circle_points(1.0, M=512, center=(0.25, 0.0))
         assert polygon_hausdorff(P, Q) == pytest.approx(0.25, abs=1e-3)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("M", [16, 256, 2048])
+def test_periodic_spline_matches_scipy_reference(M, channels):
+    rng = np.random.default_rng(M + channels)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, M))])
+    y = rng.standard_normal(M if channels == 1 else (M, channels))
+    xq = np.concatenate([rng.uniform(x[0], x[-1], 4 * M), x])
+    reference = CubicSpline(x, np.concatenate([y, y[:1]]), bc_type="periodic")(xq)
+    got = periodic_spline(x, y, xq)
+    assert got.shape == reference.shape
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestResampling:
