@@ -204,8 +204,7 @@ def cmd_radial(args) -> int:
             "label": regime.label,
         }
         summary["extinction_time"] = traj.extinction_time
-        rows = [(t, rc, rn, e)
-                for t, rc, rn, e in zip(traj.times, closed, traj.r, err)]
+        table = np.column_stack([traj.times, closed, traj.r, err])
         header = ["t", "r_closed", "r_numeric", "abs_err"]
     else:
         kind = forcing.get("kind")
@@ -244,9 +243,8 @@ def cmd_radial(args) -> int:
             err = np.full_like(report.times, math.nan)
         summary["regime"] = None
         summary["extinction_time"] = None
-        rows = [(t, rc, rn, e, lo, hi)
-                for t, rc, rn, e, lo, hi in zip(report.times, closed, report.r,
-                                                err, report.r_lo, report.r_hi)]
+        table = np.column_stack([report.times, closed, report.r, err,
+                                 report.r_lo, report.r_hi])
         header = ["t", "r_closed", "r_numeric", "abs_err", "r_lo", "r_hi"]
 
     monitor = MonitorReport(records=tuple(records))
@@ -255,10 +253,11 @@ def cmd_radial(args) -> int:
     summary["flags"] = sorted(flags)
     summary["passed"] = monitor.passed
 
-    write_text_atomic(os.path.join(out_dir, "radial.csv"), csv_text(header, rows))
+    write_text_atomic(os.path.join(out_dir, "radial.csv"),
+                      csv_text(header, [(None, table)]))
     write_text_atomic(os.path.join(out_dir, "radial_summary.json"), json_text(summary))
     regime_text = summary["regime"]["regime"] if summary.get("regime") else "forced"
-    print(f"radial: {regime_text}, {len(rows)} samples, "
+    print(f"radial: {regime_text}, {len(table)} samples, "
           f"{'pass' if summary['passed'] else 'FAIL'}")
     return 0 if summary["passed"] else 2
 
@@ -308,22 +307,34 @@ def _outline_indices(count: int, limit: int = 13) -> list[int]:
     return sorted(set(np.linspace(0, count - 1, limit).round().astype(int).tolist()))
 
 
-def _support_csv_rows(traj: FlowTrajectory):
-    for snap in traj.snapshots:
-        k = curvature_from_support(snap)
-        theta = snap.grid.theta
-        for j in range(snap.grid.N):
-            yield (snap.t, theta[j], snap.S[j], snap.V[j], k[j])
+# Snapshots per batched stencil call when writing a Lagrangian CSV; a small
+# chunk keeps the stacked temporaries small at no cost in speed.
+_CSV_CHUNK = 16
 
 
-def _curve_csv_rows(traj: FlowTrajectory):
+def _support_csv_blocks(traj: FlowTrajectory):
     for snap in traj.snapshots:
-        _, nu = discrete_tangent_normal(snap.P)
-        th = np.mod(normal_angles(snap.P), TWO_PI)
-        S = np.sum(snap.P * nu, axis=1)
-        k = discrete_curvature(snap.P)
-        for j in range(snap.P.shape[0]):
-            yield (snap.t, th[j], S[j], snap.sigma[j], k[j])
+        yield snap.t, np.column_stack([snap.grid.theta, snap.S, snap.V,
+                                       curvature_from_support(snap)])
+
+
+def _curve_csv_blocks(traj: FlowTrajectory):
+    """Per snapshot: normal angle, support value, sigma and curvature per vertex.
+
+    The stencils run once per chunk of snapshots on the stacked polygons;
+    the solver keeps the vertex count fixed, so every chunk stacks.
+    """
+    snaps = traj.snapshots
+    for start in range(0, len(snaps), _CSV_CHUNK):
+        chunk = snaps[start:start + _CSV_CHUNK]
+        P = np.stack([snap.P for snap in chunk])
+        _, nu = discrete_tangent_normal(P)
+        columns = np.stack([np.mod(normal_angles(P), TWO_PI),
+                            np.sum(P * nu, axis=-1),
+                            np.stack([snap.sigma for snap in chunk]),
+                            discrete_curvature(P)], axis=-1)
+        for snap, block in zip(chunk, columns):
+            yield snap.t, block
 
 
 def cmd_curve(args) -> int:
@@ -377,12 +388,9 @@ def cmd_curve(args) -> int:
             hausdorff = polygon_hausdorff(_snapshot_polygon(support_traj.snapshots[-1]),
                                           _snapshot_polygon(lagrangian_traj.snapshots[-1]))
 
-    if primary.is_support:
-        rows = _support_csv_rows(primary)
-    else:
-        rows = _curve_csv_rows(primary)
+    blocks = (_support_csv_blocks if primary.is_support else _curve_csv_blocks)(primary)
     write_text_atomic(os.path.join(out_dir, "curve.csv"),
-                      csv_text(["t", "theta", "S", "V", "k"], rows))
+                      csv_text(["t", "theta", "S", "V", "k"], blocks))
 
     outlines = [_snapshot_polygon(traj.snapshots[i])
                 for traj in (support_traj, lagrangian_traj) if traj is not None
@@ -493,7 +501,7 @@ def cmd_containment(args) -> int:
             break
         rows.append((a.t, float(np.min(a.S - b.S))))
     write_text_atomic(os.path.join(out_dir, "containment.csv"),
-                      csv_text(["t", "min_gap"], rows))
+                      csv_text(["t", "min_gap"], [(None, np.reshape(rows, (-1, 2)))]))
 
     summary = {
         "kind": "containment",

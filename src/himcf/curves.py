@@ -7,19 +7,41 @@ general smooth curves.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import DegenerateEdge
 from .grids import TWO_PI
-from .support import PlaneCurve
 
+if TYPE_CHECKING:
+    from .support import PlaneCurve
+
+
+def cyclic_shift(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """Periodic shift, result[i] = a[i - shift] along axis, from two slices."""
+    axis %= a.ndim
+    cut = -shift % a.shape[axis]
+    head = (slice(None),) * axis
+    return np.concatenate((a[head + (slice(cut, None),)], a[head + (slice(None, cut),)]),
+                          axis=axis)
+
+
+# The polygon stencils below take P of shape (..., M, 2): one polygon or a
+# stack of them, the vertex axis second to last.  Every operation is
+# elementwise along the vertex axis, so a stacked call equals the calls on
+# each polygon bit for bit.
 
 def edge_vectors(P: np.ndarray) -> np.ndarray:
-    return np.roll(P, -1, axis=0) - P
+    return cyclic_shift(P, -1, axis=-2) - P
+
+
+def vector_norms(v: np.ndarray) -> np.ndarray:
+    return np.hypot(v[..., 0], v[..., 1])
 
 
 def edge_lengths(P: np.ndarray) -> np.ndarray:
-    return np.hypot(*edge_vectors(P).T)
+    return vector_norms(edge_vectors(P))
 
 
 def polygon_length(P: np.ndarray) -> float:
@@ -28,24 +50,38 @@ def polygon_length(P: np.ndarray) -> float:
 
 def discrete_tangent_normal(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit tangent (chord central difference) and outward unit normal."""
-    chord = np.roll(P, -1, axis=0) - np.roll(P, 1, axis=0)
-    norm = np.hypot(chord[:, 0], chord[:, 1])
+    chord = cyclic_shift(P, -1, axis=-2) - cyclic_shift(P, 1, axis=-2)
+    norm = vector_norms(chord)
     if np.min(norm) <= 0.0:
         raise DegenerateEdge("coincident neighbor vertices")
-    T = chord / norm[:, None]
-    nu = np.column_stack([T[:, 1], -T[:, 0]])
+    T = chord / norm[..., None]
+    nu = np.stack([T[..., 1], -T[..., 0]], axis=-1)
     return T, nu
+
+
+def _corners(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Previous edge and the cross product of each consecutive edge pair."""
+    e_prev = cyclic_shift(e, 1, axis=-2)
+    return e_prev, e_prev[..., 0] * e[..., 1] - e_prev[..., 1] * e[..., 0]
+
+
+def turning_cross(P: np.ndarray) -> np.ndarray:
+    """Cross products of consecutive edge pairs; positive iff locally convex CCW."""
+    return _corners(edge_vectors(P))[1]
 
 
 def discrete_curvature(P: np.ndarray) -> np.ndarray:
     """Signed curvature from the circumscribed circle of each vertex triple."""
     e = edge_vectors(P)
-    e_prev = np.roll(e, 1, axis=0)
-    cross = e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]
-    l_prev = np.hypot(e_prev[:, 0], e_prev[:, 1])
-    l_next = np.hypot(e[:, 0], e[:, 1])
-    chord = np.hypot(*(e_prev + e).T)
-    denom = l_prev * l_next * chord
+    return curvature_from_edges(e, vector_norms(e))
+
+
+def curvature_from_edges(e: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """discrete_curvature from the edge vectors and their lengths."""
+    e_prev, cross = _corners(e)
+    l_prev = cyclic_shift(lengths, 1, axis=-1)
+    chord = vector_norms(e_prev + e)
+    denom = l_prev * lengths * chord
     if np.min(denom) <= 0.0:
         raise DegenerateEdge("zero-length edge in curvature stencil")
     return 2.0 * cross / denom
@@ -54,14 +90,17 @@ def discrete_curvature(P: np.ndarray) -> np.ndarray:
 def turning_angles(P: np.ndarray) -> np.ndarray:
     """Exterior angle at each vertex; all positive for strictly convex CCW."""
     e = edge_vectors(P)
-    e_prev = np.roll(e, 1, axis=0)
-    cross = e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]
-    dot = np.sum(e_prev * e, axis=1)
+    e_prev, cross = _corners(e)
+    dot = np.sum(e_prev * e, axis=-1)
     return np.arctan2(cross, dot)
 
 
 def require_nondegenerate(P: np.ndarray) -> None:
-    lengths = edge_lengths(P)
+    require_edge_lengths(edge_lengths(P))
+
+
+def require_edge_lengths(lengths: np.ndarray) -> None:
+    """DegenerateEdge when an edge of one polygon is below 1e-12 of the mean."""
     mean = float(lengths.mean())
     if np.min(lengths) < 1e-12 * mean:
         raise DegenerateEdge("adjacent vertices collide")
@@ -70,8 +109,8 @@ def require_nondegenerate(P: np.ndarray) -> None:
 def normal_angles(P: np.ndarray) -> np.ndarray:
     """Unwrapped outward-normal angle per vertex, increasing by 2*pi per loop."""
     _, nu = discrete_tangent_normal(P)
-    raw = np.arctan2(nu[:, 1], nu[:, 0])
-    return np.unwrap(raw)
+    raw = np.arctan2(nu[..., 1], nu[..., 0])
+    return np.unwrap(raw, axis=-1)
 
 
 def resample_equal_arclength(P: np.ndarray, fields: list[np.ndarray] = (),
@@ -112,9 +151,9 @@ def periodic_spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
         raise ValueError("need M >= 3 knot values and M + 1 increasing knots")
     yk = y.reshape(M, -1)
     hk = h[:, None]
-    h_prev = np.roll(h, 1)
-    slope = (np.roll(yk, -1, axis=0) - yk) / hk
-    rhs = 3 * (hk * np.roll(slope, 1, axis=0) + h_prev[:, None] * slope)
+    h_prev = cyclic_shift(h, 1, axis=0)
+    slope = (cyclic_shift(yk, -1, axis=0) - yk) / hk
+    rhs = 3 * (hk * cyclic_shift(slope, 1, axis=0) + h_prev[:, None] * slope)
     col = np.zeros(M - 1)
     col[0], col[-1] = -h[0], -h[-3]
     sol = _thomas(h[:-1], 2 * (h_prev + h)[:-1], h_prev[:-1],
@@ -123,7 +162,7 @@ def periodic_spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     s_last = ((rhs[-1] - h[-2] * s1[0] - h[-1] * s1[-1])
               / (2 * (h[-1] + h[-2]) + h[-2] * s2[0] + h[-1] * s2[-1]))
     s = np.vstack([s1 + s_last * s2, s_last])
-    t = (s + np.roll(s, -1, axis=0) - 2 * slope) / hk
+    t = (s + cyclic_shift(s, -1, axis=0) - 2 * slope) / hk
     quadratic, cubic = (slope - s) / hk - t, t / hk
 
     xq = np.asarray(xq, dtype=float)
@@ -166,8 +205,7 @@ def polygon_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
 
 def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     a = Q
-    b = np.roll(Q, -1, axis=0)
-    ab = b - a                   # (m, 2)
+    ab = edge_vectors(Q)         # (m, 2)
     ab2 = np.sum(ab * ab, axis=1)
     ab2 = np.where(ab2 == 0.0, 1.0, ab2)
     rel = P[:, None, :] - a[None, :, :]          # (n, m, 2)
@@ -181,6 +219,8 @@ def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
 def curve_from_radius_profile(radius: float, M: int, sigma_value: float = 0.0,
                               t: float = 0.0) -> PlaneCurve:
     """Uniformly sampled circle, the degenerate but ubiquitous test curve."""
+    from .support import PlaneCurve     # support imports this module
+
     alpha = TWO_PI * np.arange(M) / M
     P = radius * np.column_stack([np.cos(alpha), np.sin(alpha)])
     return PlaneCurve(P=P, sigma=np.full(M, float(sigma_value)), t=t)

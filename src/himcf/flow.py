@@ -41,6 +41,19 @@ _BISECT_TOL = 1e-6                # absolute t-resolution of a located violation
 _MAX_STEPS = 2 * 10**6
 
 
+def fixed_step_count(dt: float, t_end: float) -> int:
+    """Steps of size dt that reach t_end; InvalidConfig beyond _MAX_STEPS.
+
+    Checked before the first step, so no run sets up or records more steps
+    than the budget allows.
+    """
+    ratio = t_end / dt - 1e-12
+    if not ratio <= _MAX_STEPS:
+        raise InvalidConfig(
+            f"t_end / dt = {t_end / dt:.3e} steps exceeds the step budget {_MAX_STEPS}")
+    return int(math.ceil(ratio))
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Solver knobs shared by the support and Lagrangian integrators.
@@ -66,6 +79,8 @@ class FlowConfig:
             raise InvalidConfig(f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1:
             raise InvalidConfig("record_every must be >= 1")
+        if self.dt is not None:
+            fixed_step_count(self.dt, self.t_end)
 
     @property
     def adaptive(self) -> bool:

@@ -17,13 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import (
+    curvature_from_edges,
+    cyclic_shift,
     discrete_curvature,
     discrete_tangent_normal,
     edge_lengths,
+    edge_vectors,
     polygon_length,
-    require_nondegenerate,
+    require_edge_lengths,
     resample_equal_arclength,
     turning_angles,
+    vector_norms,
 )
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import (
@@ -42,9 +46,15 @@ RESAMPLE_INTERVAL = 50
 
 
 def _geometry(P: np.ndarray):
-    """Outward normal and curvature with degeneracy checks."""
-    require_nondegenerate(P)
-    k = discrete_curvature(P)
+    """Outward normal and curvature with degeneracy checks.
+
+    One pass: the edges and their lengths serve both the collision check
+    and the curvature stencil.
+    """
+    e = edge_vectors(P)
+    lengths = vector_norms(e)
+    require_edge_lengths(lengths)
+    k = curvature_from_edges(e, lengths)
     if np.min(k) <= 0.0:
         raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
     _, nu = discrete_tangent_normal(P)
@@ -90,9 +100,9 @@ def lagrangian_cfl_bound(c: PlaneCurve) -> float:
     """
     angles = turning_angles(c.P)
     lengths = edge_lengths(c.P)
-    dsig = np.roll(c.sigma, -1) - np.roll(c.sigma, 1)
+    dsig = cyclic_shift(c.sigma, -1, axis=-1) - cyclic_shift(c.sigma, 1, axis=-1)
     # Central difference over the two adjacent edges: vertex i-1 to i+1.
-    sigma_s = dsig / (lengths + np.roll(lengths, 1))
+    sigma_s = dsig / (lengths + cyclic_shift(lengths, 1, axis=-1))
     speed = float(np.max(np.abs(sigma_s))) + 1.0
     return float(np.min(angles)) / speed
 

@@ -13,10 +13,6 @@ import tempfile
 import numpy as np
 
 
-def format_float(x) -> str:
-    return repr(float(x))
-
-
 def write_text_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -33,19 +29,24 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def csv_text(header: list[str], rows) -> str:
-    """Header row plus data rows; floats in shortest round-trip form."""
+def csv_text(header: list[str], blocks) -> str:
+    """Header row plus the rows of each (t, columns) block.
+
+    columns is a 2-D float array, one row per CSV row.  t, unless None, is
+    written once per block as the first cell of each of its rows.  Floats
+    are formatted by %r, the shortest round-trip form of repr(float(x)),
+    with one format call per block.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(format_float(cell))
-        lines.append(",".join(cells))
+    for t, columns in blocks:
+        values = np.asarray(columns, dtype=float)
+        count, width = values.shape
+        if count == 0:
+            continue
+        row = ",".join(["%r"] * width)
+        if t is not None:
+            row = f"{float(t)!r},{row}"
+        lines.append("\n".join([row] * count) % tuple(values.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -68,17 +69,16 @@ def svg_text(polylines, width: int = 640, height: int = 640) -> str:
     hi = allpts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     pad = 0.05 * float(span.max())
-    x0, y0 = lo - pad
-    w, h = (hi - lo) + 2 * pad
-    stroke = 0.004 * float(max(w, h))
+    x0, y0 = (lo - pad).tolist()
+    w, h = ((hi - lo) + 2 * pad).tolist()
+    stroke = 0.004 * max(w, h)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
-        f'viewBox="{format_float(x0)} {format_float(y0)} '
-        f'{format_float(w)} {format_float(h)}">',
-        f'<rect x="{format_float(x0)}" y="{format_float(y0)}" '
-        f'width="{format_float(w)}" height="{format_float(h)}" fill="white"/>',
+        f'viewBox="{x0!r} {y0!r} {w!r} {h!r}">',
+        f'<rect x="{x0!r}" y="{y0!r}" '
+        f'width="{w!r}" height="{h!r}" fill="white"/>',
     ]
     last = len(flipped) - 1
     for i, p in enumerate(flipped):
@@ -88,9 +88,9 @@ def svg_text(polylines, width: int = 640, height: int = 640) -> str:
             color = "#c03028"
         else:
             color = "#9aa3b2"
-        pts = " ".join(f"{format_float(x)},{format_float(y)}" for x, y in p)
+        pts = " ".join(["%r,%r" % (x, y) for x, y in p.tolist()])
         parts.append(
             f'<polygon points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{format_float(stroke)}"/>')
+            f'stroke-width="{stroke!r}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

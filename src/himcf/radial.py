@@ -27,6 +27,7 @@ from .errors import (
     InvalidForcing,
     InvalidInitialRadius,
 )
+from .flow import fixed_step_count
 from .grids import _readonly
 
 _ZERO_DISCRIMINANT_RTOL = 1e-12
@@ -220,7 +221,7 @@ def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
     stiffness = geometry.stiffness
     omega_sq = lambda t: stiffness
 
-    steps = int(math.ceil(t_end / dt - 1e-12))
+    steps = fixed_step_count(dt, t_end)
     times = [0.0]
     rs = [r0]
     vs = [r1]
@@ -280,7 +281,7 @@ def forced_radial(geometry: RadialGeometry, c: Callable[[float], float],
                 f"forcing value {value} at t = {t} leaves [{c_lo}, {c_hi}]")
         return stiffness + value
 
-    steps = int(math.ceil(t_end / dt - 1e-12))
+    steps = fixed_step_count(dt, t_end)
     times = np.empty(steps + 1)
     r = np.empty(steps + 1)
     r_lo = np.empty(steps + 1)

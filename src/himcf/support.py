@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .curves import edge_vectors, turning_cross
 from .errors import ConvexityLost, NonFinite, NotConvex, OriginNotInterior
 from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative, support_derivatives
 
@@ -143,16 +144,9 @@ def support_to_curve(s: SupportState, eps_convex: float | None = None) -> PlaneC
     return PlaneCurve(P=np.column_stack([x, y]), sigma=s.V, t=s.t)
 
 
-def turning_cross(P: np.ndarray) -> np.ndarray:
-    """Cross products of consecutive edge pairs; positive iff locally convex CCW."""
-    e = np.roll(P, -1, axis=0) - P
-    e_prev = np.roll(e, 1, axis=0)
-    return e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]
-
-
 def _point_in_convex(P: np.ndarray, q: np.ndarray) -> bool:
     # Strict interiority wrt every edge half-plane of a CCW convex polygon.
-    e = np.roll(P, -1, axis=0) - P
+    e = edge_vectors(P)
     rel = q[None, :] - P
     cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
     return bool(np.all(cross > 0.0))

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import resource
 import subprocess
 import sys
 
@@ -206,6 +207,28 @@ class TestErrorContract:
         err = json.loads(proc.stderr)
         assert err["error"] in ("NonFinite", "CflViolation")
         assert "dt must be positive" not in err["message"]
+
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--dt", "1e-9", "--t-end", "1"],
+        ["curve", "--solver", "lagrangian", "--dt", "1e-9", "--t-end", "1"],
+        ["radial", "--dt", "1e-12"],
+        ["radial", "--dt", "1e-12", "--forcing-constant", "0.25"],
+        ["containment", "--dt", "1e-12"],
+    ])
+    def test_fixed_dt_beyond_the_step_budget_is_exit_1(self, argv, tmp_path):
+        # Rejected before the first step; the timeout and the address-space
+        # cap stop a regression from stepping or allocating for long.
+        proc = subprocess.run(
+            CLI + argv + ["--out-dir", str(tmp_path / "out")], capture_output=True,
+            text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert "step budget" in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -5,8 +5,11 @@ from scipy.interpolate import CubicSpline
 
 from himcf.curves import (
     curve_from_radius_profile,
+    cyclic_shift,
     discrete_curvature,
     discrete_tangent_normal,
+    edge_lengths,
+    edge_vectors,
     normal_angles,
     periodic_spline,
     polygon_hausdorff,
@@ -14,6 +17,7 @@ from himcf.curves import (
     require_nondegenerate,
     resample_equal_arclength,
     turning_angles,
+    turning_cross,
 )
 from himcf.errors import DegenerateEdge
 
@@ -145,3 +149,90 @@ def test_curve_from_radius_profile():
     np.testing.assert_allclose(np.hypot(c.P[:, 0], c.P[:, 1]), 1.5, atol=1e-12)
     np.testing.assert_allclose(c.sigma, -0.5)
     assert c.M == 64
+
+
+# Reference stencils written with np.roll, one polygon at a time.
+def roll_edges(P):
+    return np.roll(P, -1, axis=0) - P
+
+
+def roll_tangent_normal(P):
+    chord = np.roll(P, -1, axis=0) - np.roll(P, 1, axis=0)
+    norm = np.hypot(chord[:, 0], chord[:, 1])
+    if np.min(norm) <= 0.0:
+        raise DegenerateEdge("coincident neighbor vertices")
+    T = chord / norm[:, None]
+    return T, np.column_stack([T[:, 1], -T[:, 0]])
+
+
+def roll_curvature(P):
+    e = roll_edges(P)
+    e_prev = np.roll(e, 1, axis=0)
+    cross = e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]
+    denom = (np.hypot(e_prev[:, 0], e_prev[:, 1]) * np.hypot(e[:, 0], e[:, 1])
+             * np.hypot(*(e_prev + e).T))
+    if np.min(denom) <= 0.0:
+        raise DegenerateEdge("zero-length edge in curvature stencil")
+    return 2.0 * cross / denom
+
+
+def roll_turning_angles(P):
+    e = roll_edges(P)
+    e_prev = np.roll(e, 1, axis=0)
+    cross = e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]
+    return np.arctan2(cross, np.sum(e_prev * e, axis=1))
+
+
+def random_convex_polygons(T, M, seed):
+    """T smooth convex curves: perturbed ellipses, randomly placed and sampled."""
+    rng = np.random.default_rng(seed)
+    stack = np.empty((T, M, 2))
+    for i in range(T):
+        s = np.sort(rng.uniform(0.0, 2 * np.pi, M))
+        r = 1.0 + rng.uniform(-0.05, 0.05) * np.cos(3 * s + rng.uniform(0, 6))
+        a, b = rng.uniform(0.5, 3.0, 2)
+        stack[i] = np.column_stack([a * r * np.cos(s), b * r * np.sin(s)]) + rng.normal(size=2)
+    return stack
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 2), 0), ((3, 6, 2), -2),
+                                         ((3, 6), -1), ((4, 1, 3), 1)])
+@pytest.mark.parametrize("shift", [-1, 1, 2])
+def test_cyclic_shift_is_roll(shape, axis, shift):
+    a = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    assert np.array_equal(cyclic_shift(a, shift, axis=axis), np.roll(a, shift, axis=axis))
+
+
+class TestBatchedStencils:
+    STACK = random_convex_polygons(T=6, M=97, seed=11)
+
+    def test_single_polygons_match_the_roll_reference_bit_for_bit(self):
+        for P in self.STACK:
+            assert np.array_equal(edge_vectors(P), roll_edges(P))
+            assert np.array_equal(edge_lengths(P), np.hypot(*roll_edges(P).T))
+            for got, ref in zip(discrete_tangent_normal(P), roll_tangent_normal(P)):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(discrete_curvature(P), roll_curvature(P))
+            assert np.array_equal(turning_angles(P), roll_turning_angles(P))
+
+    def test_stack_equals_per_polygon_calls_bit_for_bit(self):
+        stack = self.STACK
+        for fn in (edge_vectors, edge_lengths, discrete_curvature, turning_angles,
+                   turning_cross, normal_angles):
+            batched = fn(stack)
+            assert batched.shape[:2] == stack.shape[:2], fn.__name__
+            for i, P in enumerate(stack):
+                assert np.array_equal(batched[i], fn(P)), fn.__name__
+        T, nu = discrete_tangent_normal(stack)
+        for i, P in enumerate(stack):
+            T_i, nu_i = discrete_tangent_normal(P)
+            assert np.array_equal(T[i], T_i) and np.array_equal(nu[i], nu_i)
+
+    def test_degenerate_member_raises_for_the_stack(self):
+        stack = self.STACK.copy()
+        stack[3, 8] = stack[3, 7]
+        with pytest.raises(DegenerateEdge, match="curvature stencil"):
+            discrete_curvature(stack)
+        stack[3, 9] = stack[3, 7]
+        with pytest.raises(DegenerateEdge, match="coincident neighbor"):
+            discrete_tangent_normal(stack)

@@ -10,6 +10,7 @@ from himcf.errors import CflViolation, ConvexityLost, InvalidConfig
 from himcf.flow import (
     FlowConfig,
     cfl_bound,
+    fixed_step_count,
     run_support_flow,
     sigma_field,
     step_support,
@@ -233,3 +234,12 @@ class TestConfigValidation:
             FlowConfig(t_end=0.0)
         with pytest.raises(InvalidConfig):
             FlowConfig(record_every=0)
+
+    def test_fixed_dt_beyond_the_step_budget_is_rejected_up_front(self):
+        budget = himcf.flow._MAX_STEPS
+        assert fixed_step_count(1.0 / budget, 1.0) == budget
+        FlowConfig(dt=1.0 / budget, t_end=1.0)      # constructed, never run
+        for dt, t_end in ((1.0 / (budget + 1), 1.0), (1e-9, 1.0), (5e-324, 1e300)):
+            with pytest.raises(InvalidConfig, match="step budget"):
+                FlowConfig(dt=dt, t_end=t_end)
+        FlowConfig(t_end=1e300)                     # adaptive runs are not counted

@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from himcf.curves import polygon_hausdorff, polygon_length
-from himcf.errors import CflViolation, NotConvex
+from himcf.curves import (
+    discrete_curvature,
+    discrete_tangent_normal,
+    polygon_hausdorff,
+    polygon_length,
+    require_nondegenerate,
+)
+from himcf.errors import CflViolation, DegenerateEdge, NotConvex
 from himcf.flow import FlowConfig, run_support_flow
 from himcf.grids import AngleGrid
 from himcf.lagrangian import (
+    _geometry,
     lagrangian_cfl_bound,
     run_lagrangian_flow,
     step_lagrangian,
@@ -52,6 +59,49 @@ class TestStep:
         P = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.2], [0.0, -1.0]])
         with pytest.raises(NotConvex):
             step_lagrangian(PlaneCurve(P=P, sigma=np.zeros(4)), 1e-3)
+
+
+def three_pass_geometry(P):
+    """The geometry as three separate passes: collision, curvature, normal."""
+    require_nondegenerate(P)
+    k = discrete_curvature(P)
+    if np.min(k) <= 0.0:
+        raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
+    _, nu = discrete_tangent_normal(P)
+    return nu, k
+
+
+class TestGeometry:
+    def test_one_pass_equals_three_passes_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for M in (3, 16, 257):
+            for _ in range(4):
+                s = np.sort(rng.uniform(0.0, 2 * np.pi, M))
+                a, b = rng.uniform(0.2, 4.0, 2)
+                P = np.column_stack([a * np.cos(s), b * np.sin(s)]) + rng.normal(size=2)
+                for got, ref in zip(_geometry(P), three_pass_geometry(P)):
+                    assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("case", ["collided", "near-collided", "spike", "dented",
+                                      "collinear"])
+    def test_bad_polygons_raise_what_the_three_passes_raise(self, case):
+        s = 2 * np.pi * np.arange(12) / 12
+        P = np.column_stack([np.cos(s), np.sin(s)])
+        if case == "collided":
+            P[4] = P[3]
+        elif case == "near-collided":
+            P[4] = P[3] + 1e-14
+        elif case == "spike":
+            P[5] = P[3]
+        elif case == "dented":
+            P[4] *= 0.5
+        else:
+            P = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+        with pytest.raises((DegenerateEdge, NotConvex)) as ref:
+            three_pass_geometry(P)
+        with pytest.raises(ref.type) as got:
+            _geometry(P)
+        assert str(got.value) == str(ref.value)
 
 
 class TestRun:

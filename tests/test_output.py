@@ -1,0 +1,96 @@
+"""Output formatting: block-wise CSV and SVG text against the per-cell form."""
+import hashlib
+import json
+import re
+
+import numpy as np
+import pytest
+
+import himcf.cli
+from himcf.output import csv_text, svg_text
+
+SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16,
+           1e-5, 0.1 + 0.2, -1.5, 123456789.125, 2.0**-1074 * 3, 1e308 * 1.7]
+
+
+def per_cell_csv(header, rows):
+    """The row-by-row writer: repr(float(x)) for every cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(cell)) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    def test_special_values_match_per_cell_repr(self):
+        values = np.array(SPECIAL).reshape(-1, 1) * np.ones((1, 3))
+        values[:, 1] = values[::-1, 0]
+        blocks = [(None, values)]
+        rows = [tuple(r) for r in values]
+        assert csv_text(["a", "b", "c"], blocks) == per_cell_csv(["a", "b", "c"], rows)
+
+    def test_time_column_is_written_once_per_block_row(self):
+        rng = np.random.default_rng(7)
+        times = [0.0, 0.1 + 0.2, np.float64(1e-5), 5e-324, -0.0]
+        blocks = [(t, rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-20, 20, (4, 3)))
+                  for t in times]
+        blocks.append((np.float64(1e16), np.array(SPECIAL[:9]).reshape(3, 3)))
+        rows = [(t, *row) for t, block in blocks for row in block]
+        header = ["t", "x", "y", "z"]
+        assert csv_text(header, blocks) == per_cell_csv(header, rows)
+
+    def test_float32_cells_are_widened_like_float(self):
+        block = np.array([[0.1, 1e-5], [3.3, -0.0]], dtype=np.float32)
+        expected = per_cell_csv(["a", "b"], [tuple(r) for r in block])
+        assert csv_text(["a", "b"], [(None, block)]) == expected
+
+    def test_empty_blocks_add_no_rows(self):
+        text = csv_text(["t", "x"], [(0.5, np.empty((0, 1))), (None, np.empty((0, 2)))])
+        assert text == "t,x\n"
+
+
+def test_svg_points_match_per_vertex_repr():
+    rng = np.random.default_rng(3)
+    P = rng.standard_normal((9, 2))
+    P[0] = (0.0, 0.0)                      # y = 0 flips to -0.0
+    P[1] = (0.1 + 0.2, 1e-5)
+    text = svg_text([P, 2.0 * P])
+    found = re.findall(r'points="([^"]*)"', text)
+    for poly, points in zip((P, 2.0 * P), found):
+        assert points == " ".join(f"{repr(float(x))},{repr(float(-y))}" for x, y in poly)
+
+
+# sha256 of the files these runs wrote with the per-cell formatter (numpy
+# 2.4, x86-64 Linux).  Any change of a formatted byte shows here; so may a
+# libm or FFT build that moves the last digit of a computed value.
+GOLDEN = {
+    "lagrangian": (["curve", "--solver", "lagrangian", "--vertices", "32", "--t-end", "0.05"], {
+        "curve.csv": "ee09e89f9a8a8e5256ca0d6ba66c389e0657ee37a94d3ddf05105f9653e2f921",
+        "curve.svg": "02aa657e9545d989cfe42764410d628e53b5399d3b19a253d77a19980fa57a39",
+    }),
+    "support": (["curve", "--solver", "support", "--N", "16"], {
+        "curve.csv": "04ad01d625c88025b6ae6f30d86d6cfca65c75beb13042933b1eb96bce11177a",
+        "curve.svg": "275f0d0cb2f31e5699e57ca9ce4d62e660d2879ad81697b87fb644cf92eae2dd",
+    }),
+    "radial-forcing-table": (["radial", "--config", "{config}"], {
+        "radial.csv": "864893293a18087ab239081ce5c5dcf17c0c0c9ab792b780cefb4fe334f41f85",
+    }),
+}
+
+FORCING_TABLE = {"geometry": "sphere", "n": 2, "r0": 1.0, "r1": 0.0, "dt": 0.01,
+                 "t_end": 0.5, "forcing": {"kind": "table", "times": [0.0, 0.25, 0.5],
+                                           "values": [0.0, 0.3, 0.1]}}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_are_pinned(name, tmp_path):
+    config = tmp_path / "forcing.json"
+    config.write_text(json.dumps(FORCING_TABLE))
+    argv, digests = GOLDEN[name]
+    out = tmp_path / name
+    argv = [a.format(config=config) for a in argv] + ["--out-dir", str(out)]
+    assert himcf.cli.main(argv) == 0
+    if name == "radial-forcing-table":
+        assert ",nan," in (out / "radial.csv").read_text()
+    for fname, digest in digests.items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname

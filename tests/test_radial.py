@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import himcf.radial
 from himcf.errors import (
     InvalidConfig,
     InvalidForcing,
@@ -159,6 +160,16 @@ class TestIntegrator:
             integrate_radial_ode(CIRCLE, 1.0, 0.0, 0.0, 1.0)
         with pytest.raises(InvalidConfig):
             integrate_radial_ode(CIRCLE, 1.0, 0.0, 1e-3, -1.0)
+
+    def test_step_budget_is_checked_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped a config beyond the step budget")
+
+        monkeypatch.setattr(himcf.radial, "_rk4_step", no_step)
+        with pytest.raises(InvalidConfig, match="step budget"):
+            integrate_radial_ode(CIRCLE, 1.0, 0.0, 1e-12, 1.0)
+        with pytest.raises(InvalidConfig, match="step budget"):
+            forced_radial(CIRCLE, lambda t: 0.5, 0.5, 0.5, 1.0, 0.0, 1e-12, 2.0)
 
     def test_halving_dt_improves_fourth_order(self):
         exact = closed_form_radius(CIRCLE, 1.0, 0.5, 1.0)
