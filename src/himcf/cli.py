@@ -476,9 +476,8 @@ def cmd_containment(args) -> int:
                 f"unknown scenario {scenario!r}; valid: {sorted(_SCENARIOS)}")
         preset = _SCENARIOS[scenario]
     elif "outer" in config and "inner" in config:
-        preset = {"outer": config["outer"], "inner": config["inner"],
-                  "t_end": 1.0, "dt": 1e-3, "record_every": 10,
-                  "eps_convex": None}
+        preset = {**_SCENARIOS["circle-in-circle"],
+                  "outer": config["outer"], "inner": config["inner"]}
     else:
         scenario = "circle-in-circle"
         preset = _SCENARIOS[scenario]

@@ -20,6 +20,9 @@ CFL bound
 
 cfl_safety is capped at 0.9: with the spectral mode count N/2 the cap lands
 on the imaginary-axis stability limit of classical RK4 (0.9*pi ~ 2.83).
+
+Both curve solvers (this one and lagrangian.py) step through integrate (step
+rule, bisection, recording) and rk4; only their discretizations differ.
 """
 from __future__ import annotations
 
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import normal_angles, periodic_spline
-from .errors import CflViolation, ConvexityLost, InvalidConfig, OutOfDomain
+from .errors import (CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex,
+                     OutOfDomain)
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
 from .support import SupportState, default_eps_convex, length_from_support
@@ -96,8 +100,9 @@ class FlowConfig:
         """Step size at time t given the state's CFL bound (before safety).
 
         Adaptive runs take safety * bound; a fixed dt that exceeds it raises
-        CflViolation, and so does a step too small to advance t.  The last
-        step is cut to land on t_end.
+        CflViolation, and so does a step below the resolution of t or (short
+        of landing) of t_end, which could only stall.  The last step is cut
+        to land on t_end.
         """
         if self.adaptive:
             dt = min(self.safety * bound, self.t_end - t)
@@ -107,10 +112,12 @@ class FlowConfig:
                 raise CflViolation(
                     f"fixed dt = {self.dt:.3e} exceeds CFL bound "
                     f"{self.safety * bound:.3e} at t = {t:.6f}")
-        if not t + dt > t:
+        t_next = t + dt
+        if not t_next > t or (t_next < self.t_end and not self.t_end + dt > self.t_end):
             raise CflViolation(
-                f"step {dt:.3e} does not advance t = {t:.6e} (CFL bound "
-                f"{bound:.3e}); the run cannot reach t_end = {self.t_end}")
+                f"step {dt:.3e} at t = {t:.6e} is below the resolution of "
+                f"t_end = {self.t_end} (CFL bound {bound:.3e}); the run "
+                f"cannot reach t_end")
         return dt
 
 
@@ -164,7 +171,7 @@ def support_rhs(s: SupportState, eps_convex: float | None = None) -> np.ndarray:
         raise ConvexityLost(
             f"S''+S = {rho[j]:.3e} <= {eps:.3e}", t=s.t,
             theta=float(s.grid.theta[j]))
-    return V_th**2 / rho + rho
+    return _stage_rhs(s.V, rho, V_th)[1]
 
 
 def cfl_bound(s: SupportState, eps_convex: float | None = None) -> float:
@@ -188,25 +195,22 @@ def _stage(S, V):
     return _stage_rhs(V, *support_derivatives(S, V))
 
 
-def step_support(s: SupportState, dt: float, eps_convex: float | None = None,
-                 *, enforce_cfl: bool = True,
-                 cfl_safety: float = FIXED_DT_CFL_LIMIT) -> SupportState:
-    """One classical 4th-order step of S' = V, V' = support_rhs."""
+def rk4(rhs, y, dt: float, k1):
+    """Classical RK4 step of y = (a, b), y' = rhs(a, b); k1 = rhs(a, b) is given."""
+    a, b = y
+    k1a, k1b = k1
+    k2a, k2b = rhs(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
+    k3a, k3b = rhs(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
+    k4a, k4b = rhs(a + dt * k3a, b + dt * k3b)
+    return (a + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+            b + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b))
+
+
+def step_support(s: SupportState, dt: float) -> SupportState:
+    """One classical 4th-order step of S' = V, V' = support_rhs (dt not policed)."""
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    eps = s.default_eps_convex() if eps_convex is None else eps_convex
-    if enforce_cfl:
-        bound = cfl_safety * cfl_bound(s, eps)
-        if dt > bound * (1.0 + 1e-12):
-            raise CflViolation(
-                f"dt = {dt:.3e} exceeds CFL bound {bound:.3e} at t = {s.t}")
-    S, V = s.S, s.V
-    k1S, k1V = _stage_rhs(V, *s.derivatives)
-    k2S, k2V = _stage(S + 0.5 * dt * k1S, V + 0.5 * dt * k1V)
-    k3S, k3V = _stage(S + 0.5 * dt * k2S, V + 0.5 * dt * k2V)
-    k4S, k4V = _stage(S + dt * k3S, V + dt * k3V)
-    S_new = S + dt / 6.0 * (k1S + 2.0 * k2S + 2.0 * k3S + k4S)
-    V_new = V + dt / 6.0 * (k1V + 2.0 * k2V + 2.0 * k3V + k4V)
+    S_new, V_new = rk4(_stage, (s.S, s.V), dt, _stage_rhs(s.V, *s.derivatives))
     return SupportState(grid=s.grid, S=S_new, V=V_new, t=s.t + dt, center=s.center)
 
 
@@ -252,6 +256,60 @@ def bisect_to_violation(state, dt, first_bad: _Violation, attempt,
     return good, bad, state.t + 0.5 * (lo + hi)
 
 
+def integrate(state, cfg: FlowConfig, bound, step, validate, after_accept=None):
+    """Step state to cfg.t_end; the step loop of both curve solvers.
+
+    bound(state) is the CFL bound before safety; validate(step(state, dt))
+    gives a candidate's first violation or None, and a step raising
+    ConvexityLost, NotConvex or DegenerateEdge is a ConvexityLost violation,
+    which is bisected to the admissibility boundary and ends the run.
+    after_accept(state, steps) may replace an accepted state before the
+    record_every cadence sees it.  Returns (snapshots, termination,
+    final_state, cfl_margin = min over steps of (allowed dt - taken dt)).
+    """
+    def attempt(st, h):
+        try:
+            cand = step(st, h)
+        except (ConvexityLost, NotConvex, DegenerateEdge):
+            return None, _Violation("ConvexityLost")
+        return cand, validate(cand)
+
+    snapshots = [state]
+    cfl_margin = math.inf
+    steps = 0
+    while state.t < cfg.t_end - 1e-12:
+        if steps >= _MAX_STEPS:
+            raise InvalidConfig("step budget exhausted before t_end")
+
+        b = bound(state)
+        dt = cfg.next_dt(b, state.t)
+        cfl_margin = min(cfl_margin, cfg.safety * b - dt)
+
+        trial, violation = attempt(state, dt)
+        if violation is not None:
+            good, boundary, t_bad = bisect_to_violation(state, dt, violation, attempt)
+            if good is not None:
+                state = good
+            termination = Termination(boundary.kind, t=t_bad, theta=boundary.theta)
+            break
+
+        # The superseded state lives on only as a snapshot; clear its cached
+        # derivative pair (a frozen dataclass cannot del it).
+        vars(state).pop("derivatives", None)
+        state = trial
+        steps += 1
+        if after_accept is not None:
+            state = after_accept(state, steps)
+        if steps % cfg.record_every == 0:
+            snapshots.append(state)
+    else:
+        termination = Termination("HorizonReached", t=state.t)
+
+    if snapshots[-1].t < state.t - 1e-15:
+        snapshots.append(state)
+    return snapshots, termination, state, cfl_margin
+
+
 # Every stage input and candidate passes a finiteness check that raises
 # NonFinite, so numpy's overflow warnings carry no news during a run.
 @np.errstate(all="ignore")
@@ -275,47 +333,9 @@ def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTra
     if validate_support_state(state, eps, L0) is not None:
         raise ConvexityLost("initial data is not strictly convex", t=0.0)
 
-    def attempt(st, h):
-        try:
-            cand = step_support(st, h, eps, enforce_cfl=False)
-        except ConvexityLost:
-            return None, _Violation("ConvexityLost")
-        return cand, validate_support_state(cand, eps, L0)
-
-    snapshots = [state]
-    termination = None
-    cfl_margin = math.inf
-    steps = 0
-    while True:
-        if state.t >= cfg.t_end - 1e-12:
-            termination = Termination("HorizonReached", t=state.t)
-            break
-        if steps >= _MAX_STEPS:
-            raise InvalidConfig("step budget exhausted before t_end")
-
-        bound = cfl_bound(state, eps)
-        dt = cfg.next_dt(bound, state.t)
-        cfl_margin = min(cfl_margin, cfg.safety * bound - dt)
-
-        trial, violation = attempt(state, dt)
-        if violation is None:
-            # The superseded state lives on only as a snapshot; clear its
-            # cached derivative pair (a frozen dataclass cannot del it).
-            vars(state).pop("derivatives", None)
-            state = trial
-            steps += 1
-            if steps % cfg.record_every == 0:
-                snapshots.append(state)
-            continue
-
-        good, boundary, t_bad = bisect_to_violation(state, dt, violation, attempt)
-        if good is not None:
-            state = good
-        termination = Termination(boundary.kind, t=t_bad, theta=boundary.theta)
-        break
-
-    if snapshots[-1].t < state.t - 1e-15:
-        snapshots.append(state)
+    snapshots, termination, state, cfl_margin = integrate(
+        state, cfg, lambda st: cfl_bound(st, eps), step_support,
+        lambda cand: validate_support_state(cand, eps, L0))
 
     final_margin = float(np.min(state.derivatives[0]) - eps)
     monitor = MonitorReport(records=(

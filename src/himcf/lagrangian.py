@@ -11,6 +11,9 @@ arc length with sigma transported by periodic cubic interpolation.
 
 This solver shares no discretization with the support-PDE solver, which is
 the point: agreement of the two is the module's strongest correctness check.
+What the two do share is the stepping policy (flow.integrate: the step
+rule, bisection of a violating step, the snapshot cadence) and classical
+RK4 (flow.rk4); the resampling runs as integrate's after_accept hook.
 """
 from __future__ import annotations
 
@@ -30,15 +33,7 @@ from .curves import (
     vector_norms,
 )
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
-from .flow import (
-    _MAX_STEPS,
-    LENGTH_VANISH_REL,
-    FlowConfig,
-    FlowTrajectory,
-    Termination,
-    _Violation,
-    bisect_to_violation,
-)
+from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
 from .report import MonitorReport, margin_record
 from .support import PlaneCurve, default_eps_convex
 
@@ -81,13 +76,7 @@ def step_lagrangian(c: PlaneCurve, dt: float) -> PlaneCurve:
     """One classical 4th-order step of P' = sigma*nu(P), sigma' = 1/k(P)."""
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    P, s = c.P, c.sigma
-    k1P, k1s = _rhs(P, s)
-    k2P, k2s = _rhs(P + 0.5 * dt * k1P, s + 0.5 * dt * k1s)
-    k3P, k3s = _rhs(P + 0.5 * dt * k2P, s + 0.5 * dt * k2s)
-    k4P, k4s = _rhs(P + dt * k3P, s + dt * k3s)
-    P_new = P + dt / 6.0 * (k1P + 2.0 * k2P + 2.0 * k3P + k4P)
-    s_new = s + dt / 6.0 * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    P_new, s_new = rk4(_rhs, (c.P, c.sigma), dt, _rhs(c.P, c.sigma))
     return PlaneCurve(P=P_new, sigma=s_new, t=c.t + dt)
 
 
@@ -121,15 +110,22 @@ def _validate_curve(c: PlaneCurve, kappa_max: float, L0: float) -> _Violation | 
     return None
 
 
+def _resample_every_interval(c: PlaneCurve, steps: int) -> PlaneCurve:
+    if steps % RESAMPLE_INTERVAL:
+        return c
+    P_new, (sigma_new,) = resample_equal_arclength(c.P, [c.sigma])
+    return PlaneCurve(P=P_new, sigma=sigma_new, t=c.t)
+
+
 # As in run_support_flow, non-finite values raise NonFinite on their own.
 @np.errstate(all="ignore")
 def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) -> FlowTrajectory:
     """Integrate the normal flow from curve F0 with initial speed f.
 
     f may be a scalar or a per-vertex array; it becomes sigma(., 0).
-    Termination mirrors the support solver (horizon, convexity loss, length
-    vanishing, curvature blowup), with violating steps bisected to the
-    boundary.
+    Stepping, recording and termination (horizon, convexity loss, length
+    vanishing, curvature blowup, with violating steps bisected to the
+    boundary) are flow.integrate's, as for the support solver.
     """
     sigma0 = np.broadcast_to(np.asarray(f, dtype=float), (F0.M,)).copy()
     if not np.all(np.isfinite(sigma0)):
@@ -141,44 +137,9 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
     eps = default_eps_convex(L0) if cfg.eps_convex is None else cfg.eps_convex
     kappa_max = 1.0 / eps
 
-    def attempt(c, h):
-        try:
-            cand = step_lagrangian(c, h)
-        except (NotConvex, DegenerateEdge):
-            return None, _Violation("ConvexityLost")
-        return cand, _validate_curve(cand, kappa_max, L0)
-
-    snapshots = [curve]
-    termination = None
-    steps = 0
-    while True:
-        if curve.t >= cfg.t_end - 1e-12:
-            termination = Termination("HorizonReached", t=curve.t)
-            break
-        if steps >= _MAX_STEPS:
-            raise InvalidConfig("step budget exhausted before t_end")
-
-        dt = cfg.next_dt(lagrangian_cfl_bound(curve), curve.t)
-        trial, violation = attempt(curve, dt)
-        if violation is None:
-            curve = trial
-            steps += 1
-            if steps % RESAMPLE_INTERVAL == 0:
-                P_new, (sigma_new,) = resample_equal_arclength(
-                    curve.P, [curve.sigma])
-                curve = PlaneCurve(P=P_new, sigma=sigma_new, t=curve.t)
-            if steps % cfg.record_every == 0:
-                snapshots.append(curve)
-            continue
-
-        good, boundary, t_bad = bisect_to_violation(curve, dt, violation, attempt)
-        if good is not None:
-            curve = good
-        termination = Termination(boundary.kind, t=t_bad, theta=boundary.theta)
-        break
-
-    if snapshots[-1].t < curve.t - 1e-15:
-        snapshots.append(curve)
+    snapshots, termination, curve, _ = integrate(
+        curve, cfg, lagrangian_cfl_bound, step_lagrangian,
+        lambda cand: _validate_curve(cand, kappa_max, L0), _resample_every_interval)
 
     k_final = discrete_curvature(curve.P)
     monitor = MonitorReport(records=(

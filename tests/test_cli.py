@@ -134,6 +134,17 @@ class TestContainment:
                  summary["inner_termination"]["kind"]}
         assert kinds & {"CurvatureBlowup", "LengthVanished"}
 
+    def test_config_pair_runs_on_the_circle_in_circle_schedule(self, tmp_path):
+        inner = {"preset": "circle", "r0": 1.0, "speed": 0.3}
+        cfg = tmp_path / "pair.json"
+        cfg.write_text(json.dumps({"outer": {**inner, "r0": 2.0}, "inner": inner, "N": 16}))
+        assert himcf.cli.main(["containment", "--config", str(cfg),
+                               "--out-dir", str(tmp_path / "pair")]) == 0
+        summary = load_json(tmp_path / "pair" / "containment_summary.json")
+        schedule = himcf.cli._SCENARIOS["circle-in-circle"]
+        for key in ("t_end", "dt", "record_every", "eps_convex"):
+            assert summary[key] == schedule[key]
+
 
 class TestVerify:
     def test_subset_passes_and_prints_lines(self, tmp_path):

@@ -11,6 +11,7 @@ from himcf.flow import (
     FlowConfig,
     cfl_bound,
     fixed_step_count,
+    rk4,
     run_support_flow,
     sigma_field,
     step_support,
@@ -18,7 +19,7 @@ from himcf.flow import (
 )
 from himcf.grids import AngleGrid
 from himcf.presets import circle_support, ellipse_support
-from himcf.support import DEFAULT_EPS_CONVEX_REL, SupportState, length_from_support
+from himcf.support import SupportState, length_from_support
 
 
 def fd_rhs(S, V, dtheta):
@@ -86,6 +87,19 @@ class TestStep:
         dt = 1e-3
         out = step_support(s, dt)
         assert np.max(np.abs(out.S - s.S)) <= dt * np.max(np.abs(s.V)) + 10 * dt**2
+
+
+def test_rk4_has_the_classical_amplification_factor():
+    # y' = lam * y: one step multiplies y by the degree-4 Taylor polynomial
+    # of exp(z), z = lam * dt, for real, imaginary and complex lam alike.
+    lam = np.array([-1.0, 2.5, 3.0j, -0.7 + 1.9j, -40.0])
+    mu = np.array([0.5, -2.0j, 1.0, 7.0, 0.0])
+    dt = 0.1
+    a, b = rk4(lambda a, b: (lam * a, mu * b), (np.ones(5, complex), np.full(5, 2.0 + 0j)),
+               dt, (lam, 2.0 * mu))
+    for got, z, y0 in ((a, lam * dt, 1.0), (b, mu * dt, 2.0)):
+        expected = y0 * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 class TestRunSupportFlow:
@@ -162,12 +176,11 @@ class TestDerivativeReuse:
         S0, V0 = self.initial()
         traj = run_support_flow(S0, V0, FlowConfig(N=self.N, dt=self.DT,
                                                    t_end=self.T_END))
-        eps = DEFAULT_EPS_CONVEX_REL * float(np.mean(S0))
         # step_support on a fresh state computes its own first stage.
         state = SupportState(grid=AngleGrid(self.N), S=S0, V=V0)
         chained = [state]
         while state.t < self.T_END - 1e-12:
-            state = step_support(state, min(self.DT, self.T_END - state.t), eps)
+            state = step_support(state, min(self.DT, self.T_END - state.t))
             chained.append(state)
         assert len(traj.snapshots) == len(chained) == 21
         for a, b in zip(traj.snapshots, chained):

@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
+import himcf.lagrangian
 from himcf.curves import (
     discrete_curvature,
     discrete_tangent_normal,
+    normal_angles,
     polygon_hausdorff,
     polygon_length,
     require_nondegenerate,
+    resample_equal_arclength,
 )
 from himcf.errors import CflViolation, DegenerateEdge, NotConvex
 from himcf.flow import FlowConfig, run_support_flow
 from himcf.grids import AngleGrid
 from himcf.lagrangian import (
+    RESAMPLE_INTERVAL,
     _geometry,
     lagrangian_cfl_bound,
     run_lagrangian_flow,
@@ -149,6 +153,46 @@ class TestRun:
         f = -0.5 + 0.05 * np.cos(np.linspace(0, 2 * np.pi, 128, endpoint=False))
         traj = run_lagrangian_flow(c, f, FlowConfig(t_end=0.3, record_every=50))
         assert traj.termination.kind == "HorizonReached"
+
+
+class TestSharedStepping:
+    """run_lagrangian_flow is the public step, resampling and step rule chained."""
+
+    def test_snapshots_equal_chained_public_steps(self):
+        cfg = FlowConfig(t_end=2.0)
+        c = ellipse_curve(32, 2.0, 1.0, speed=-1.0)
+        traj = run_lagrangian_flow(c, c.sigma, cfg)
+        chained = [c]
+        while c.t < cfg.t_end - 1e-12:
+            c = step_lagrangian(c, cfg.next_dt(lagrangian_cfl_bound(c), c.t))
+            if len(chained) % RESAMPLE_INTERVAL == 0:
+                P, (sigma,) = resample_equal_arclength(c.P, [c.sigma])
+                c = PlaneCurve(P=P, sigma=sigma, t=c.t)
+            chained.append(c)
+        assert traj.termination.kind == "HorizonReached"
+        assert len(traj.snapshots) == len(chained) > 2 * RESAMPLE_INTERVAL
+        for a, b in zip(traj.snapshots, chained):
+            assert a.t == b.t
+            assert np.array_equal(a.P, b.P) and np.array_equal(a.sigma, b.sigma)
+
+    def test_translating_circle_fails_within_a_few_steps(self, monkeypatch):
+        # sigma = 1e200 cos(theta) translates the circle; the vertices bunch
+        # and the CFL step shrinks geometrically far below the resolution of
+        # t_end.  The run must stop at once, not creep on for thousands of
+        # steps.
+        calls = []
+        step = himcf.lagrangian.step_lagrangian
+
+        def counted(c, dt):
+            calls.append(dt)
+            return step(c, dt)
+
+        monkeypatch.setattr(himcf.lagrangian, "step_lagrangian", counted)
+        c = circle_curve(256, 1.0)
+        with pytest.raises(CflViolation, match="below the resolution of t_end"):
+            run_lagrangian_flow(c, 1e200 * np.cos(normal_angles(c.P)),
+                                FlowConfig(t_end=0.1))
+        assert len(calls) < 10
 
 
 def test_cross_solver_hausdorff_on_ellipse():

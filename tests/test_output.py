@@ -68,6 +68,22 @@ GOLDEN = {
         "curve.csv": "ee09e89f9a8a8e5256ca0d6ba66c389e0657ee37a94d3ddf05105f9653e2f921",
         "curve.svg": "02aa657e9545d989cfe42764410d628e53b5399d3b19a253d77a19980fa57a39",
     }),
+    # 120 steps: two resamples, and a final snapshot off the record cadence.
+    "lagrangian-resample": (["curve", "--solver", "lagrangian", "--preset", "ellipse",
+                             "--a", "2", "--b", "1", "--speed", "-1", "--vertices", "32",
+                             "--t-end", "2", "--record-every", "7"], {
+        "curve.csv": "44f21dfaeb9efc13ba50b1606eb1308e82aae8b4053ed34b63015cd25851daac",
+        "curve.svg": "c1a794a469ca110250b0420dd9799d85fe8c553575d50a7a93b29a4d39b04bf0",
+        "curve_summary.json": "2169f3bd64f781210128d5ffb1df3df4df4a5dd282ecac9002ac3170ba3134e1",
+    }),
+    # Ends in ConvexityLost at t = 0.380094, located by bisection.
+    "lagrangian-bisection": (["curve", "--solver", "lagrangian", "--preset", "ellipse",
+                              "--a", "1.2", "--b", "0.8", "--speed", "-1.5",
+                              "--vertices", "32", "--t-end", "1"], {
+        "curve.csv": "6ed993b35f4b1930d17690a7d10b2e74fd2e7123213c0f50301a6e6fe64629aa",
+        "curve.svg": "5fe2dcadcdd9c616b41c37f6630f4c23513ecd202178139f120253f6ac4e30eb",
+        "curve_summary.json": "d6295dca5e53dbbebff986e7b16a26535226f35f02f88c4517bd0900e655e78f",
+    }),
     "support": (["curve", "--solver", "support", "--N", "16"], {
         "curve.csv": "04ad01d625c88025b6ae6f30d86d6cfca65c75beb13042933b1eb96bce11177a",
         "curve.svg": "275f0d0cb2f31e5699e57ca9ce4d62e660d2879ad81697b87fb644cf92eae2dd",
