@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .curves import discrete_curvature, discrete_tangent_normal, normal_angles, polygon_hausdorff
+from .curves import PolygonGeometry, polygon_hausdorff
 from .errors import (
     CflViolation,
     ConvexityLost,
@@ -321,18 +321,18 @@ def _support_csv_blocks(traj: FlowTrajectory):
 def _curve_csv_blocks(traj: FlowTrajectory):
     """Per snapshot: normal angle, support value, sigma and curvature per vertex.
 
-    The stencils run once per chunk of snapshots on the stacked polygons;
-    the solver keeps the vertex count fixed, so every chunk stacks.
+    One geometry pass per chunk of snapshots on the stacked polygons; the
+    solver keeps the vertex count fixed, so every chunk stacks.
     """
     snaps = traj.snapshots
     for start in range(0, len(snaps), _CSV_CHUNK):
         chunk = snaps[start:start + _CSV_CHUNK]
         P = np.stack([snap.P for snap in chunk])
-        _, nu = discrete_tangent_normal(P)
-        columns = np.stack([np.mod(normal_angles(P), TWO_PI),
-                            np.sum(P * nu, axis=-1),
+        g = PolygonGeometry(P)
+        columns = np.stack([np.mod(g.normal_angles, TWO_PI),
+                            np.sum(P * g.frame[1], axis=-1),
                             np.stack([snap.sigma for snap in chunk]),
-                            discrete_curvature(P)], axis=-1)
+                            g.curvature], axis=-1)
         for snap, block in zip(chunk, columns):
             yield snap.t, block
 

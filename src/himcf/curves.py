@@ -7,15 +7,11 @@ general smooth curves.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateEdge
-from .grids import TWO_PI
-
-if TYPE_CHECKING:
-    from .support import PlaneCurve
 
 
 def cyclic_shift(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
@@ -32,67 +28,91 @@ def cyclic_shift(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
 # elementwise along the vertex axis, so a stacked call equals the calls on
 # each polygon bit for bit.
 
-def edge_vectors(P: np.ndarray) -> np.ndarray:
-    return cyclic_shift(P, -1, axis=-2) - P
-
-
 def vector_norms(v: np.ndarray) -> np.ndarray:
     return np.hypot(v[..., 0], v[..., 1])
 
 
+class PolygonGeometry:
+    """The one geometry pass: every stencil of P from its two neighbour arrays.
+
+    Entry i belongs to vertex i, which edge e[i] = P[i+1] - P[i] leaves and
+    e[i-1] = P[i] - P[i-1] enters.  The pass checks nothing; curvature and
+    frame raise DegenerateEdge where their stencils degenerate.
+    """
+
+    def __init__(self, P: np.ndarray):
+        P_next = cyclic_shift(P, -1, axis=-2)
+        P_prev = cyclic_shift(P, 1, axis=-2)
+        e_prev = P - P_prev
+        self.edges = e = P_next - P
+        self.lengths = vector_norms(e)
+        self.prev_lengths = vector_norms(e_prev)
+        self.cross = e_prev[..., 0] * e[..., 1] - e_prev[..., 1] * e[..., 0]
+        self.dot = np.sum(e_prev * e, axis=-1)
+        self.triangle = self.prev_lengths * self.lengths * vector_norms(e_prev + e)
+        self.chord = P_next - P_prev
+
+    @property
+    def length(self) -> float:
+        """Perimeter of a single polygon."""
+        return float(self.lengths.sum())
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Signed curvature from the circumscribed circle of each vertex triple."""
+        if np.min(self.triangle) <= 0.0:
+            raise DegenerateEdge("zero-length edge in curvature stencil")
+        return 2.0 * self.cross / self.triangle
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit tangent (chord central difference) and outward unit normal."""
+        norm = vector_norms(self.chord)
+        if np.min(norm) <= 0.0:
+            raise DegenerateEdge("coincident neighbor vertices")
+        T = self.chord / norm[..., None]
+        return T, np.stack([T[..., 1], -T[..., 0]], axis=-1)
+
+    @property
+    def turning_angles(self) -> np.ndarray:
+        """Exterior angle at each vertex; all positive for strictly convex CCW."""
+        return np.arctan2(self.cross, self.dot)
+
+    @property
+    def normal_angles(self) -> np.ndarray:
+        """Unwrapped outward-normal angle per vertex, increasing by 2*pi per loop."""
+        nu = self.frame[1]
+        return np.unwrap(np.arctan2(nu[..., 1], nu[..., 0]), axis=-1)
+
+
+# Views of the pass for callers that hold vertices, documented above.
+
 def edge_lengths(P: np.ndarray) -> np.ndarray:
-    return vector_norms(edge_vectors(P))
+    return PolygonGeometry(P).lengths
 
 
 def polygon_length(P: np.ndarray) -> float:
-    return float(edge_lengths(P).sum())
+    return PolygonGeometry(P).length
 
 
 def discrete_tangent_normal(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangent (chord central difference) and outward unit normal."""
-    chord = cyclic_shift(P, -1, axis=-2) - cyclic_shift(P, 1, axis=-2)
-    norm = vector_norms(chord)
-    if np.min(norm) <= 0.0:
-        raise DegenerateEdge("coincident neighbor vertices")
-    T = chord / norm[..., None]
-    nu = np.stack([T[..., 1], -T[..., 0]], axis=-1)
-    return T, nu
-
-
-def _corners(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Previous edge and the cross product of each consecutive edge pair."""
-    e_prev = cyclic_shift(e, 1, axis=-2)
-    return e_prev, e_prev[..., 0] * e[..., 1] - e_prev[..., 1] * e[..., 0]
+    return PolygonGeometry(P).frame
 
 
 def turning_cross(P: np.ndarray) -> np.ndarray:
-    """Cross products of consecutive edge pairs; positive iff locally convex CCW."""
-    return _corners(edge_vectors(P))[1]
+    return PolygonGeometry(P).cross
 
 
 def discrete_curvature(P: np.ndarray) -> np.ndarray:
-    """Signed curvature from the circumscribed circle of each vertex triple."""
-    e = edge_vectors(P)
-    return curvature_from_edges(e, vector_norms(e))
-
-
-def curvature_from_edges(e: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """discrete_curvature from the edge vectors and their lengths."""
-    e_prev, cross = _corners(e)
-    l_prev = cyclic_shift(lengths, 1, axis=-1)
-    chord = vector_norms(e_prev + e)
-    denom = l_prev * lengths * chord
-    if np.min(denom) <= 0.0:
-        raise DegenerateEdge("zero-length edge in curvature stencil")
-    return 2.0 * cross / denom
+    return PolygonGeometry(P).curvature
 
 
 def turning_angles(P: np.ndarray) -> np.ndarray:
-    """Exterior angle at each vertex; all positive for strictly convex CCW."""
-    e = edge_vectors(P)
-    e_prev, cross = _corners(e)
-    dot = np.sum(e_prev * e, axis=-1)
-    return np.arctan2(cross, dot)
+    return PolygonGeometry(P).turning_angles
+
+
+def normal_angles(P: np.ndarray) -> np.ndarray:
+    return PolygonGeometry(P).normal_angles
 
 
 def require_nondegenerate(P: np.ndarray) -> None:
@@ -104,13 +124,6 @@ def require_edge_lengths(lengths: np.ndarray) -> None:
     mean = float(lengths.mean())
     if np.min(lengths) < 1e-12 * mean:
         raise DegenerateEdge("adjacent vertices collide")
-
-
-def normal_angles(P: np.ndarray) -> np.ndarray:
-    """Unwrapped outward-normal angle per vertex, increasing by 2*pi per loop."""
-    _, nu = discrete_tangent_normal(P)
-    raw = np.arctan2(nu[..., 1], nu[..., 0])
-    return np.unwrap(raw, axis=-1)
 
 
 def resample_equal_arclength(P: np.ndarray, fields: list[np.ndarray] = (),
@@ -205,7 +218,7 @@ def polygon_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
 
 def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     a = Q
-    ab = edge_vectors(Q)         # (m, 2)
+    ab = PolygonGeometry(Q).edges      # (m, 2)
     ab2 = np.sum(ab * ab, axis=1)
     ab2 = np.where(ab2 == 0.0, 1.0, ab2)
     rel = P[:, None, :] - a[None, :, :]          # (n, m, 2)
@@ -215,12 +228,3 @@ def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     d = np.hypot(*(P[:, None, :] - closest).transpose(2, 0, 1))
     return float(np.max(np.min(d, axis=1)))
 
-
-def curve_from_radius_profile(radius: float, M: int, sigma_value: float = 0.0,
-                              t: float = 0.0) -> PlaneCurve:
-    """Uniformly sampled circle, the degenerate but ubiquitous test curve."""
-    from .support import PlaneCurve     # support imports this module
-
-    alpha = TWO_PI * np.arange(M) / M
-    P = radius * np.column_stack([np.cos(alpha), np.sin(alpha)])
-    return PlaneCurve(P=P, sigma=np.full(M, float(sigma_value)), t=t)

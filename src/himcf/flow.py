@@ -294,7 +294,7 @@ def integrate(state, cfg: FlowConfig, bound, step, validate, after_accept=None):
             break
 
         # The superseded state lives on only as a snapshot; clear its cached
-        # derivative pair (a frozen dataclass cannot del it).
+        # support pair or polygon geometry (a frozen dataclass cannot del it).
         vars(state).pop("derivatives", None)
         state = trial
         steps += 1

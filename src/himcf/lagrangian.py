@@ -5,7 +5,10 @@ The normal form of the flow moves each boundary point with
     dP/dt = sigma * nu(P),      dsigma/dt = 1/k(P),
 
 nu and k read off the polygon itself (chord tangents, circumscribed-circle
-curvature).  No tangential motion is prescribed, so vertices slowly cluster;
+curvature), all from one PolygonGeometry pass that a curve caches as
+PlaneCurve.derivatives: validating an accepted step computes it, and the
+CFL bound, the next first stage and the final record reuse it.  No
+tangential motion is prescribed, so vertices slowly cluster;
 every RESAMPLE_INTERVAL accepted steps the polygon is redistributed to equal
 arc length with sigma transported by periodic cubic interpolation.
 
@@ -20,17 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import (
-    curvature_from_edges,
+    PolygonGeometry,
     cyclic_shift,
-    discrete_curvature,
-    discrete_tangent_normal,
-    edge_lengths,
-    edge_vectors,
-    polygon_length,
     require_edge_lengths,
     resample_equal_arclength,
-    turning_angles,
-    vector_norms,
 )
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
@@ -40,25 +36,22 @@ from .support import PlaneCurve, default_eps_convex
 RESAMPLE_INTERVAL = 50
 
 
-def _geometry(P: np.ndarray):
-    """Outward normal and curvature with degeneracy checks.
-
-    One pass: the edges and their lengths serve both the collision check
-    and the curvature stencil.
-    """
-    e = edge_vectors(P)
-    lengths = vector_norms(e)
-    require_edge_lengths(lengths)
-    k = curvature_from_edges(e, lengths)
+def _normal_curvature(g: PolygonGeometry):
+    """Outward normal and curvature of a stage polygon, with degeneracy checks."""
+    require_edge_lengths(g.lengths)
+    k = g.curvature
     if np.min(k) <= 0.0:
         raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
-    _, nu = discrete_tangent_normal(P)
-    return nu, k
+    return g.frame[1], k
+
+
+def _velocity(g: PolygonGeometry, sigma: np.ndarray):
+    nu, k = _normal_curvature(g)
+    return sigma[:, None] * nu, 1.0 / k
 
 
 def _rhs(P: np.ndarray, sigma: np.ndarray):
-    nu, k = _geometry(P)
-    return sigma[:, None] * nu, 1.0 / k
+    return _velocity(PolygonGeometry(P), sigma)
 
 
 def tangential_velocity_max(c: PlaneCurve) -> float:
@@ -67,7 +60,7 @@ def tangential_velocity_max(c: PlaneCurve) -> float:
     The prescribed velocity is sigma * nu, so for an honest normal flow this
     is floating-point noise; a nonzero value would mean tangential drift.
     """
-    T, nu = discrete_tangent_normal(c.P)
+    T, nu = c.derivatives.frame
     vel = np.asarray(c.sigma)[:, None] * nu
     return float(np.max(np.abs(np.sum(vel * T, axis=1))))
 
@@ -76,7 +69,7 @@ def step_lagrangian(c: PlaneCurve, dt: float) -> PlaneCurve:
     """One classical 4th-order step of P' = sigma*nu(P), sigma' = 1/k(P)."""
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    P_new, s_new = rk4(_rhs, (c.P, c.sigma), dt, _rhs(c.P, c.sigma))
+    P_new, s_new = rk4(_rhs, (c.P, c.sigma), dt, _velocity(c.derivatives, c.sigma))
     return PlaneCurve(P=P_new, sigma=s_new, t=c.t + dt)
 
 
@@ -87,20 +80,20 @@ def lagrangian_cfl_bound(c: PlaneCurve) -> float:
     spacing dtheta; on the polygon dtheta becomes the turning angle and
     k sigma~_theta the arc-length derivative of sigma.
     """
-    angles = turning_angles(c.P)
-    lengths = edge_lengths(c.P)
+    g = c.derivatives
     dsig = cyclic_shift(c.sigma, -1, axis=-1) - cyclic_shift(c.sigma, 1, axis=-1)
     # Central difference over the two adjacent edges: vertex i-1 to i+1.
-    sigma_s = dsig / (lengths + cyclic_shift(lengths, 1, axis=-1))
+    sigma_s = dsig / (g.lengths + g.prev_lengths)
     speed = float(np.max(np.abs(sigma_s))) + 1.0
-    return float(np.min(angles)) / speed
+    return float(np.min(g.turning_angles)) / speed
 
 
 def _validate_curve(c: PlaneCurve, kappa_max: float, L0: float) -> _Violation | None:
-    if polygon_length(c.P) <= LENGTH_VANISH_REL * L0:
+    g = c.derivatives
+    if g.length <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
     try:
-        k = discrete_curvature(c.P)
+        k = g.curvature
     except DegenerateEdge:
         return _Violation("ConvexityLost")
     if np.min(k) <= 0.0:
@@ -131,9 +124,9 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
     if not np.all(np.isfinite(sigma0)):
         raise InvalidConfig("initial normal speed must be finite")
     curve = PlaneCurve(P=F0.P, sigma=sigma0, t=F0.t)
-    _geometry(curve.P)      # raises on degenerate/non-convex initial data
+    _normal_curvature(curve.derivatives)    # raises on degenerate/non-convex data
 
-    L0 = polygon_length(curve.P)
+    L0 = curve.derivatives.length
     eps = default_eps_convex(L0) if cfg.eps_convex is None else cfg.eps_convex
     kappa_max = 1.0 / eps
 
@@ -141,7 +134,7 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
         curve, cfg, lagrangian_cfl_bound, step_lagrangian,
         lambda cand: _validate_curve(cand, kappa_max, L0), _resample_every_interval)
 
-    k_final = discrete_curvature(curve.P)
+    k_final = curve.derivatives.curvature
     monitor = MonitorReport(records=(
         margin_record("run-convexity-floor", float(np.min(k_final)),
                       tolerance=0.0,

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import curve_from_radius_profile, resample_equal_arclength
+from .curves import resample_equal_arclength
 from .errors import InvalidConfig
-from .grids import AngleGrid
+from .grids import TWO_PI, AngleGrid
 from .support import PlaneCurve, SupportState
 
 
@@ -67,18 +67,14 @@ def fourier_support(grid: AngleGrid, coeffs, speed=0.0) -> SupportState:
 
 
 def circle_curve(M: int, radius: float, speed=0.0) -> PlaneCurve:
+    """Circle sampled at M uniformly spaced vertices, the ubiquitous test curve."""
     if not radius > 0.0:
         raise InvalidConfig("circle radius must be positive")
     if M < 3:
         raise InvalidConfig("need at least 3 vertices")
-    sigma = float(speed) if np.isscalar(speed) else None
-    if sigma is None:
-        v = np.asarray(speed, dtype=float)
-        if v.shape != (M,) or not np.all(np.isfinite(v)):
-            raise InvalidConfig("per-vertex speed must be finite with length M")
-        base = curve_from_radius_profile(radius, M, 0.0)
-        return PlaneCurve(P=base.P, sigma=v, t=0.0)
-    return curve_from_radius_profile(radius, M, sigma)
+    alpha = TWO_PI * np.arange(M) / M
+    P = radius * np.column_stack([np.cos(alpha), np.sin(alpha)])
+    return PlaneCurve(P=P, sigma=_speed_field(speed, alpha), t=0.0)
 
 
 def ellipse_curve(M: int, a: float, b: float, speed=0.0) -> PlaneCurve:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import edge_vectors, turning_cross
+from .curves import PolygonGeometry, turning_cross
 from .errors import ConvexityLost, NonFinite, NotConvex, OriginNotInterior
 from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative, support_derivatives
 
@@ -64,7 +64,7 @@ class SupportState:
 
         The state is immutable, so the flow solver's validation of a
         candidate also supplies its next CFL bound and first RK4 stage.
-        run_support_flow drops the pair once the state is superseded, so
+        flow.integrate drops the pair once the state is superseded, so
         recorded snapshots hold S and V only.
         """
         rho, V_th = support_derivatives(self.S, self.V)
@@ -107,6 +107,11 @@ class PlaneCurve:
     def M(self) -> int:
         return self.P.shape[0]
 
+    @cached_property
+    def derivatives(self) -> PolygonGeometry:
+        """P's geometry pass, kept and dropped as SupportState.derivatives is."""
+        return PolygonGeometry(self.P)
+
 
 def convexity_check(s: SupportState, eps_convex: float | None = None) -> np.ndarray:
     """Return S''+S, raising ConvexityLost if any sample is <= eps_convex."""
@@ -146,7 +151,7 @@ def support_to_curve(s: SupportState, eps_convex: float | None = None) -> PlaneC
 
 def _point_in_convex(P: np.ndarray, q: np.ndarray) -> bool:
     # Strict interiority wrt every edge half-plane of a CCW convex polygon.
-    e = edge_vectors(P)
+    e = PolygonGeometry(P).edges
     rel = q[None, :] - P
     cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
     return bool(np.all(cross > 0.0))

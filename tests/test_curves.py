@@ -4,12 +4,11 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from himcf.curves import (
-    curve_from_radius_profile,
+    PolygonGeometry,
     cyclic_shift,
     discrete_curvature,
     discrete_tangent_normal,
     edge_lengths,
-    edge_vectors,
     normal_angles,
     periodic_spline,
     polygon_hausdorff,
@@ -20,6 +19,7 @@ from himcf.curves import (
     turning_cross,
 )
 from himcf.errors import DegenerateEdge
+from himcf.presets import circle_curve
 
 
 def circle_points(radius=1.0, M=256, center=(0.0, 0.0)):
@@ -144,8 +144,8 @@ class TestResampling:
         assert polygon_length(Q) == pytest.approx(polygon_length(P), rel=1e-5)
 
 
-def test_curve_from_radius_profile():
-    c = curve_from_radius_profile(1.5, 64, sigma_value=-0.5)
+def test_circle_curve_samples_the_circle():
+    c = circle_curve(64, 1.5, speed=-0.5)
     np.testing.assert_allclose(np.hypot(c.P[:, 0], c.P[:, 1]), 1.5, atol=1e-12)
     np.testing.assert_allclose(c.sigma, -0.5)
     assert c.M == 64
@@ -183,6 +183,19 @@ def roll_turning_angles(P):
     return np.arctan2(cross, np.sum(e_prev * e, axis=1))
 
 
+def roll_normal_angles(P):
+    nu = roll_tangent_normal(P)[1]
+    return np.unwrap(np.arctan2(nu[:, 1], nu[:, 0]))
+
+
+def geometry_arrays(g):
+    """Every array of a geometry pass, its checked views included."""
+    return {"edges": g.edges, "lengths": g.lengths, "prev_lengths": g.prev_lengths,
+            "cross": g.cross, "dot": g.dot, "triangle": g.triangle, "chord": g.chord,
+            "curvature": g.curvature, "tangent": g.frame[0], "normal": g.frame[1],
+            "turning_angles": g.turning_angles, "normal_angles": g.normal_angles}
+
+
 def random_convex_polygons(T, M, seed):
     """T smooth convex curves: perturbed ellipses, randomly placed and sampled."""
     rng = np.random.default_rng(seed)
@@ -208,16 +221,35 @@ class TestBatchedStencils:
 
     def test_single_polygons_match_the_roll_reference_bit_for_bit(self):
         for P in self.STACK:
-            assert np.array_equal(edge_vectors(P), roll_edges(P))
+            assert np.array_equal(PolygonGeometry(P).edges, roll_edges(P))
             assert np.array_equal(edge_lengths(P), np.hypot(*roll_edges(P).T))
             for got, ref in zip(discrete_tangent_normal(P), roll_tangent_normal(P)):
                 assert np.array_equal(got, ref)
             assert np.array_equal(discrete_curvature(P), roll_curvature(P))
             assert np.array_equal(turning_angles(P), roll_turning_angles(P))
 
+    def test_geometry_pass_matches_the_roll_reference_bit_for_bit(self):
+        for P in self.STACK:
+            e = roll_edges(P)
+            e_prev = np.roll(e, 1, axis=0)
+            lengths = np.hypot(*e.T)
+            reference = {
+                "edges": e, "lengths": lengths, "prev_lengths": np.roll(lengths, 1),
+                "cross": e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0],
+                "dot": np.sum(e_prev * e, axis=1),
+                "triangle": np.roll(lengths, 1) * lengths * np.hypot(*(e_prev + e).T),
+                "chord": np.roll(P, -1, axis=0) - np.roll(P, 1, axis=0),
+                "curvature": roll_curvature(P),
+                "tangent": roll_tangent_normal(P)[0], "normal": roll_tangent_normal(P)[1],
+                "turning_angles": roll_turning_angles(P),
+                "normal_angles": roll_normal_angles(P)}
+            got = geometry_arrays(PolygonGeometry(P))
+            for name, ref in reference.items():
+                assert np.array_equal(got[name], ref), name
+
     def test_stack_equals_per_polygon_calls_bit_for_bit(self):
         stack = self.STACK
-        for fn in (edge_vectors, edge_lengths, discrete_curvature, turning_angles,
+        for fn in (edge_lengths, discrete_curvature, turning_angles,
                    turning_cross, normal_angles):
             batched = fn(stack)
             assert batched.shape[:2] == stack.shape[:2], fn.__name__
@@ -227,6 +259,10 @@ class TestBatchedStencils:
         for i, P in enumerate(stack):
             T_i, nu_i = discrete_tangent_normal(P)
             assert np.array_equal(T[i], T_i) and np.array_equal(nu[i], nu_i)
+        batched = geometry_arrays(PolygonGeometry(stack))
+        for i, P in enumerate(stack):
+            for name, got in geometry_arrays(PolygonGeometry(P)).items():
+                assert np.array_equal(batched[name][i], got), name
 
     def test_degenerate_member_raises_for_the_stack(self):
         stack = self.STACK.copy()

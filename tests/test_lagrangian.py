@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import himcf.curves
 import himcf.lagrangian
 from himcf.curves import (
+    PolygonGeometry,
     discrete_curvature,
     discrete_tangent_normal,
     normal_angles,
@@ -19,7 +21,7 @@ from himcf.flow import FlowConfig, run_support_flow
 from himcf.grids import AngleGrid
 from himcf.lagrangian import (
     RESAMPLE_INTERVAL,
-    _geometry,
+    _normal_curvature,
     lagrangian_cfl_bound,
     run_lagrangian_flow,
     step_lagrangian,
@@ -83,7 +85,8 @@ class TestGeometry:
                 s = np.sort(rng.uniform(0.0, 2 * np.pi, M))
                 a, b = rng.uniform(0.2, 4.0, 2)
                 P = np.column_stack([a * np.cos(s), b * np.sin(s)]) + rng.normal(size=2)
-                for got, ref in zip(_geometry(P), three_pass_geometry(P)):
+                for got, ref in zip(_normal_curvature(PolygonGeometry(P)),
+                                    three_pass_geometry(P)):
                     assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("case", ["collided", "near-collided", "spike", "dented",
@@ -104,7 +107,7 @@ class TestGeometry:
         with pytest.raises((DegenerateEdge, NotConvex)) as ref:
             three_pass_geometry(P)
         with pytest.raises(ref.type) as got:
-            _geometry(P)
+            _normal_curvature(PolygonGeometry(P))
         assert str(got.value) == str(ref.value)
 
 
@@ -193,6 +196,43 @@ class TestSharedStepping:
             run_lagrangian_flow(c, 1e200 * np.cos(normal_angles(c.P)),
                                 FlowConfig(t_end=0.1))
         assert len(calls) < 10
+
+    def test_ten_shifts_per_accepted_step(self, monkeypatch):
+        # The geometry pass (two shifts) runs once for the initial state's
+        # check (the set-up constant), then per accepted step once for each
+        # of stages 2-4 and once to validate the candidate; the CFL bound
+        # adds sigma's two shifts, and stage 1, the bound's geometry and the
+        # final record reuse the validated state's pass.
+        SETUP_CALLS = 2
+        c = ellipse_curve(64, 2.0, 1.0, speed=-1.0)
+        calls = []
+        shift = himcf.curves.cyclic_shift
+        assert himcf.lagrangian.cyclic_shift is shift
+
+        def counted(a, k, axis):
+            calls.append(k)
+            return shift(a, k, axis)
+
+        monkeypatch.setattr(himcf.curves, "cyclic_shift", counted)
+        monkeypatch.setattr(himcf.lagrangian, "cyclic_shift", counted)
+        traj = run_lagrangian_flow(c, c.sigma, FlowConfig(dt=1e-3, t_end=0.02))
+        assert traj.termination.kind == "HorizonReached"
+        steps = len(traj.snapshots) - 1
+        assert steps == 20 < RESAMPLE_INTERVAL
+        assert len(calls) == 10 * steps + SETUP_CALLS
+        # Only the final curve keeps its pass; recorded snapshots hold P, sigma.
+        assert ["derivatives" in vars(snap) for snap in traj.snapshots] \
+            == [False] * steps + [True]
+
+
+@pytest.mark.xfail(strict=True, reason="the polygon steps through the collapse of the "
+                                       "circle; nothing in its validation sees r -> -r")
+@pytest.mark.parametrize("M", [32, 256])
+def test_collapsing_circle_ends_by_the_collapse_time(M):
+    # sigma = -2 on the unit circle collapses it at T* = ln(3)/2, where the
+    # support solver ends the run.
+    traj = run_lagrangian_flow(circle_curve(M, 1.0), -2.0, FlowConfig(t_end=1.0))
+    assert traj.termination.t < 0.5 * math.log(3.0) + 1e-2
 
 
 def test_cross_solver_hausdorff_on_ellipse():
