@@ -44,6 +44,7 @@ from .monitors import (
     _snapshot_curvature,
     _snapshot_length,
     _snapshot_polygon,
+    aligned_snapshots,
     check_containment,
     check_length_identities,
     check_simons_sphere,
@@ -153,21 +154,12 @@ def _records_json(records) -> list[dict]:
 
 # ---------------------------------------------------------------- radial
 
-def _radial_geometry(kind: str, n: int | None) -> RadialGeometry:
-    if kind == "sphere":
-        return sphere_geometry(n if n is not None else 2)
-    if kind == "cylinder":
-        return CYLINDER
-    if kind == "circle":
-        return CIRCLE
-    raise InvalidConfig(f"unknown geometry {kind!r}")
-
-
 def cmd_radial(args) -> int:
     config = _load_config(args.config)
     out_dir = _opt(args, config, "out_dir", "out")
-    geometry = _radial_geometry(_opt(args, config, "geometry", "sphere"),
-                                _opt(args, config, "n", None, int))
+    shape = _opt(args, config, "geometry", "sphere")
+    n = _opt(args, config, "n", 2 if shape == "sphere" else None, int)
+    geometry = RadialGeometry(shape, n)
     r0 = _opt(args, config, "r0", 1.0, float)
     r1 = _opt(args, config, "r1", 0.0, float)
     dt = _opt(args, config, "dt", 1e-3, float)
@@ -457,6 +449,17 @@ _SCENARIOS = {
 }
 
 
+def _containment_config(args, config: dict, preset: dict) -> FlowConfig:
+    # Fixed steps keep the two recording schedules aligned for comparison.
+    return FlowConfig(
+        N=_opt(args, config, "N", 128, int),
+        dt=_opt(args, config, "dt", preset["dt"], float),
+        t_end=_opt(args, config, "t_end", preset["t_end"], float),
+        eps_convex=_opt(args, config, "eps_convex", preset["eps_convex"], float),
+        record_every=_opt(args, config, "record_every", preset["record_every"], int),
+    )
+
+
 def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
     grid = _grid(cfg.N)
     outer0 = _support_from_spec(outer_spec, grid)
@@ -484,21 +487,9 @@ def cmd_containment(args) -> int:
     outer_spec = preset["outer"]
     inner_spec = preset["inner"]
 
-    # Fixed steps keep the two recording schedules aligned for comparison.
-    cfg = FlowConfig(
-        N=_opt(args, config, "N", 128, int),
-        dt=_opt(args, config, "dt", preset["dt"], float),
-        t_end=_opt(args, config, "t_end", preset["t_end"], float),
-        eps_convex=_opt(args, config, "eps_convex", preset["eps_convex"], float),
-        record_every=_opt(args, config, "record_every", preset["record_every"], int),
-    )
+    cfg = _containment_config(args, config, preset)
     outer, inner, record = _run_containment_pair(outer_spec, inner_spec, cfg)
-
-    rows = []
-    for a, b in zip(outer.snapshots, inner.snapshots):
-        if abs(a.t - b.t) > 1e-9:
-            break
-        rows.append((a.t, float(np.min(a.S - b.S))))
+    rows = [(a.t, float(np.min(a.S - b.S))) for a, b in aligned_snapshots(outer, inner)]
     write_text_atomic(os.path.join(out_dir, "containment.csv"),
                       csv_text(["t", "min_gap"], [(None, np.reshape(rows, (-1, 2)))]))
 
@@ -602,9 +593,7 @@ def _suite_sphere_identities() -> list[CheckRecord]:
 def _suite_containment() -> list[CheckRecord]:
     out = []
     for name, scenario in sorted(_SCENARIOS.items()):
-        cfg = FlowConfig(N=128, dt=scenario["dt"], t_end=scenario["t_end"],
-                         eps_convex=scenario["eps_convex"],
-                         record_every=scenario["record_every"])
+        cfg = _containment_config(None, {}, scenario)
         _, _, record = _run_containment_pair(scenario["outer"], scenario["inner"], cfg)
         out.append(dataclasses.replace(record, name=f"containment/{name}"))
     return out

@@ -264,8 +264,10 @@ def integrate(state, cfg: FlowConfig, bound, step, validate, after_accept=None):
     ConvexityLost, NotConvex or DegenerateEdge is a ConvexityLost violation,
     which is bisected to the admissibility boundary and ends the run.
     after_accept(state, steps) may replace an accepted state before the
-    record_every cadence sees it.  Returns (snapshots, termination,
-    final_state, cfl_margin = min over steps of (allowed dt - taken dt)).
+    record_every cadence sees it; validate checks the replacement, and its
+    violation ends the run at the accepted state.  Returns (snapshots,
+    termination, final_state, cfl_margin = min over steps of (allowed dt -
+    taken dt)).
     """
     def attempt(st, h):
         try:
@@ -298,8 +300,13 @@ def integrate(state, cfg: FlowConfig, bound, step, validate, after_accept=None):
         vars(state).pop("derivatives", None)
         state = trial
         steps += 1
-        if after_accept is not None:
-            state = after_accept(state, steps)
+        replaced = state if after_accept is None else after_accept(state, steps)
+        if replaced is not state:
+            violation = validate(replaced)
+            if violation is not None:
+                termination = Termination(violation.kind, t=state.t, theta=violation.theta)
+                break
+            state = replaced
         if steps % cfg.record_every == 0:
             snapshots.append(state)
     else:

@@ -108,6 +108,20 @@ def outcome_inputs_from_trajectory(traj: FlowTrajectory) -> OutcomeInputs:
                          T_star=T_star)
 
 
+def aligned_snapshots(outer: FlowTrajectory, inner: FlowTrajectory) -> list[tuple]:
+    """Snapshot pairs of the longest prefix whose times agree to 1e-9.
+
+    A run that ends by bisection appends one off-schedule snapshot, so two
+    runs on one recording schedule need not align on all pairs.
+    """
+    pairs = []
+    for a, b in zip(outer.snapshots, inner.snapshots):
+        if abs(a.t - b.t) > 1e-9:
+            break
+        pairs.append((a, b))
+    return pairs
+
+
 def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckRecord:
     """Pointwise support ordering S_inner <= S_outer across the common run.
 
@@ -119,19 +133,11 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
         raise PreconditionFailed("containment check needs support trajectories")
     if outer.snapshots[0].grid.N != inner.snapshots[0].grid.N:
         raise PreconditionFailed("trajectories use different grids")
-    # A run that ends by bisection appends one off-schedule snapshot, so the
-    # comparison covers the longest aligned prefix, not all pairs.
-    m = min(len(outer.snapshots), len(inner.snapshots))
-    aligned = 0
-    for a, b in zip(outer.snapshots[:m], inner.snapshots[:m]):
-        if abs(a.t - b.t) > 1e-9:
-            break
-        aligned += 1
-    if aligned < 2:
+    pairs = aligned_snapshots(outer, inner)
+    if len(pairs) < 2:
         raise PreconditionFailed(
             "snapshot schedules never align; the runner must share the "
             "recording schedule")
-    m = aligned
 
     s_out0, s_in0 = outer.snapshots[0], inner.snapshots[0]
     scale0 = float(np.max(np.abs(s_out0.S)))
@@ -143,7 +149,7 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
     margin = math.inf
     t_worst = theta_worst = None
     scale = 0.0
-    for a, b in zip(outer.snapshots[:m], inner.snapshots[:m]):
+    for a, b in pairs:
         gap = a.S - b.S
         scale = max(scale, float(np.max(np.abs(a.S))))
         j = int(np.argmin(gap))

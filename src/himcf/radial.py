@@ -12,6 +12,7 @@ with closed form, writing lam = sqrt(stiffness),
 The fate of the solution is decided by the discriminants d+- = r0 +- r1/lam;
 see classify_regime.  The forced variant r'' = (stiffness + c(t)) r is
 bracketed by the constant-coefficient solutions with c frozen at its bounds.
+One RK4 march integrates the unforced (c = 0), forced and bracket rows.
 """
 from __future__ import annotations
 
@@ -206,6 +207,35 @@ def _hermite_r(r0, v0, r1, v1, dt, tau):
     return h00 * r0 + h10 * dt * v0 + h01 * r1 + h11 * dt * v1
 
 
+def _check_run(r0: float, dt: float, t_end: float) -> None:
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise InvalidConfig("step and horizon must be positive and finite")
+    if not (r0 > 0.0):
+        raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
+
+
+def _march(omega_sq: Callable[[float], float], r0: float, r1: float,
+           dt: float, t_end: float, steps: int | None = None):
+    """RK4 samples [t], [r], [r_t] of r'' = omega_sq(t) r from (r0, r1).
+
+    Checks the inputs and the step budget, then steps h = min(dt, t_end - t)
+    to t_end, stopping after the first r <= 0, or takes exactly `steps` steps.
+    """
+    _check_run(r0, dt, t_end)
+    ts, rs, vs = [0.0], [r0], [r1]
+    t, r, v = 0.0, r0, r1
+    for _ in range(fixed_step_count(dt, t_end) if steps is None else steps):
+        h = min(dt, t_end - t)
+        r, v = _rk4_step(r, v, omega_sq, t, h)
+        t += h
+        ts.append(t)
+        rs.append(r)
+        vs.append(v)
+        if r <= 0.0 and steps is None:
+            break
+    return ts, rs, vs
+
+
 def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
                          dt: float, t_end: float) -> RadialTrajectory:
     """Classical 4th-order integration of r'' = stiffness * r.
@@ -214,33 +244,13 @@ def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
     time is refined by bisection on the cubic Hermite dense output of the
     offending step, to 1e-6 in t.
     """
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
-        raise InvalidConfig("step and horizon must be positive and finite")
-    if not (r0 > 0.0):
-        raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
-    stiffness = geometry.stiffness
-    omega_sq = lambda t: stiffness
-
-    steps = fixed_step_count(dt, t_end)
-    times = [0.0]
-    rs = [r0]
-    vs = [r1]
-    r, v, t = r0, r1, 0.0
+    ts, rs, vs = _march(lambda _t, w=geometry.stiffness: w, r0, r1, dt, t_end)
     extinction = None
-    for i in range(steps):
-        h = min(dt, t_end - t)
-        r_new, v_new = _rk4_step(r, v, omega_sq, t, h)
-        if r_new <= 0.0:
-            extinction = t + _bisect_zero(r, v, r_new, v_new, h)
-            break
-        t = t + h
-        r, v = r_new, v_new
-        times.append(t)
-        rs.append(r)
-        vs.append(v)
-
-    return RadialTrajectory(geometry=geometry,
-                            times=np.array(times), r=np.array(rs), r_t=np.array(vs),
+    if rs[-1] <= 0.0:
+        h = min(dt, t_end - ts[-2])
+        extinction = ts[-2] + _bisect_zero(rs[-2], vs[-2], rs[-1], vs[-1], h)
+        del ts[-1], rs[-1], vs[-1]
+    return RadialTrajectory(geometry=geometry, times=ts, r=rs, r_t=vs,
                             extinction_time=extinction)
 
 
@@ -264,10 +274,7 @@ def forced_radial(geometry: RadialGeometry, c: Callable[[float], float],
     gives r_lo <= r <= r_hi while r stays positive, and a violation beyond
     tolerance signals an integrator bug, not a modeling outcome.
     """
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
-        raise InvalidConfig("step and horizon must be positive and finite")
-    if not (r0 > 0.0):
-        raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
+    _check_run(r0, dt, t_end)              # ahead of the forcing bounds
     if not (math.isfinite(c_lo) and math.isfinite(c_hi) and c_lo <= c_hi):
         raise InvalidForcing(f"invalid forcing bounds [{c_lo}, {c_hi}]")
     stiffness = geometry.stiffness
@@ -281,35 +288,11 @@ def forced_radial(geometry: RadialGeometry, c: Callable[[float], float],
                 f"forcing value {value} at t = {t} leaves [{c_lo}, {c_hi}]")
         return stiffness + value
 
-    steps = fixed_step_count(dt, t_end)
-    times = np.empty(steps + 1)
-    r = np.empty(steps + 1)
-    r_lo = np.empty(steps + 1)
-    r_hi = np.empty(steps + 1)
-    times[0] = 0.0
-    r[0] = r_lo[0] = r_hi[0] = r0
-    state = (r0, r1)
-    state_lo = (r0, r1)
-    state_hi = (r0, r1)
-    t = 0.0
-    count = steps
-    for i in range(steps):
-        h = min(dt, t_end - t)
-        state = _rk4_step(*state, omega_forced, t, h)
-        state_lo = _rk4_step(*state_lo, lambda _t: stiffness + c_lo, t, h)
-        state_hi = _rk4_step(*state_hi, lambda _t: stiffness + c_hi, t, h)
-        t += h
-        times[i + 1] = t
-        r[i + 1] = state[0]
-        r_lo[i + 1] = state_lo[0]
-        r_hi[i + 1] = state_hi[0]
-        if state[0] <= 0.0:
-            # The flow itself degenerated; keep what was sampled.
-            count = i + 1
-            break
-
-    sl = slice(0, count + 1)
-    times, r, r_lo, r_hi = times[sl], r[sl], r_lo[sl], r_hi[sl]
+    # The brackets take as many steps as the forced row, past zeros of their own.
+    times, r = map(np.array, _march(omega_forced, r0, r1, dt, t_end)[:2])
+    r_lo, r_hi = (np.array(_march(lambda _t, w=stiffness + cb: w, r0, r1, dt, t_end,
+                                  len(times) - 1)[1])
+                  for cb in (c_lo, c_hi))
     tolerance = 1e-8 * float(np.max(r_hi))
     lower = float(np.min(r - r_lo))
     upper = float(np.min(r_hi - r))

@@ -99,6 +99,17 @@ class TestCurve:
         summary = load_json(out / "curve_summary.json")
         assert summary["cross_solver_hausdorff"] <= 1e-3
 
+    def test_invalid_resample_ends_in_convexity_lost(self, tmp_path):
+        # The resample after step 350 leaves a negative turning angle; the
+        # run ends there, on the last valid polygon, instead of stepping on.
+        _, out = run_cli(["curve", "--solver", "lagrangian", "--preset", "circle",
+                          "--r0", "1", "--speed", "0,5", "--vertices", "32",
+                          "--t-end", "1"], tmp_path)
+        summary = load_json(out / "curve_summary.json")
+        assert summary["termination"]["kind"] == "ConvexityLost"
+        assert summary["termination"]["t"] == pytest.approx(0.185779, abs=1e-6)
+        assert summary["final_k_min"] > 0.0
+
     def test_fourier_preset_runs_and_classifies(self, tmp_path):
         _, out = run_cli(["curve", "--preset", "fourier", "--coeffs",
                           "1,0,0.05", "--speed", "-1.2"], tmp_path)
@@ -174,6 +185,14 @@ class TestErrorContract:
                           expect=1)
         err = json.loads(proc.stderr)
         assert "error" in err and "message" in err
+
+    @pytest.mark.parametrize("geometry", ["circle", "cylinder"])
+    def test_n_without_a_sphere_is_exit_1(self, geometry, tmp_path):
+        proc, _ = run_cli(["radial", "--geometry", geometry, "--n", "3"], tmp_path,
+                          expect=1)
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert "takes no dimension parameter" in err["message"]
 
     def test_nonconvex_fourier_preset_is_exit_1(self, tmp_path):
         proc, _ = run_cli(["curve", "--preset", "fourier", "--coeffs",

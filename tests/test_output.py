@@ -91,22 +91,46 @@ GOLDEN = {
     "radial-forcing-table": (["radial", "--config", "{config}"], {
         "radial.csv": "864893293a18087ab239081ce5c5dcf17c0c0c9ab792b780cefb4fe334f41f85",
     }),
+    # The forced row reaches r <= 0 at t = 0.35 and ends the table at 36
+    # samples; the lower bracket crossed zero one step earlier.
+    "radial-forcing-table-zero": (["radial", "--config", "{config}"], {
+        "radial.csv": "18920799ee596e8d5758a6e532992e44aa3517741a3c6e80aa0761e7c2b1d05e",
+        "radial_summary.json": "ea151b48163923cfe09ebd9ca2deffc98adb6ff873050c1fadbf6e87a0eaec9c",
+    }),
+    # Extinction at t = 0.549306, located on the Hermite dense output.
+    "radial-circle-extinction": (["radial", "--geometry", "circle", "--r0", "1",
+                                  "--r1", "-2"], {
+        "radial.csv": "a6faf242bba57bcc15076a182e3b335cd62cacaf651d9ae461e0c8071642ca5f",
+        "radial_summary.json": "f35d1a659d500f8505ffa359cf09470f4625a81b44f53fd263e419518c7a3e39",
+    }),
+    # The radial-forced run of scripts/run_scenarios.py.
+    "radial-forced-constant": (["radial", "--geometry", "sphere", "--n", "2", "--r0", "1",
+                                "--r1", "0", "--t-end", "2", "--forcing-constant", "0.25"], {
+        "radial.csv": "d81d1c7abcc26e2b1d905dd76e12aeb750961bd3ae94b852ffc3af626d8e81b2",
+        "radial_summary.json": "6a07f367e7d690d246fb2b1e662f8295e52dc0c9a6418257077c5ce13fcbc558",
+    }),
 }
 
-FORCING_TABLE = {"geometry": "sphere", "n": 2, "r0": 1.0, "r1": 0.0, "dt": 0.01,
-                 "t_end": 0.5, "forcing": {"kind": "table", "times": [0.0, 0.25, 0.5],
-                                           "values": [0.0, 0.3, 0.1]}}
+# The --config file of each GOLDEN entry that reads one.
+CONFIGS = {
+    "radial-forcing-table": {
+        "geometry": "sphere", "n": 2, "r0": 1.0, "r1": 0.0, "dt": 0.01, "t_end": 0.5,
+        "forcing": {"kind": "table", "times": [0.0, 0.25, 0.5], "values": [0.0, 0.3, 0.1]}},
+    "radial-forcing-table-zero": {
+        "geometry": "sphere", "n": 2, "r0": 1.0, "r1": -3.0, "dt": 0.01, "t_end": 3.0,
+        "forcing": {"kind": "table", "times": [0.0, 1.0, 3.0], "values": [0.0, 0.3, -0.4]}},
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_are_pinned(name, tmp_path):
-    config = tmp_path / "forcing.json"
-    config.write_text(json.dumps(FORCING_TABLE))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIGS.get(name, {})))
     argv, digests = GOLDEN[name]
     out = tmp_path / name
     argv = [a.format(config=config) for a in argv] + ["--out-dir", str(out)]
     assert himcf.cli.main(argv) == 0
-    if name == "radial-forcing-table":
+    if name.startswith("radial-forcing-table"):
         assert ",nan," in (out / "radial.csv").read_text()
     for fname, digest in digests.items():
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
