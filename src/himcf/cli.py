@@ -148,8 +148,14 @@ def _emit_error(exc: BaseException) -> None:
     sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
 
 
-def _records_json(records) -> list[dict]:
-    return [r.as_dict() for r in sorted(records, key=lambda r: r.name)]
+def _finish(path: str, summary: dict, records, flags=()) -> int:
+    """Add the monitors, flags and verdict to summary and write it; exit 0 or 2."""
+    monitor = MonitorReport(records=tuple(records))
+    summary["monitors"] = [r.as_dict() for r in sorted(records, key=lambda r: r.name)]
+    summary["flags"] = sorted([*flags, *monitor.flags])
+    summary["passed"] = monitor.passed
+    write_text_atomic(path, json_text(summary))
+    return 0 if monitor.passed else 2
 
 
 # ---------------------------------------------------------------- radial
@@ -174,7 +180,7 @@ def cmd_radial(args) -> int:
         forcing = None
 
     records: list[CheckRecord] = []
-    flags: list[str] = []
+    flags: tuple[str, ...] = ()
     summary: dict = {
         "kind": "radial",
         "geometry": {"kind": geometry.kind, "n": geometry.n},
@@ -189,7 +195,7 @@ def cmd_radial(args) -> int:
         err = np.abs(traj.r - closed)
         records.append(residual_record("radial/closed-form-agreement",
                                        float(np.max(err)), tolerance=1e-8 * r0))
-        flags.extend(regime.flags)
+        flags = regime.flags
         summary["regime"] = {
             "regime": regime.regime, "d_plus": regime.d_plus,
             "d_minus": regime.d_minus, "T_max": regime.T_max,
@@ -239,19 +245,12 @@ def cmd_radial(args) -> int:
                                  report.r_lo, report.r_hi])
         header = ["t", "r_closed", "r_numeric", "abs_err", "r_lo", "r_hi"]
 
-    monitor = MonitorReport(records=tuple(records))
-    flags.extend(monitor.flags)
-    summary["monitors"] = _records_json(records)
-    summary["flags"] = sorted(flags)
-    summary["passed"] = monitor.passed
-
     write_text_atomic(os.path.join(out_dir, "radial.csv"),
                       csv_text(header, [(None, table)]))
-    write_text_atomic(os.path.join(out_dir, "radial_summary.json"), json_text(summary))
+    code = _finish(os.path.join(out_dir, "radial_summary.json"), summary, records, flags)
     regime_text = summary["regime"]["regime"] if summary.get("regime") else "forced"
-    print(f"radial: {regime_text}, {len(table)} samples, "
-          f"{'pass' if summary['passed'] else 'FAIL'}")
-    return 0 if summary["passed"] else 2
+    print(f"radial: {regime_text}, {len(table)} samples, {'pass' if code == 0 else 'FAIL'}")
+    return code
 
 
 # ----------------------------------------------------------------- curve
@@ -390,8 +389,6 @@ def cmd_curve(args) -> int:
     write_text_atomic(os.path.join(out_dir, "curve.svg"), svg_text(outlines))
 
     final_k = _snapshot_curvature(primary.snapshots[-1])
-
-    monitor = MonitorReport(records=tuple(records))
     summary = {
         "kind": "curve",
         "preset": spec["preset"],
@@ -419,15 +416,12 @@ def cmd_curve(args) -> int:
         "final_k_min": float(np.min(final_k)),
         "final_k_max": float(np.max(final_k)),
         "cross_solver_hausdorff": hausdorff,
-        "monitors": _records_json(records),
-        "flags": sorted(monitor.flags),
-        "passed": monitor.passed,
     }
-    write_text_atomic(os.path.join(out_dir, "curve_summary.json"), json_text(summary))
+    code = _finish(os.path.join(out_dir, "curve_summary.json"), summary, records)
     print(f"curve: {primary.termination.kind} at t = {primary.termination.t:.6f}, "
           f"outcome {outcome.predicted}"
           + (f", hausdorff {hausdorff:.2e}" if hausdorff is not None else ""))
-    return 0 if summary["passed"] else 2
+    return code
 
 
 # ----------------------------------------------------------- containment
@@ -502,15 +496,11 @@ def cmd_containment(args) -> int:
         "record_every": cfg.record_every, "eps_convex": cfg.eps_convex,
         "outer_termination": {"kind": outer.termination.kind, "t": outer.termination.t},
         "inner_termination": {"kind": inner.termination.kind, "t": inner.termination.t},
-        "monitors": _records_json([record]),
-        "flags": [],
-        "passed": record.passed,
     }
-    write_text_atomic(os.path.join(out_dir, "containment_summary.json"),
-                      json_text(summary))
+    code = _finish(os.path.join(out_dir, "containment_summary.json"), summary, [record])
     print(f"containment: margin {record.worst:.3e} (tolerance {record.tolerance:.3e}), "
-          f"{'pass' if record.passed else 'FAIL'}")
-    return 0 if record.passed else 2
+          f"{'pass' if code == 0 else 'FAIL'}")
+    return code
 
 
 # ---------------------------------------------------------------- verify
@@ -700,24 +690,16 @@ def cmd_verify(args) -> int:
         raise InvalidConfig(
             f"unknown suite(s) {unknown}; valid: {sorted(_SUITES)}")
 
-    records = [r for name in names for r in _SUITES[name]()]
-    records.sort(key=lambda r: r.name)
-    monitor = MonitorReport(records=tuple(records))
-    summary = {
-        "kind": "verify",
-        "suites": sorted(names),
-        "monitors": _records_json(records),
-        "flags": sorted(monitor.flags),
-        "passed": monitor.passed,
-    }
-    write_text_atomic(os.path.join(out_dir, "verify_report.json"), json_text(summary))
+    records = sorted((r for name in names for r in _SUITES[name]()), key=lambda r: r.name)
+    code = _finish(os.path.join(out_dir, "verify_report.json"),
+                   {"kind": "verify", "suites": sorted(names)}, records)
     for r in records:
         status = "PASS" if (r.passed or r.flagged) else "FAIL"
         suffix = " [flagged]" if r.flagged else ""
         print(f"{status} {r.name} ({r.kind} {r.worst:.3e}, tolerance "
               f"{r.tolerance:.3e}){suffix}")
-    print(f"verify: {'all checks passed' if monitor.passed else 'CHECKS FAILED'}")
-    return 0 if monitor.passed else 2
+    print(f"verify: {'all checks passed' if code == 0 else 'CHECKS FAILED'}")
+    return code
 
 
 # ------------------------------------------------------------------ main

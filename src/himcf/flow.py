@@ -21,6 +21,9 @@ CFL bound
 cfl_safety is capped at 0.9: with the spectral mode count N/2 the cap lands
 on the imaginary-axis stability limit of classical RK4 (0.9*pi ~ 2.83).
 
+A run's convexity floor eps comes from FlowConfig.convexity_floor alone: a
+candidate with min S''+S <= eps, or a polygon with k >= 1/eps, ends the run.
+
 Both curve solvers (this one and lagrangian.py) step through integrate (step
 rule, bisection, recording) and rk4; only their discretizations differ.
 """
@@ -36,7 +39,7 @@ from .errors import (CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig,
                      OutOfDomain)
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
-from .support import SupportState, default_eps_convex, length_from_support
+from .support import SupportState, convexity_check, default_eps_convex, length_from_support
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
 DEFAULT_CFL_SAFETY = 0.5
@@ -64,6 +67,7 @@ class FlowConfig:
 
     Exactly one stepping mode is active: fixed dt when dt is given, else
     adaptive CFL stepping with the given (or default) safety factor.
+    eps_convex is the one settable convexity floor; see convexity_floor.
     """
 
     N: int = 128
@@ -74,6 +78,9 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        if self.eps_convex is not None and not 0.0 < self.eps_convex < math.inf:
+            raise InvalidConfig(
+                f"eps_convex must be positive and finite, got {self.eps_convex}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
         if self.cfl_safety is not None and not (0.0 < self.cfl_safety <= 0.9):
@@ -85,6 +92,10 @@ class FlowConfig:
             raise InvalidConfig("record_every must be >= 1")
         if self.dt is not None:
             fixed_step_count(self.dt, self.t_end)
+
+    def convexity_floor(self, L0: float) -> float:
+        """The run's floor: a state ends it once min S''+S <= floor (k >= 1/floor)."""
+        return default_eps_convex(L0) if self.eps_convex is None else self.eps_convex
 
     @property
     def adaptive(self) -> bool:
@@ -162,23 +173,16 @@ class FlowTrajectory:
         return self.snapshots[i]
 
 
-def support_rhs(s: SupportState, eps_convex: float | None = None) -> np.ndarray:
-    """Acceleration a = (V_theta)^2/(S''+S) + (S''+S)."""
-    eps = s.default_eps_convex() if eps_convex is None else eps_convex
-    rho, V_th = s.derivatives
-    if np.min(rho) <= eps:
-        j = int(np.argmin(rho))
-        raise ConvexityLost(
-            f"S''+S = {rho[j]:.3e} <= {eps:.3e}", t=s.t,
-            theta=float(s.grid.theta[j]))
-    return _stage_rhs(s.V, rho, V_th)[1]
+def support_rhs(s: SupportState) -> np.ndarray:
+    """Acceleration a = (V_theta)^2/(S''+S) + (S''+S); raises as convexity_check."""
+    convexity_check(s)
+    return _stage_rhs(s.V, *s.derivatives)[1]
 
 
-def cfl_bound(s: SupportState, eps_convex: float | None = None) -> float:
-    """Largest stable dt (before safety factor) at the current state."""
-    eps = s.default_eps_convex() if eps_convex is None else eps_convex
+def cfl_bound(s: SupportState) -> float:
+    """Largest stable dt (before safety factor) at a state with S''+S > 0."""
     rho, V_th = s.derivatives
-    k = 1.0 / np.maximum(rho, max(eps, 1e-300))
+    k = 1.0 / rho
     speed = float(np.max(np.abs(k * V_th))) + 1.0
     return s.grid.dtheta / speed
 
@@ -336,12 +340,13 @@ def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTra
         raise InvalidConfig(f"config N = {cfg.N} but data has {grid.N} samples")
     state = SupportState(grid=grid, S=S0, V=V0, t=0.0)
     L0 = length_from_support(state)
-    eps = default_eps_convex(L0) if cfg.eps_convex is None else cfg.eps_convex
+    eps = cfg.convexity_floor(L0)
     if validate_support_state(state, eps, L0) is not None:
         raise ConvexityLost("initial data is not strictly convex", t=0.0)
 
+    # Every state cfl_bound sees has passed validate, so S''+S > eps there.
     snapshots, termination, state, cfl_margin = integrate(
-        state, cfg, lambda st: cfl_bound(st, eps), step_support,
+        state, cfg, cfl_bound, step_support,
         lambda cand: validate_support_state(cand, eps, L0))
 
     final_margin = float(np.min(state.derivatives[0]) - eps)

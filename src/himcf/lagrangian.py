@@ -31,7 +31,7 @@ from .curves import (
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
 from .report import MonitorReport, margin_record
-from .support import PlaneCurve, default_eps_convex
+from .support import PlaneCurve
 
 RESAMPLE_INTERVAL = 50
 
@@ -88,7 +88,8 @@ def lagrangian_cfl_bound(c: PlaneCurve) -> float:
     return float(np.min(g.turning_angles)) / speed
 
 
-def _validate_curve(c: PlaneCurve, kappa_max: float, L0: float) -> _Violation | None:
+def _validate_curve(c: PlaneCurve, eps: float, L0: float) -> _Violation | None:
+    # The polygon form of validate_support_state: k >= 1/eps is CurvatureBlowup.
     g = c.derivatives
     if g.length <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
@@ -98,7 +99,7 @@ def _validate_curve(c: PlaneCurve, kappa_max: float, L0: float) -> _Violation | 
         return _Violation("ConvexityLost")
     if np.min(k) <= 0.0:
         return _Violation("ConvexityLost")
-    if np.max(k) >= kappa_max:
+    if np.max(k) >= 1.0 / eps:
         return _Violation("CurvatureBlowup")
     return None
 
@@ -127,12 +128,10 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
     _normal_curvature(curve.derivatives)    # raises on degenerate/non-convex data
 
     L0 = curve.derivatives.length
-    eps = default_eps_convex(L0) if cfg.eps_convex is None else cfg.eps_convex
-    kappa_max = 1.0 / eps
-
+    eps = cfg.convexity_floor(L0)
     snapshots, termination, curve, _ = integrate(
         curve, cfg, lagrangian_cfl_bound, step_lagrangian,
-        lambda cand: _validate_curve(cand, kappa_max, L0), _resample_every_interval)
+        lambda cand: _validate_curve(cand, eps, L0), _resample_every_interval)
 
     k_final = curve.derivatives.curvature
     monitor = MonitorReport(records=(

@@ -47,13 +47,19 @@ class OutcomeInputs:
     zeta: float         # max initial curvature
     f_min: float
     f_max: float
-    T_star: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.delta <= self.zeta):
             raise InvalidConfig(f"need 0 < delta <= zeta, got {self.delta}, {self.zeta}")
         if not self.f_min <= self.f_max:
             raise InvalidConfig("need f_min <= f_max")
+
+    @property
+    def T_star(self) -> float | None:
+        """comparison_horizon(delta, f_max) when 1/delta + f_max < 0, else None."""
+        if 1.0 / self.delta + self.f_max < 0.0:
+            return comparison_horizon(self.delta, self.f_max)
+        return None
 
 
 @dataclass(frozen=True)
@@ -93,19 +99,12 @@ def _snapshot_polygon(snap) -> np.ndarray:
 
 
 def outcome_inputs_from_trajectory(traj: FlowTrajectory) -> OutcomeInputs:
-    """Extract delta, zeta, f extremes (and T* when defined) at t = 0."""
+    """Extract delta, zeta and the f extremes at t = 0; T* follows from them."""
     snap = traj.snapshots[0]
     k0 = _snapshot_curvature(snap)
     speeds = snap.V if isinstance(snap, SupportState) else snap.sigma
-    delta = float(np.min(k0))
-    zeta = float(np.max(k0))
-    f_min = float(np.min(speeds))
-    f_max = float(np.max(speeds))
-    T_star = None
-    if 1.0 / delta + f_max < 0.0:
-        T_star = comparison_horizon(delta, f_max)
-    return OutcomeInputs(delta=delta, zeta=zeta, f_min=f_min, f_max=f_max,
-                         T_star=T_star)
+    return OutcomeInputs(delta=float(np.min(k0)), zeta=float(np.max(k0)),
+                         f_min=float(np.min(speeds)), f_max=float(np.max(speeds)))
 
 
 def aligned_snapshots(outer: FlowTrajectory, inner: FlowTrajectory) -> list[tuple]:
@@ -259,17 +258,13 @@ def classify_outcome(traj: FlowTrajectory, inputs: OutcomeInputs) -> OutcomeRepo
     are sub-labeled PointCollapse when the length went to zero and
     CurvatureJump when curvature degenerated at positive length.
     """
+    T_star = inputs.T_star      # None unless 1/delta + f_max < 0
     if 1.0 / inputs.zeta + inputs.f_min > 0.0:
         predicted = "LongTime"
-        T_star = None
-    elif 1.0 / inputs.delta + inputs.f_max < 0.0:
+    elif T_star is not None:
         predicted = "FiniteTime"
-        T_star = inputs.T_star
-        if T_star is None:
-            T_star = comparison_horizon(inputs.delta, inputs.f_max)
     else:
         predicted = "Indeterminate"
-        T_star = None
 
     term = traj.termination
     finite_end = term.kind in ("LengthVanished", "CurvatureBlowup", "ConvexityLost")

@@ -207,11 +207,13 @@ def _hermite_r(r0, v0, r1, v1, dt, tau):
     return h00 * r0 + h10 * dt * v0 + h01 * r1 + h11 * dt * v1
 
 
-def _check_run(r0: float, dt: float, t_end: float) -> None:
+def _check_run(r0: float, r1: float, dt: float, t_end: float) -> None:
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise InvalidConfig("step and horizon must be positive and finite")
     if not (r0 > 0.0):
         raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
+    if not math.isfinite(r1):
+        raise InvalidInitialRadius("initial velocity must be finite")
 
 
 def _march(omega_sq: Callable[[float], float], r0: float, r1: float,
@@ -221,7 +223,7 @@ def _march(omega_sq: Callable[[float], float], r0: float, r1: float,
     Checks the inputs and the step budget, then steps h = min(dt, t_end - t)
     to t_end, stopping after the first r <= 0, or takes exactly `steps` steps.
     """
-    _check_run(r0, dt, t_end)
+    _check_run(r0, r1, dt, t_end)
     ts, rs, vs = [0.0], [r0], [r1]
     t, r, v = 0.0, r0, r1
     for _ in range(fixed_step_count(dt, t_end) if steps is None else steps):
@@ -274,7 +276,7 @@ def forced_radial(geometry: RadialGeometry, c: Callable[[float], float],
     gives r_lo <= r <= r_hi while r stays positive, and a violation beyond
     tolerance signals an integrator bug, not a modeling outcome.
     """
-    _check_run(r0, dt, t_end)              # ahead of the forcing bounds
+    _check_run(r0, r1, dt, t_end)              # ahead of the forcing bounds
     if not (math.isfinite(c_lo) and math.isfinite(c_hi) and c_lo <= c_hi):
         raise InvalidForcing(f"invalid forcing bounds [{c_lo}, {c_hi}]")
     stiffness = geometry.stiffness

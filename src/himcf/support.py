@@ -8,6 +8,9 @@ origin to the tangent line with normal (cos theta, sin theta).  Key relations:
                     y = S sin(theta) + S' cos(theta)
     curvature       k = 1/(S'' + S)        (strict convexity: S'' + S > 0)
     length          L = integral of S dtheta   (S'' integrates to zero)
+
+A flow run takes its convexity floor from FlowConfig.convexity_floor; a state
+checked outside a run (convexity_check) gets default_eps_convex of its length.
 """
 from __future__ import annotations
 
@@ -54,9 +57,6 @@ class SupportState:
             raise ValueError("S and V must match the grid size")
         if not (np.all(np.isfinite(self.S)) and np.all(np.isfinite(self.V))):
             raise NonFinite(f"non-finite support state at t = {self.t}")
-
-    def default_eps_convex(self) -> float:
-        return default_eps_convex(length_from_support(self))
 
     @cached_property
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -113,24 +113,21 @@ class PlaneCurve:
         return PolygonGeometry(self.P)
 
 
-def convexity_check(s: SupportState, eps_convex: float | None = None) -> np.ndarray:
-    """Return S''+S, raising ConvexityLost if any sample is <= eps_convex."""
-    eps = s.default_eps_convex() if eps_convex is None else eps_convex
+def convexity_check(s: SupportState) -> np.ndarray:
+    """Return S''+S, raising ConvexityLost if any sample is <= default_eps_convex(L)."""
+    eps = default_eps_convex(length_from_support(s))
     rho = s.curvature_denominator()
     if np.min(rho) <= eps:
         j = int(np.argmin(rho))
         theta_j = float(s.grid.theta[j])
-        raise ConvexityLost(
-            f"S''+S = {rho[j]:.3e} <= {eps:.3e} near theta = {theta_j:.4f}",
-            t=s.t,
-            theta=theta_j,
-        )
+        raise ConvexityLost(f"S''+S = {rho[j]:.3e} <= {eps:.3e} near theta = {theta_j:.4f}",
+                            t=s.t, theta=theta_j)
     return rho
 
 
-def curvature_from_support(s: SupportState, eps_convex: float | None = None) -> np.ndarray:
+def curvature_from_support(s: SupportState) -> np.ndarray:
     """Pointwise curvature k = 1/(S'' + S)."""
-    return 1.0 / convexity_check(s, eps_convex)
+    return 1.0 / convexity_check(s)
 
 
 def length_from_support(s: SupportState) -> float:
@@ -138,9 +135,9 @@ def length_from_support(s: SupportState) -> float:
     return TWO_PI * float(np.mean(s.S))
 
 
-def support_to_curve(s: SupportState, eps_convex: float | None = None) -> PlaneCurve:
+def support_to_curve(s: SupportState) -> PlaneCurve:
     """Reconstruct the boundary polygon at the grid's normal angles."""
-    convexity_check(s, eps_convex)
+    convexity_check(s)
     theta = s.grid.theta
     Sp = periodic_derivative(s.S, 1)
     cx, cy = s.center

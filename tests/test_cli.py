@@ -239,6 +239,29 @@ class TestErrorContract:
         assert "dt must be positive" not in err["message"]
 
 
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1", "inf"])
+    def test_hostile_convexity_floor_is_exit_1_with_one_json_error(self, eps, tmp_path):
+        proc, out = run_cli(["containment", "--scenario", "ellipse-in-circle",
+                             "--eps-convex", eps], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert "eps_convex" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["radial", "--r1", "nan", "--forcing-constant", "0.25"],
+        ["radial", "--r1", "inf", "--forcing-constant", "0.25"],
+        ["radial", "--r1", "nan"],
+    ])
+    def test_nonfinite_initial_velocity_is_exit_1(self, argv, tmp_path):
+        proc, out = run_cli(argv, tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidInitialRadius"
+        assert "velocity" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["curve", "--dt", "1e-9", "--t-end", "1"],
         ["curve", "--solver", "lagrangian", "--dt", "1e-9", "--t-end", "1"],

@@ -19,7 +19,7 @@ from himcf.flow import (
 )
 from himcf.grids import AngleGrid
 from himcf.presets import circle_support, ellipse_support
-from himcf.support import SupportState, length_from_support
+from himcf.support import SupportState, default_eps_convex, length_from_support
 
 
 def fd_rhs(S, V, dtheta):
@@ -247,6 +247,15 @@ class TestConfigValidation:
             FlowConfig(t_end=0.0)
         with pytest.raises(InvalidConfig):
             FlowConfig(record_every=0)
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf])
+    def test_convexity_floor_must_be_positive_and_finite(self, eps):
+        with pytest.raises(InvalidConfig, match="eps_convex"):
+            FlowConfig(eps_convex=eps)
+
+    def test_convexity_floor_is_the_setting_or_the_length_default(self):
+        assert FlowConfig(eps_convex=2e-2).convexity_floor(7.0) == 2e-2
+        assert FlowConfig().convexity_floor(7.0) == default_eps_convex(7.0)
 
     def test_fixed_dt_beyond_the_step_budget_is_rejected_up_front(self):
         budget = himcf.flow._MAX_STEPS

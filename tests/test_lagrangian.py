@@ -151,6 +151,18 @@ class TestRun:
             e = np.hypot(*(np.roll(snap.P, -1, axis=0) - snap.P).T)
             assert np.max(e) / np.min(e) < 1.5
 
+    def test_both_solvers_end_at_the_configured_floor(self):
+        # r(t) = 1.5 e^-t - 0.5 e^t reaches the floor r = eps (k = 1/eps) at
+        # e^t = sqrt(eps^2 + 3) - eps.
+        eps = 0.05
+        t_floor = math.log(math.sqrt(eps**2 + 3.0) - eps)
+        cfg = FlowConfig(N=64, t_end=1.0, eps_convex=eps)
+        support = run_support_flow(np.ones(64), np.full(64, -2.0), cfg)
+        polygon = run_lagrangian_flow(circle_curve(64, 1.0), -2.0, cfg)
+        for traj in (support, polygon):
+            assert traj.termination.kind == "CurvatureBlowup"
+            assert traj.termination.t == pytest.approx(t_floor, abs=1e-4)
+
     def test_per_vertex_speed_accepted(self):
         c = circle_curve(128, 1.0)
         f = -0.5 + 0.05 * np.cos(np.linspace(0, 2 * np.pi, 128, endpoint=False))

@@ -182,6 +182,13 @@ class TestOutcome:
         with pytest.raises(InvalidConfig):
             OutcomeInputs(delta=1.0, zeta=1.0, f_min=1.0, f_max=0.0)
 
+    def test_T_star_is_derived_not_stored(self):
+        shrinking = OutcomeInputs(delta=1.0, zeta=1.0, f_min=-2.0, f_max=-2.0)
+        assert shrinking.T_star == comparison_horizon(1.0, -2.0)
+        assert OutcomeInputs(delta=1.0, zeta=2.0, f_min=-0.5, f_max=-0.5).T_star is None
+        with pytest.raises(TypeError):
+            OutcomeInputs(delta=1.0, zeta=1.0, f_min=-2.0, f_max=-2.0, T_star=0.1)
+
     def test_comparison_horizon_requires_shrinking_hypothesis(self):
         with pytest.raises(InvalidConfig):
             comparison_horizon(1.0, -0.5)

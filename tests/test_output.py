@@ -109,6 +109,20 @@ GOLDEN = {
         "radial.csv": "d81d1c7abcc26e2b1d905dd76e12aeb750961bd3ae94b852ffc3af626d8e81b2",
         "radial_summary.json": "6a07f367e7d690d246fb2b1e662f8295e52dc0c9a6418257077c5ce13fcbc558",
     }),
+    # Both runs end by the scenario's floor eps_convex = 2e-2 (CurvatureBlowup).
+    "containment-ellipse-floor": (["containment", "--scenario", "ellipse-in-circle"], {
+        "containment.csv": "c9bc2629fa4006b252bf2e1a7acf15b3efca813b490ce9dadecbf9008de32100",
+        "containment_summary.json":
+            "f0834a1da53c28c3b8b9d1d020512cf7e5f4a34c871174b9a68c2bfaf390813d",
+    }),
+    # A collapsing circle on both solvers; the summary carries T* = ln(3)/2.
+    "curve-both-collapse": (["curve", "--preset", "circle", "--r0", "1", "--speed", "-2",
+                             "--N", "64", "--vertices", "64", "--both-solvers"], {
+        "curve_summary.json": "4e289c2879ff5d490b33ff755d04bc04f577f827e6379fe3ae5a08ce5ae1dd56",
+    }),
+    "verify-radial-outcomes-forced": (["verify", "radial", "outcomes", "forced-bracket"], {
+        "verify_report.json": "f7fe8d1707b6282830b0b648c3a8b7c3f34d930d32a7309cfd8625ec1e603a6b",
+    }),
 }
 
 # The --config file of each GOLDEN entry that reads one.

@@ -161,6 +161,13 @@ class TestIntegrator:
         with pytest.raises(InvalidConfig):
             integrate_radial_ode(CIRCLE, 1.0, 0.0, 1e-3, -1.0)
 
+    @pytest.mark.parametrize("r1", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_initial_velocity_is_rejected(self, r1):
+        with pytest.raises(InvalidInitialRadius, match="velocity"):
+            integrate_radial_ode(CIRCLE, 1.0, r1, 1e-3, 1.0)
+        with pytest.raises(InvalidInitialRadius, match="velocity"):
+            forced_radial(CIRCLE, lambda t: 0.25, 0.25, 0.25, 1.0, r1, 1e-3, 1.0)
+
     def test_step_budget_is_checked_before_any_step(self, monkeypatch):
         def no_step(*args):
             raise AssertionError("stepped a config beyond the step budget")
