@@ -23,7 +23,8 @@ from .errors import (
     OutOfDomain,
     PreconditionFailed,
 )
-from .flow import FlowConfig, FlowTrajectory, Termination, run_support_flow, sigma_field
+from .flow import (FlowConfig, FlowTrajectory, Termination, run_support_flow, run_support_flows,
+                   sigma_field)
 from .graph import GraphSample, graph_quantities
 from .grids import AngleGrid, periodic_derivative
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max

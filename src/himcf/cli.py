@@ -37,7 +37,7 @@ from .errors import (
     OutOfDomain,
     PreconditionFailed,
 )
-from .flow import FlowConfig, FlowTrajectory, run_support_flow
+from .flow import FlowConfig, FlowTrajectory, run_support_flow, run_support_flows
 from .grids import TWO_PI, AngleGrid
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max
 from .monitors import (
@@ -398,20 +398,8 @@ def cmd_curve(args) -> int:
         "t_end": cfg.t_end,
         "dt": cfg.dt,
         "record_every": cfg.record_every,
-        "termination": {
-            "kind": primary.termination.kind,
-            "t": primary.termination.t,
-            "theta": primary.termination.theta,
-        },
-        "outcome": {
-            "predicted": outcome.predicted,
-            "observed_termination": outcome.observed_termination,
-            "observed_t": outcome.observed_t,
-            "agreement": outcome.agreement,
-            "T_star": outcome.T_star,
-            "sub_label": outcome.sub_label,
-            "note": outcome.note,
-        },
+        "termination": dataclasses.asdict(primary.termination),
+        "outcome": dataclasses.asdict(outcome),
         "final_length": _snapshot_length(primary.snapshots[-1]),
         "final_k_min": float(np.min(final_k)),
         "final_k_max": float(np.max(final_k)),
@@ -455,11 +443,8 @@ def _containment_config(args, config: dict, preset: dict) -> FlowConfig:
 
 
 def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
-    grid = _grid(cfg.N)
-    outer0 = _support_from_spec(outer_spec, grid)
-    inner0 = _support_from_spec(inner_spec, grid)
-    outer = run_support_flow(outer0.S, outer0.V, cfg)
-    inner = run_support_flow(inner0.S, inner0.V, cfg)
+    pair = [_support_from_spec(spec, _grid(cfg.N)) for spec in (outer_spec, inner_spec)]
+    outer, inner = run_support_flows([s.S for s in pair], [s.V for s in pair], cfg)
     return outer, inner, check_containment(outer, inner)
 
 

@@ -6,12 +6,15 @@ The flow in normal-angle gauge is the quasilinear wave equation
          = k (S_theta_t)^2 + 1/k,          k = 1/(S_thth + S),
 
 integrated as the first-order system S' = V, V' = rhs with classical RK4 and
-spectral theta-derivatives.  Each RK4 stage needs S_thth + S and V_theta;
-both come from one FFT round trip of the stacked rows [S, V]
-(grids.support_derivatives).  A state caches its pair in
-SupportState.derivatives: the validation of an accepted step computes it,
-and the next step reuses it for the CFL bound and as its first stage, so an
-accepted step costs four stacked transforms.
+spectral theta-derivatives.  A state is one (2, N) array [S, V], and a run
+has a leading batch axis: members on one fixed-dt schedule step as a
+(B, 2, N) stack (run_support_flows; run_support_flow is B = 1), each ending
+on its own and equal to its solo run bit for bit.  One kernel,
+grids.support_derivatives, gives [S_thth + S, V_theta] of any such stack
+from one FFT round trip, so a stage costs one transform whatever B is.  A
+state caches its pair in SupportState.derivatives: validating an accepted
+step computes it, and the next step reuses it for the CFL bound and as its
+first stage, so an accepted step costs four stacked transforms.
 
 The principal part has characteristic speeds |k S_theta_t| +- 1, giving the
 CFL bound
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -176,46 +180,68 @@ class FlowTrajectory:
 def support_rhs(s: SupportState) -> np.ndarray:
     """Acceleration a = (V_theta)^2/(S''+S) + (S''+S); raises as convexity_check."""
     convexity_check(s)
-    return _stage_rhs(s.V, *s.derivatives)[1]
+    return _stage_rhs(s.sv, s.derivatives)[1]
 
 
 def cfl_bound(s: SupportState) -> float:
     """Largest stable dt (before safety factor) at a state with S''+S > 0."""
     rho, V_th = s.derivatives
     k = 1.0 / rho
-    speed = float(np.max(np.abs(k * V_th))) + 1.0
+    speed = float(np.abs(k * V_th).max()) + 1.0
     return s.grid.dtheta / speed
 
 
-def _stage_rhs(V, rho, V_th):
+def _stage_rhs(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[V, V_theta^2/rho + rho] of (..., 2, N) stacks y = [S, V], d = [rho, V_theta]."""
     # Stages only guard against sign loss; the eps ceiling is enforced on
     # completed candidate states, where the violation can be classified.
-    if np.min(rho) <= 0.0:
-        raise ConvexityLost(f"S''+S = {np.min(rho):.3e} <= 0")
-    return V, V_th**2 / rho + rho
+    rho = d[..., 0, :]
+    if rho.min() <= 0.0:
+        raise ConvexityLost(f"S''+S = {rho.min():.3e} <= 0")
+    out = np.empty_like(y)
+    out[..., 0, :] = y[..., 1, :]
+    out[..., 1, :] = d[..., 1, :]**2 / rho + rho
+    return out
 
 
-def _stage(S, V):
-    return _stage_rhs(V, *support_derivatives(S, V))
+def _stage(y: np.ndarray) -> np.ndarray:
+    return _stage_rhs(y, support_derivatives(y))
 
 
-def rk4(rhs, y, dt: float, k1):
-    """Classical RK4 step of y = (a, b), y' = rhs(a, b); k1 = rhs(a, b) is given."""
-    a, b = y
-    k1a, k1b = k1
-    k2a, k2b = rhs(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
-    k3a, k3b = rhs(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
-    k4a, k4b = rhs(a + dt * k3a, b + dt * k3b)
-    return (a + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-            b + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b))
+def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
+    """Classical RK4 step of the array y, y' = rhs(y); k1 = rhs(y) is given."""
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _keep_pairs(states, sv: np.ndarray):
+    """Give each state its row of one kernel call on sv, the stack of their rows."""
+    d = support_derivatives(sv)
+    d.setflags(write=False)
+    for state, pair in zip(states, d):
+        vars(state)["derivatives"] = pair
+    return states
+
+
+def step_supports(states, dt: float) -> tuple[SupportState, ...]:
+    """One RK4 step of S' = V, V' = support_rhs for members at one t (dt not policed).
+
+    Each stage, and the candidates' own pair (kept for their validation), is
+    one kernel call on the members' (B, 2, N) stack.
+    """
+    if not dt > 0.0:
+        raise InvalidConfig(f"dt must be positive, got {dt}")
+    y = np.array([s.sv for s in states])
+    sv = rk4(_stage, y, dt, _stage_rhs(y, np.array([s.derivatives for s in states])))
+    return _keep_pairs(tuple(SupportState(grid=s.grid, S=r[0], V=r[1], t=s.t + dt,
+                                          center=s.center) for s, r in zip(states, sv)), sv)
 
 
 def step_support(s: SupportState, dt: float) -> SupportState:
-    """One classical 4th-order step of S' = V, V' = support_rhs (dt not policed)."""
-    if not dt > 0.0:
-        raise InvalidConfig(f"dt must be positive, got {dt}")
-    S_new, V_new = rk4(_stage, (s.S, s.V), dt, _stage_rhs(s.V, *s.derivatives))
-    return SupportState(grid=s.grid, S=S_new, V=V_new, t=s.t + dt, center=s.center)
+    """One classical 4th-order step of a single state (step_supports of one)."""
+    return step_supports((s,), dt)[0]
 
 
 def validate_support_state(state: SupportState, eps: float, L0: float) -> _Violation | None:
@@ -228,7 +254,7 @@ def validate_support_state(state: SupportState, eps: float, L0: float) -> _Viola
     if length_from_support(state) <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
     rho = state.derivatives[0]
-    m = float(np.min(rho))
+    m = float(rho.min())
     if m <= eps:
         j = int(np.argmin(rho))
         theta_j = float(state.grid.theta[j])
@@ -260,106 +286,126 @@ def bisect_to_violation(state, dt, first_bad: _Violation, attempt,
     return good, bad, state.t + 0.5 * (lo + hi)
 
 
-def integrate(state, cfg: FlowConfig, bound, step, validate, after_accept=None):
-    """Step state to cfg.t_end; the step loop of both curve solvers.
+def integrate(states, cfg: FlowConfig, bound, step, validators, after_accept=None):
+    """Step members at one t to cfg.t_end on one schedule; the loop of both curve solvers.
 
-    bound(state) is the CFL bound before safety; validate(step(state, dt))
-    gives a candidate's first violation or None, and a step raising
-    ConvexityLost, NotConvex or DegenerateEdge is a ConvexityLost violation,
-    which is bisected to the admissibility boundary and ends the run.
-    after_accept(state, steps) may replace an accepted state before the
-    record_every cadence sees it; validate checks the replacement, and its
-    violation ends the run at the accepted state.  Returns (snapshots,
-    termination, final_state, cfl_margin = min over steps of (allowed dt -
-    taken dt)).
+    bound(state) is a member's CFL bound before safety (a fixed dt, the only
+    kind that may serve B > 1, is checked against each, lowest index first);
+    step(members, h) returns their candidates; validators[i](candidate) is
+    member i's first violation or None.  A step raising ConvexityLost,
+    NotConvex or DegenerateEdge is a ConvexityLost violation (a batch is then
+    retried member by member).  A violating member is bisected alone to its
+    admissibility boundary and ends there; the others go on.  after_accept(
+    state, steps) may replace an accepted state before the record_every
+    cadence; a violation of the replacement ends the member at the accepted
+    state.  Returns per member (snapshots, termination, final_state,
+    cfl_margin = min over steps of (allowed dt - taken dt)).
     """
-    def attempt(st, h):
-        try:
-            cand = step(st, h)
-        except (ConvexityLost, NotConvex, DegenerateEdge):
-            return None, _Violation("ConvexityLost")
-        return cand, validate(cand)
+    if len(states) > 1 and cfg.adaptive:
+        raise InvalidConfig("members share one step schedule only with a fixed dt")
 
-    snapshots = [state]
-    cfl_margin = math.inf
+    def attempt(members, h, index):
+        try:
+            cands = step(members, h)
+        except (ConvexityLost, NotConvex, DegenerateEdge):
+            if len(members) > 1:
+                return [attempt((m,), h, (i,))[0] for m, i in zip(members, index)]
+            return [(None, _Violation("ConvexityLost"))]
+        return [(c, validators[i](c)) for c, i in zip(cands, index)]
+
+    states = list(states)
+    snapshots = [[s] for s in states]
+    ends = [None] * len(states)
+    cfl_margins = [math.inf] * len(states)
+    live = list(range(len(states)))
     steps = 0
-    while state.t < cfg.t_end - 1e-12:
+    while live and states[live[0]].t < cfg.t_end - 1e-12:
         if steps >= _MAX_STEPS:
             raise InvalidConfig("step budget exhausted before t_end")
 
-        b = bound(state)
-        dt = cfg.next_dt(b, state.t)
-        cfl_margin = min(cfl_margin, cfg.safety * b - dt)
+        for i in live:
+            b = bound(states[i])
+            dt = cfg.next_dt(b, states[i].t)
+            cfl_margins[i] = min(cfl_margins[i], cfg.safety * b - dt)
 
-        trial, violation = attempt(state, dt)
-        if violation is not None:
-            good, boundary, t_bad = bisect_to_violation(state, dt, violation, attempt)
-            if good is not None:
-                state = good
-            termination = Termination(boundary.kind, t=t_bad, theta=boundary.theta)
-            break
-
-        # The superseded state lives on only as a snapshot; clear its cached
-        # support pair or polygon geometry (a frozen dataclass cannot del it).
-        vars(state).pop("derivatives", None)
-        state = trial
         steps += 1
-        replaced = state if after_accept is None else after_accept(state, steps)
-        if replaced is not state:
-            violation = validate(replaced)
+        for i, (trial, violation) in zip(live[:], attempt([states[i] for i in live], dt, live)):
             if violation is not None:
-                termination = Termination(violation.kind, t=state.t, theta=violation.theta)
-                break
-            state = replaced
-        if steps % cfg.record_every == 0:
-            snapshots.append(state)
-    else:
-        termination = Termination("HorizonReached", t=state.t)
+                good, boundary, t_bad = bisect_to_violation(
+                    states[i], dt, violation, lambda st, h, i=i: attempt((st,), h, (i,))[0])
+                if good is not None:
+                    states[i] = good
+                ends[i] = Termination(boundary.kind, t=t_bad, theta=boundary.theta)
+                live.remove(i)
+                continue
 
-    if snapshots[-1].t < state.t - 1e-15:
-        snapshots.append(state)
-    return snapshots, termination, state, cfl_margin
+            # The superseded state lives on only as a snapshot; clear its cached
+            # support pair or polygon geometry (a frozen dataclass cannot del it).
+            vars(states[i]).pop("derivatives", None)
+            states[i] = trial
+            replaced = trial if after_accept is None else after_accept(trial, steps)
+            if replaced is not trial:
+                violation = validators[i](replaced)
+                if violation is not None:
+                    ends[i] = Termination(violation.kind, t=trial.t, theta=violation.theta)
+                    live.remove(i)
+                    continue
+                states[i] = replaced
+            if steps % cfg.record_every == 0:
+                snapshots[i].append(states[i])
+
+    for snaps, state in zip(snapshots, states):
+        if snaps[-1].t < state.t - 1e-15:
+            snaps.append(state)
+    ends = [end or Termination("HorizonReached", t=s.t) for end, s in zip(ends, states)]
+    return list(zip(snapshots, ends, states, cfl_margins))
+
+
+def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTrajectory:
+    """The support-PDE IVP S(theta,0) = S0, S_t(theta,0) = V0: run_support_flows of one."""
+    return run_support_flows([S0], [V0], cfg)[0]
 
 
 # Every stage input and candidate passes a finiteness check that raises
 # NonFinite, so numpy's overflow warnings carry no news during a run.
 @np.errstate(all="ignore")
-def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTrajectory:
-    """Integrate the support-PDE IVP S(theta,0) = S0, S_t(theta,0) = V0.
+def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
+    """Integrate the IVPs S(theta,0) = S0s[b], S_t(theta,0) = V0s[b] as one batch.
 
-    Records a snapshot every record_every accepted steps plus the final
-    state.  Termination is HorizonReached at t_end, or the first of
-    ConvexityLost / CurvatureBlowup / LengthVanished with the violation time
-    located by step bisection so the recorded horizon is sharp.  Arithmetic
-    that overflows raises NonFinite.
+    Each run records a snapshot every record_every accepted steps plus the
+    final state; it ends HorizonReached at t_end, or at the first
+    ConvexityLost / CurvatureBlowup / LengthVanished, located by step
+    bisection.  Overflow raises NonFinite.  The members share cfg's schedule
+    (B > 1 needs a fixed dt), and each equals its solo run bit for bit.
     """
-    S0 = np.asarray(S0, dtype=float)
-    V0 = np.asarray(V0, dtype=float)
-    grid = AngleGrid(S0.size)
-    if grid.N != cfg.N:
-        raise InvalidConfig(f"config N = {cfg.N} but data has {grid.N} samples")
-    state = SupportState(grid=grid, S=S0, V=V0, t=0.0)
-    L0 = length_from_support(state)
-    eps = cfg.convexity_floor(L0)
-    if validate_support_state(state, eps, L0) is not None:
+    states = []
+    for S0, V0 in zip(S0s, V0s, strict=True):
+        grid = AngleGrid(np.size(S0))
+        if grid.N != cfg.N:
+            raise InvalidConfig(f"config N = {cfg.N} but data has {grid.N} samples")
+        states.append(SupportState(grid=grid, S=S0, V=V0, t=0.0))
+    _keep_pairs(states, np.array([s.sv for s in states]))
+    L0s = [length_from_support(s) for s in states]
+    floors = [cfg.convexity_floor(L0) for L0 in L0s]
+    if any(validate_support_state(*args) is not None for args in zip(states, floors, L0s)):
         raise ConvexityLost("initial data is not strictly convex", t=0.0)
 
     # Every state cfl_bound sees has passed validate, so S''+S > eps there.
-    snapshots, termination, state, cfl_margin = integrate(
-        state, cfg, cfl_bound, step_support,
-        lambda cand: validate_support_state(cand, eps, L0))
-
-    final_margin = float(np.min(state.derivatives[0]) - eps)
-    monitor = MonitorReport(records=(
-        margin_record("run-convexity-floor", final_margin, tolerance=0.0,
-                      note="final S''+S margin above the configured floor"),
-        margin_record("run-cfl-compliance",
-                      float(cfl_margin) if math.isfinite(cfl_margin) else 0.0,
-                      tolerance=1e-15,
-                      note="min over steps of (allowed dt - taken dt)"),
-    ))
-    return FlowTrajectory(snapshots=tuple(snapshots), termination=termination,
-                          monitor=monitor)
+    runs = integrate(states, cfg, cfl_bound, step_supports,
+                     [partial(validate_support_state, eps=eps, L0=L0)
+                      for eps, L0 in zip(floors, L0s)])
+    trajectories = []
+    for (snapshots, termination, state, cfl_margin), eps in zip(runs, floors):
+        monitor = MonitorReport(records=(
+            margin_record("run-convexity-floor", float(np.min(state.derivatives[0]) - eps),
+                          tolerance=0.0, note="final S''+S margin above the configured floor"),
+            margin_record("run-cfl-compliance",
+                          float(cfl_margin) if math.isfinite(cfl_margin) else 0.0,
+                          tolerance=1e-15, note="min over steps of (allowed dt - taken dt)"),
+        ))
+        trajectories.append(FlowTrajectory(snapshots=tuple(snapshots), termination=termination,
+                                           monitor=monitor))
+    return tuple(trajectories)
 
 
 def sigma_field(traj: FlowTrajectory, t: float, grid: AngleGrid | None = None) -> np.ndarray:

@@ -80,18 +80,18 @@ def _support_multipliers(n: int) -> np.ndarray:
     return table
 
 
-def support_derivatives(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S_thth + S, V_theta) from one FFT round trip of the stacked rows [S, V].
+def support_derivatives(sv: np.ndarray) -> np.ndarray:
+    """[S_thth + S, V_theta] of a (..., 2, N) stack of rows [S, V]: the one stage kernel.
 
-    Each row equals the separate periodic_derivative call bit for bit; the
-    support flow needs both at every stage, so it pays one transform.
+    One FFT round trip serves the whole stack (a batch of B members costs one
+    transform); each row equals the periodic_derivative call bit for bit.
     """
-    sv = np.array([S, V], dtype=float)
-    if sv.ndim != 2:
-        raise ValueError("expected two 1-d sample sequences of equal length")
-    if not np.all(np.isfinite(sv)):
+    sv = np.asarray(sv, dtype=float)
+    if sv.ndim < 2 or sv.shape[-2] != 2:
+        raise ValueError(f"expected a (..., 2, N) stack of rows [S, V], got {sv.shape}")
+    if not np.isfinite(sv).all():
         raise NonFinite("non-finite samples (an overflow or NaN)")
-    n = sv.shape[1]
+    n = sv.shape[-1]
     d = np.fft.irfft(np.fft.rfft(sv) * _support_multipliers(n), n)
-    d[0] += sv[0]
-    return d[0], d[1]
+    d[..., 0, :] += sv[..., 0, :]
+    return d

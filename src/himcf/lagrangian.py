@@ -16,7 +16,9 @@ This solver shares no discretization with the support-PDE solver, which is
 the point: agreement of the two is the module's strongest correctness check.
 What the two do share is the stepping policy (flow.integrate: the step
 rule, bisection of a violating step, the snapshot cadence) and classical
-RK4 (flow.rk4); the resampling runs as integrate's after_accept hook.
+RK4 (flow.rk4), here on the curve packed as one array [P.ravel(), sigma],
+whose P and sigma are contiguous views; the resampling runs as integrate's
+after_accept hook.
 """
 from __future__ import annotations
 
@@ -45,12 +47,22 @@ def _normal_curvature(g: PolygonGeometry):
     return g.frame[1], k
 
 
-def _velocity(g: PolygonGeometry, sigma: np.ndarray):
+def _velocity(g: PolygonGeometry, sigma: np.ndarray) -> np.ndarray:
     nu, k = _normal_curvature(g)
-    return sigma[:, None] * nu, 1.0 / k
+    rates = np.empty(3 * sigma.size)
+    P_rate, sigma_rate = _unpack(rates)
+    np.multiply(sigma[:, None], nu, out=P_rate)
+    np.divide(1.0, k, out=sigma_rate)
+    return rates
 
 
-def _rhs(P: np.ndarray, sigma: np.ndarray):
+def _unpack(y: np.ndarray):
+    M = y.size // 3
+    return y[:2 * M].reshape(M, 2), y[2 * M:]
+
+
+def _rhs(y: np.ndarray) -> np.ndarray:
+    P, sigma = _unpack(y)
     return _velocity(PolygonGeometry(P), sigma)
 
 
@@ -69,8 +81,9 @@ def step_lagrangian(c: PlaneCurve, dt: float) -> PlaneCurve:
     """One classical 4th-order step of P' = sigma*nu(P), sigma' = 1/k(P)."""
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    P_new, s_new = rk4(_rhs, (c.P, c.sigma), dt, _velocity(c.derivatives, c.sigma))
-    return PlaneCurve(P=P_new, sigma=s_new, t=c.t + dt)
+    y = rk4(_rhs, np.concatenate([c.P.ravel(), c.sigma]), dt, _velocity(c.derivatives, c.sigma))
+    P, sigma = _unpack(y)
+    return PlaneCurve(P=P, sigma=sigma, t=c.t + dt)
 
 
 def lagrangian_cfl_bound(c: PlaneCurve) -> float:
@@ -129,9 +142,9 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
 
     L0 = curve.derivatives.length
     eps = cfg.convexity_floor(L0)
-    snapshots, termination, curve, _ = integrate(
-        curve, cfg, lagrangian_cfl_bound, step_lagrangian,
-        lambda cand: _validate_curve(cand, eps, L0), _resample_every_interval)
+    [(snapshots, termination, curve, _)] = integrate(
+        [curve], cfg, lagrangian_cfl_bound, lambda cs, h: [step_lagrangian(c, h) for c in cs],
+        [lambda cand: _validate_curve(cand, eps, L0)], _resample_every_interval)
 
     k_final = curve.derivatives.curvature
     monitor = MonitorReport(records=(

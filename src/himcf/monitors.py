@@ -145,19 +145,13 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
     if np.max(s_in0.V - s_out0.V) > 1e-12 * max(1.0, float(np.max(np.abs(s_out0.V)))):
         raise PreconditionFailed("inner speed is not pointwise <= outer speed at t = 0")
 
-    margin = math.inf
-    t_worst = theta_worst = None
-    scale = 0.0
-    for a, b in pairs:
-        gap = a.S - b.S
-        scale = max(scale, float(np.max(np.abs(a.S))))
-        j = int(np.argmin(gap))
-        if gap[j] < margin:
-            margin = float(gap[j])
-            t_worst = a.t
-            theta_worst = float(a.grid.theta[j])
-    return margin_record("containment", margin, tolerance=1e-6 * scale,
-                         t_worst=t_worst, theta_worst=theta_worst)
+    # The first smallest gap in (snapshot, angle) order is the worst one.
+    S_out = np.array([a.S for a, _ in pairs])
+    gap = S_out - np.array([b.S for _, b in pairs])
+    i, j = np.unravel_index(np.argmin(gap), gap.shape)
+    return margin_record("containment", float(gap[i, j]),
+                         tolerance=1e-6 * float(np.max(np.abs(S_out))),
+                         t_worst=pairs[i][0].t, theta_worst=float(s_out0.grid.theta[j]))
 
 
 def check_convexity_bound(traj: FlowTrajectory, delta: float) -> CheckRecord:
@@ -226,6 +220,7 @@ def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
     res2 = 0.0
     t1 = t2 = None
     L_scale = float(np.max(L))
+    pairs = support_derivatives(np.stack([s.sv for s in snaps]))
     for i in range(1, m - 1):
         s = snaps[i]
         dL = (L[i + 1] - L[i - 1]) / (2.0 * dt)
@@ -235,7 +230,7 @@ def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
             res1, t1 = r1, s.t
 
         d2L = (L[i + 1] - 2.0 * L[i] + L[i - 1]) / dt**2
-        rho, V_th = support_derivatives(s.S, s.V)
+        rho, V_th = pairs[i]
         k = 1.0 / rho
         integral_a = float(np.sum(k * V_th**2 + rho)) * dtheta
         r2 = abs(d2L - integral_a)
@@ -426,8 +421,8 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> float:
         raise InsufficientData("need >= 3 uniformly spaced snapshots")
     snaps = traj.snapshots[:m]
     dt = times[1] - times[0]
-    pairs = [support_derivatives(s.S, s.V) for s in snaps]
-    ks = [1.0 / rho for rho, _ in pairs]
+    pairs = support_derivatives(np.stack([s.sv for s in snaps]))
+    ks = 1.0 / pairs[:, 0]
 
     worst = 0.0
     for i in range(1, m - 1):

@@ -144,12 +144,16 @@ def closed_form_velocity(geometry: RadialGeometry, r0: float, r1: float, t) -> f
     return closed_form(geometry.lam, r0, r1, t, velocity=True)
 
 
-def classify_regime(geometry: RadialGeometry, r0: float, r1: float) -> RegimeReport:
-    """Decide the fate of the closed-form solution from the discriminants."""
-    if not (r0 > 0.0 and math.isfinite(r0)):
-        raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
+def _check_initial(r0: float, r1: float) -> None:
+    if not 0.0 < r0 < math.inf:
+        raise InvalidInitialRadius(f"initial radius must be positive and finite, got {r0}")
     if not math.isfinite(r1):
         raise InvalidInitialRadius("initial velocity must be finite")
+
+
+def classify_regime(geometry: RadialGeometry, r0: float, r1: float) -> RegimeReport:
+    """Decide the fate of the closed-form solution from the discriminants."""
+    _check_initial(r0, r1)
     lam = geometry.lam
     d_plus = r0 + r1 / lam
     d_minus = r0 - r1 / lam
@@ -210,10 +214,7 @@ def _hermite_r(r0, v0, r1, v1, dt, tau):
 def _check_run(r0: float, r1: float, dt: float, t_end: float) -> None:
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise InvalidConfig("step and horizon must be positive and finite")
-    if not (r0 > 0.0):
-        raise InvalidInitialRadius(f"initial radius must be positive, got {r0}")
-    if not math.isfinite(r1):
-        raise InvalidInitialRadius("initial velocity must be finite")
+    _check_initial(r0, r1)
 
 
 def _march(omega_sq: Callable[[float], float], r0: float, r1: float,

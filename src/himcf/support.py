@@ -14,7 +14,7 @@ checked outside a run (convexity_check) gets default_eps_convex of its length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,9 +39,10 @@ def default_eps_convex(length: float) -> float:
 class SupportState:
     """Support samples S, velocity samples V = dS/dt, at flow time t.
 
-    center is the point the support values are measured about; it is only
-    nonzero for states produced by curve_to_support on input whose origin was
-    not interior (the recorded recentering shift).
+    S and V are the rows of one read-only (2, N) array sv, the input shape of
+    grids.support_derivatives.  center is the point the support values are
+    measured about; it is only nonzero for states produced by curve_to_support
+    on input whose origin was not interior (the recorded recentering shift).
     """
 
     grid: AngleGrid
@@ -49,36 +50,36 @@ class SupportState:
     V: np.ndarray
     t: float = 0.0
     center: tuple[float, float] = (0.0, 0.0)
+    sv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "S", _readonly(self.S))
-        object.__setattr__(self, "V", _readonly(self.V))
-        if self.S.shape != (self.grid.N,) or self.V.shape != (self.grid.N,):
+        sv = np.array([self.S, self.V], dtype=float)
+        sv.setflags(write=False)
+        if sv.shape != (2, self.grid.N):
             raise ValueError("S and V must match the grid size")
-        if not (np.all(np.isfinite(self.S)) and np.all(np.isfinite(self.V))):
+        if not np.isfinite(sv).all():
             raise NonFinite(f"non-finite support state at t = {self.t}")
+        object.__setattr__(self, "sv", sv)
+        object.__setattr__(self, "S", sv[0])
+        object.__setattr__(self, "V", sv[1])
 
     @cached_property
-    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S'' + S, V_theta), computed once per state and kept with it.
+    def derivatives(self) -> np.ndarray:
+        """[S'' + S, V_theta] as a read-only (2, N) array, computed once per state.
 
         The state is immutable, so the flow solver's validation of a
-        candidate also supplies its next CFL bound and first RK4 stage.
+        candidate also supplies its next CFL bound and first RK4 stage; a
+        stepped batch fills each member's pair from one stacked kernel call.
         flow.integrate drops the pair once the state is superseded, so
         recorded snapshots hold S and V only.
         """
-        rho, V_th = support_derivatives(self.S, self.V)
-        rho.setflags(write=False)
-        V_th.setflags(write=False)
-        return rho, V_th
+        d = support_derivatives(self.sv)
+        d.setflags(write=False)
+        return d
 
     def curvature_denominator(self) -> np.ndarray:
-        """S'' + S, the reciprocal curvature in normal-angle gauge.
-
-        The one place that forms S'' + S without V_theta; the flow solver
-        takes the pair from `derivatives`.
-        """
-        return periodic_derivative(self.S, 2) + self.S
+        """S'' + S, the reciprocal curvature, from the kernel without caching the pair."""
+        return support_derivatives(self.sv)[0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def curvature_from_support(s: SupportState) -> np.ndarray:
 
 def length_from_support(s: SupportState) -> float:
     """Curve length: the trapezoid (here: exact spectral) quadrature of S."""
-    return TWO_PI * float(np.mean(s.S))
+    return TWO_PI * float(s.S.mean())
 
 
 def support_to_curve(s: SupportState) -> PlaneCurve:

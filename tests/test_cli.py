@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 import himcf.cli
+import himcf.flow
+from himcf.flow import FIXED_DT_CFL_LIMIT, cfl_bound
+from himcf.grids import AngleGrid
+from himcf.presets import circle_support, cosine_series, ellipse_support
 
 CLI = [sys.executable, "-m", "himcf"]
 
@@ -239,6 +243,32 @@ class TestErrorContract:
         assert "dt must be positive" not in err["message"]
 
 
+    @pytest.mark.parametrize("inner_speed, error", [
+        ([0, 5], "CflViolation"),
+        ([0, 1e200], "CflViolation"),
+        (1e308, "NonFinite"),
+    ])
+    def test_batched_pair_errors_are_exit_1_with_one_json_error(self, inner_speed, error,
+                                                                 tmp_path):
+        # Only the inner member fails; the pair steps as one batch.
+        N, dt = 32, 0.05
+        outer = {"preset": "circle", "r0": 2.0, "speed": 0.5}
+        inner = {"preset": "ellipse", "a": 1.2, "b": 0.8, "speed": inner_speed}
+        limit = FIXED_DT_CFL_LIMIT * cfl_bound(circle_support(AngleGrid(N), 2.0, 0.5))
+        assert limit > dt
+        if error == "CflViolation":
+            v = cosine_series(inner_speed, AngleGrid(N).theta)
+            state = ellipse_support(AngleGrid(N), 1.2, 0.8, v)
+            assert FIXED_DT_CFL_LIMIT * cfl_bound(state) < dt
+        cfg = tmp_path / "pair.json"
+        cfg.write_text(json.dumps({"outer": outer, "inner": inner, "N": N, "dt": dt,
+                                   "t_end": 0.2}))
+        proc, out = run_cli(["containment", "--config", str(cfg)], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == error
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["nan", "0", "-1", "inf"])
     def test_hostile_convexity_floor_is_exit_1_with_one_json_error(self, eps, tmp_path):
         proc, out = run_cli(["containment", "--scenario", "ellipse-in-circle",
@@ -247,6 +277,18 @@ class TestErrorContract:
         err = json.loads(proc.stderr)
         assert err["error"] == "InvalidConfig"
         assert "eps_convex" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r0", ["inf", "nan"])
+    @pytest.mark.parametrize("forcing", [[], ["--forcing-constant", "0.25"]])
+    def test_nonfinite_initial_radius_is_exit_1(self, r0, forcing, tmp_path):
+        # A forced run once took r0 = inf through the march: NaN rows, exit 2.
+        proc, out = run_cli(["radial", "--r0", r0, *forcing], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidInitialRadius"
+        assert "radius" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -338,13 +380,15 @@ def test_import_does_not_load_scipy():
 def test_curve_and_containment_build_the_same_initial_state(spec, tmp_path,
                                                             monkeypatch):
     starts = []
-    real_run = himcf.cli.run_support_flow
+    real_runs = himcf.cli.run_support_flows
 
-    def recording_run(S0, V0, cfg):
-        starts.append((np.array(S0), np.array(V0)))
-        return real_run(S0, V0, cfg)
+    def recording_runs(S0s, V0s, cfg):
+        starts.extend((np.array(S0), np.array(V0)) for S0, V0 in zip(S0s, V0s))
+        return real_runs(S0s, V0s, cfg)
 
-    monkeypatch.setattr(himcf.cli, "run_support_flow", recording_run)
+    # `curve` runs one member (run_support_flow), `containment` two in one batch.
+    monkeypatch.setattr(himcf.flow, "run_support_flows", recording_runs)
+    monkeypatch.setattr(himcf.cli, "run_support_flows", recording_runs)
     flags = [f"--{key}={value}" for key, value in spec.items()]
     assert himcf.cli.main(["curve", *flags, "--t-end", "0.01",
                            "--out-dir", str(tmp_path / "curve")]) == 0

@@ -1,4 +1,5 @@
 """Support-function PDE solver: RHS, stepping, full runs, termination."""
+import functools
 import math
 
 import numpy as np
@@ -8,17 +9,19 @@ import himcf.flow
 import himcf.support
 from himcf.errors import CflViolation, ConvexityLost, InvalidConfig
 from himcf.flow import (
+    FIXED_DT_CFL_LIMIT,
     FlowConfig,
     cfl_bound,
     fixed_step_count,
     rk4,
     run_support_flow,
+    run_support_flows,
     sigma_field,
     step_support,
     support_rhs,
 )
 from himcf.grids import AngleGrid
-from himcf.presets import circle_support, ellipse_support
+from himcf.presets import circle_support, cosine_series, ellipse_support
 from himcf.support import SupportState, default_eps_convex, length_from_support
 
 
@@ -92,14 +95,14 @@ class TestStep:
 def test_rk4_has_the_classical_amplification_factor():
     # y' = lam * y: one step multiplies y by the degree-4 Taylor polynomial
     # of exp(z), z = lam * dt, for real, imaginary and complex lam alike.
-    lam = np.array([-1.0, 2.5, 3.0j, -0.7 + 1.9j, -40.0])
-    mu = np.array([0.5, -2.0j, 1.0, 7.0, 0.0])
+    lam = np.array([[-1.0, 2.5, 3.0j, -0.7 + 1.9j, -40.0],
+                    [0.5, -2.0j, 1.0, 7.0, 0.0]])
+    y0 = np.array([[1.0 + 0j], [2.0 + 0j]]) * np.ones(5)
     dt = 0.1
-    a, b = rk4(lambda a, b: (lam * a, mu * b), (np.ones(5, complex), np.full(5, 2.0 + 0j)),
-               dt, (lam, 2.0 * mu))
-    for got, z, y0 in ((a, lam * dt, 1.0), (b, mu * dt, 2.0)):
-        expected = y0 * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
-        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    got = rk4(lambda y: lam * y, y0, dt, lam * y0)
+    z = lam * dt
+    expected = y0 * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 class TestRunSupportFlow:
@@ -188,31 +191,122 @@ class TestDerivativeReuse:
             assert np.array_equal(a.S, b.S) and np.array_equal(a.V, b.V)
 
     def test_four_stacked_transforms_per_accepted_step(self, monkeypatch):
-        # The kernel runs once for the initial state's validation (the
+        # The kernel runs once for the initial states' validation (the
         # set-up constant), then per accepted step once for each of stages
-        # 2-4 and once to validate the candidate; the CFL bound, stage 1 and
-        # the final margin reuse a validated state's pair.
+        # 2-4 and once to validate the candidates; the CFL bound, stage 1 and
+        # the final margin reuse a validated state's pair.  A batch of B
+        # members pays the same count: every call takes a (B, 2, N) stack.
         SETUP_CALLS = 1
-        calls = []
         kernel = himcf.flow.support_derivatives
         assert himcf.support.support_derivatives is kernel
-
-        def counted(S, V):
-            calls.append(len(S))
-            return kernel(S, V)
-
-        monkeypatch.setattr(himcf.flow, "support_derivatives", counted)
-        monkeypatch.setattr(himcf.support, "support_derivatives", counted)
         S0, V0 = self.initial()
-        traj = run_support_flow(S0, V0, FlowConfig(N=self.N, dt=self.DT,
-                                                   t_end=self.T_END))
-        assert traj.termination.kind == "HorizonReached"
-        steps = len(traj.snapshots) - 1
-        assert steps == 20
-        assert len(calls) == 4 * steps + SETUP_CALLS
-        # Only the final state keeps its pair; recorded snapshots hold S, V.
-        assert ["derivatives" in vars(snap) for snap in traj.snapshots] \
-            == [False] * steps + [True]
+        for B in (1, 2):
+            calls = []
+
+            def counted(sv):
+                calls.append(np.shape(sv))
+                return kernel(sv)
+
+            monkeypatch.setattr(himcf.flow, "support_derivatives", counted)
+            monkeypatch.setattr(himcf.support, "support_derivatives", counted)
+            trajs = run_support_flows([S0, 1.5 * S0][:B], [V0, V0][:B],
+                                      FlowConfig(N=self.N, dt=self.DT, t_end=self.T_END))
+            steps = len(trajs[0].snapshots) - 1
+            assert steps == 20
+            assert len(calls) == 4 * steps + SETUP_CALLS
+            assert set(calls) == {(B, 2, self.N)}
+            for traj in trajs:
+                assert traj.termination.kind == "HorizonReached"
+                # Only the final state keeps its pair; recorded snapshots hold S, V.
+                assert ["derivatives" in vars(snap) for snap in traj.snapshots] \
+                    == [False] * steps + [True]
+
+
+@functools.lru_cache(maxsize=1)
+def _batch_pool():
+    """Members on one fixed-dt schedule; three of them end before t_end."""
+    grid = AngleGrid(64)
+    pinched = circle_support(grid, 1.0, cosine_series([-1.0, 0.0, 0.0, 0.5], grid.theta))
+    return (circle_support(grid, 2.0, -1.5),         # ellipse-in-circle's outer: lasts
+            ellipse_support(grid, 1.2, 0.8, -1.5),   # its inner: ends at the floor
+            circle_support(grid, 1.0, -2.0),         # collapses before t_end
+            ellipse_support(grid, 1.3, 1.0, 0.4),    # expands
+            pinched)                                 # a stage loses S''+S > 0 mid-batch
+
+
+_BATCH_CFG = FlowConfig(N=64, dt=1e-3, t_end=0.6, eps_convex=2e-2, record_every=7)
+
+
+@functools.lru_cache(maxsize=None)
+def _solo_run(i):
+    s = _batch_pool()[i]
+    return run_support_flow(s.S, s.V, _BATCH_CFG)
+
+
+class TestBatchInvariance:
+    """run_support_flows on k members equals k solo runs bit for bit."""
+
+    @pytest.mark.parametrize("order", [(1,), (4,), (0, 1), (1, 0), (2, 4, 0),
+                                       (4, 3, 1, 2), (0, 1, 2, 3)])
+    def test_batch_equals_solo_runs(self, order):
+        pool = _batch_pool()
+        batch = run_support_flows([pool[i].S for i in order], [pool[i].V for i in order],
+                                  _BATCH_CFG)
+        assert len(batch) == len(order)
+        for i, traj in zip(order, batch):
+            solo = _solo_run(i)
+            assert traj.termination == solo.termination
+            assert traj.monitor == solo.monitor
+            assert len(traj.snapshots) == len(solo.snapshots)
+            for a, b in zip(traj.snapshots, solo.snapshots):
+                assert a.t == b.t
+                assert np.array_equal(a.S, b.S) and np.array_equal(a.V, b.V)
+
+    def test_members_end_on_their_own(self):
+        kinds = [_solo_run(i).termination.kind for i in range(5)]
+        assert kinds == ["HorizonReached", "CurvatureBlowup", "CurvatureBlowup",
+                         "HorizonReached", "CurvatureBlowup"]
+        ends = sorted(_solo_run(i).termination.t for i in (1, 2, 4))
+        assert ends[-1] < _BATCH_CFG.t_end and ends[0] < ends[1] < ends[2]
+
+    def test_a_stage_failure_in_the_batch_is_found_member_by_member(self, monkeypatch):
+        calls = []
+        real_step = himcf.flow.step_supports
+
+        def spy(states, dt):
+            try:
+                out = real_step(states, dt)
+            except ConvexityLost:
+                calls.append((len(states), "raised"))
+                raise
+            calls.append((len(states), "ok"))
+            return out
+
+        monkeypatch.setattr(himcf.flow, "step_supports", spy)
+        pool = _batch_pool()
+        run_support_flows([pool[0].S, pool[4].S], [pool[0].V, pool[4].V], _BATCH_CFG)
+        k = calls.index((2, "raised"))
+        assert calls[k + 1:k + 3] == [(1, "ok"), (1, "raised")]
+
+    def test_adaptive_batch_is_invalid_config(self):
+        pool = _batch_pool()
+        with pytest.raises(InvalidConfig, match="fixed dt"):
+            run_support_flows([pool[0].S, pool[3].S], [pool[0].V, pool[3].V],
+                              FlowConfig(N=64, t_end=0.1))
+
+    def test_fixed_dt_cfl_violation_names_the_first_violating_member(self):
+        grid = AngleGrid(64)
+        calm = circle_support(grid, 1.0, 0.5)
+        steep = [circle_support(grid, 1.0, cosine_series([0.0, amp], grid.theta))
+                 for amp in (80.0, 160.0)]
+        cfg = FlowConfig(N=64, dt=2e-3, t_end=0.01)
+        bounds = [FIXED_DT_CFL_LIMIT * cfl_bound(s) for s in steep]
+        with pytest.raises(CflViolation, match=f"{bounds[0]:.3e}"):
+            run_support_flows([calm.S, steep[0].S, steep[1].S],
+                              [calm.V, steep[0].V, steep[1].V], cfg)
+        with pytest.raises(CflViolation, match=f"{bounds[1]:.3e}"):
+            run_support_flows([steep[1].S, calm.S, steep[0].S],
+                              [steep[1].V, calm.V, steep[0].V], cfg)
 
 
 class TestSigmaField:

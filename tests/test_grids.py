@@ -67,23 +67,38 @@ def test_support_derivatives_match_separate_calls_bit_for_bit(n):
     rng = np.random.default_rng(n)
     S = 2.0 + 0.3 * rng.standard_normal(n)
     V = rng.standard_normal(n)
-    rho, V_th = support_derivatives(S, V)
+    rho, V_th = support_derivatives(np.array([S, V]))
     assert np.array_equal(rho, periodic_derivative(S, 2) + S)
     assert np.array_equal(V_th, periodic_derivative(V, 1))
+
+
+@pytest.mark.parametrize("n", [16, 18, 128])
+@pytest.mark.parametrize("shape", [(1,), (3,), (8,), (2, 4)])
+def test_support_derivatives_of_a_stack_equal_row_by_row_calls(n, shape):
+    # The batched flow's stages: one transform of every member's [S, V].
+    rng = np.random.default_rng(n + len(shape))
+    sv = rng.standard_normal(shape + (2, n))
+    sv[..., 0, :] += 2.0
+    d = support_derivatives(sv)
+    assert d.shape == sv.shape
+    for idx in np.ndindex(shape):
+        assert np.array_equal(d[idx], support_derivatives(sv[idx]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("row", [0, 1])
 def test_support_derivatives_reject_nonfinite(bad, row):
-    sv = [np.ones(16), np.zeros(16)]
+    sv = np.array([np.ones(16), np.zeros(16)])
     sv[row][5] = bad
     with pytest.raises(ValueError):
-        support_derivatives(*sv)
+        support_derivatives(sv)
 
 
 def test_support_derivatives_reject_mismatched_rows():
-    with pytest.raises(ValueError):
-        support_derivatives(np.ones(16), np.ones(18))
+    # Rows of unequal length cannot form a stack; anything not (..., 2, N) is refused.
+    for bad in (np.ones(16), np.ones((3, 16)), np.ones((2, 2, 3, 16))):
+        with pytest.raises(ValueError):
+            support_derivatives(bad)
 
 
 @settings(max_examples=40, deadline=None)

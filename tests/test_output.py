@@ -115,6 +115,15 @@ GOLDEN = {
         "containment_summary.json":
             "f0834a1da53c28c3b8b9d1d020512cf7e5f4a34c871174b9a68c2bfaf390813d",
     }),
+    # Both circles reach t_end; the pair steps as one batch on its shared schedule.
+    "containment-circles": (["containment", "--scenario", "circle-in-circle"], {
+        "containment.csv": "40034fc9bc704cd6e0e2381d4b1c7bd5f4da5ad5f9a73a6a58b095418a3dff4c",
+        "containment_summary.json":
+            "9393add32e217680d495d2360b3466a1f2c97fe41bf3452909cf72c76271449a",
+    }),
+    "verify-containment": (["verify", "containment"], {
+        "verify_report.json": "20346dee82f679fb157fb460482dc8ae81645dc6c941df714ed499ec72b84360",
+    }),
     # A collapsing circle on both solvers; the summary carries T* = ln(3)/2.
     "curve-both-collapse": (["curve", "--preset", "circle", "--r0", "1", "--speed", "-2",
                              "--N", "64", "--vertices", "64", "--both-solvers"], {

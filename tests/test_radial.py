@@ -161,6 +161,13 @@ class TestIntegrator:
         with pytest.raises(InvalidConfig):
             integrate_radial_ode(CIRCLE, 1.0, 0.0, 1e-3, -1.0)
 
+    @pytest.mark.parametrize("r0", [math.nan, math.inf])
+    def test_nonfinite_initial_radius_is_rejected(self, r0):
+        with pytest.raises(InvalidInitialRadius, match="radius"):
+            integrate_radial_ode(CIRCLE, r0, 0.0, 1e-3, 1.0)
+        with pytest.raises(InvalidInitialRadius, match="radius"):
+            forced_radial(CIRCLE, lambda t: 0.25, 0.25, 0.25, r0, 0.0, 1e-3, 1.0)
+
     @pytest.mark.parametrize("r1", [math.nan, math.inf, -math.inf])
     def test_nonfinite_initial_velocity_is_rejected(self, r1):
         with pytest.raises(InvalidInitialRadius, match="velocity"):
