@@ -3,9 +3,9 @@
 The flow accelerates a convex hypersurface along its outward normal with
 d^2X/dt^2 = nu / H.  This package implements the rotationally symmetric
 reductions with their closed forms, the support-function PDE and an
-independent Lagrangian solver for convex plane curves, graph-over-sphere
-geometry, and executable checks of the structural identities (containment,
-convexity bound, length identities, outcome classification).
+independent Lagrangian solver for convex plane curves, and executable checks
+of the structural identities (containment, length identities, outcome
+classification).
 """
 from .errors import (
     BracketViolation,
@@ -17,22 +17,18 @@ from .errors import (
     InvalidConfig,
     InvalidForcing,
     InvalidInitialRadius,
-    InvalidMetric,
     NotConvex,
     OriginNotInterior,
     OutOfDomain,
     PreconditionFailed,
 )
-from .flow import (FlowConfig, FlowTrajectory, Termination, run_support_flow, run_support_flows,
-                   sigma_field)
-from .graph import GraphSample, graph_quantities
+from .flow import FlowConfig, FlowTrajectory, Termination, run_support_flow, run_support_flows
 from .grids import AngleGrid, periodic_derivative
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max
 from .monitors import (
     OutcomeInputs,
     OutcomeReport,
     check_containment,
-    check_convexity_bound,
     check_length_identities,
     check_simons_sphere,
     classify_outcome,

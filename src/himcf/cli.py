@@ -7,7 +7,8 @@ suites).  Every run writes flat files into --out-dir; identical configuration
 produces byte-identical output.
 
 Exit codes: 0 the run reached a classified termination (convexity loss is a
-normal outcome, not an error); 1 configuration problem; 2 a monitored
+normal outcome, not an error); 1 configuration problem or an output
+directory that cannot be written; 2 a monitored
 invariant failed or an internal bracket was violated.  Nonzero exits put a
 one-object JSON description of the error on stderr.
 """
@@ -53,6 +54,7 @@ from .monitors import (
     mean_curvature_acceleration_residual,
     metric_acceleration_residual,
     outcome_inputs_from_trajectory,
+    require_ordered_start,
 )
 from .output import csv_text, json_text, svg_text, write_text_atomic
 from .presets import (
@@ -131,6 +133,14 @@ def _opt(args, config: dict, key: str, default=None, kind=None):
         raise InvalidConfig(f"bad {key} = {value!r}: {exc}")
 
 
+def _out_dir(args, config: dict) -> str:
+    """--out-dir, else the config's out_dir, else "out"; it must be a string."""
+    out_dir = _opt(args, config, "out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise InvalidConfig(f"out_dir must be a string, got {out_dir!r}")
+    return out_dir
+
+
 def _series(raw) -> list[float]:
     """A constant or a comma list of cosine coefficients, as floats."""
     items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
@@ -162,7 +172,7 @@ def _finish(path: str, summary: dict, records, flags=()) -> int:
 
 def cmd_radial(args) -> int:
     config = _load_config(args.config)
-    out_dir = _opt(args, config, "out_dir", "out")
+    out_dir = _out_dir(args, config)
     shape = _opt(args, config, "geometry", "sphere")
     n = _opt(args, config, "n", 2 if shape == "sphere" else None, int)
     geometry = RadialGeometry(shape, n)
@@ -285,7 +295,7 @@ def _curve_from_spec(spec: dict, M: int) -> PlaneCurve:
         return circle_curve(M, _opt(None, spec, "r0", 1.0, float),
                             cosine_series(speed, alpha))
     if spec["preset"] == "ellipse":
-        if len(speed) > 1:
+        if len(speed) != 1:
             raise InvalidConfig("ellipse vertices take a constant speed")
         return ellipse_curve(M, _opt(None, spec, "a", 2.0, float),
                              _opt(None, spec, "b", 1.0, float), speed[0])
@@ -330,7 +340,7 @@ def _curve_csv_blocks(traj: FlowTrajectory):
 
 def cmd_curve(args) -> int:
     config = _load_config(args.config)
-    out_dir = _opt(args, config, "out_dir", "out")
+    out_dir = _out_dir(args, config)
     # The same spec object containment reads for each of its two curves.
     spec = {"preset": "circle", "speed": -1.0}
     for key in ("preset", "r0", "a", "b", "coeffs", "speed"):
@@ -444,13 +454,14 @@ def _containment_config(args, config: dict, preset: dict) -> FlowConfig:
 
 def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
     pair = [_support_from_spec(spec, _grid(cfg.N)) for spec in (outer_spec, inner_spec)]
+    require_ordered_start(*pair)
     outer, inner = run_support_flows([s.S for s in pair], [s.V for s in pair], cfg)
     return outer, inner, check_containment(outer, inner)
 
 
 def cmd_containment(args) -> int:
     config = _load_config(args.config)
-    out_dir = _opt(args, config, "out_dir", "out")
+    out_dir = _out_dir(args, config)
     scenario = _opt(args, config, "scenario")
     if scenario is not None:
         if scenario not in _SCENARIOS:
@@ -668,7 +679,7 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    out_dir = _opt(args, config, "out_dir", "out")
+    out_dir = _out_dir(args, config)
     names = list(args.suites) or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
@@ -759,6 +770,9 @@ def main(argv=None) -> int:
     except HimcfError as exc:
         _emit_error(exc)
         return 2
+    except OSError as exc:      # the output directory cannot be made or written
+        _emit_error(exc)
+        return 1
 
 
 if __name__ == "__main__":

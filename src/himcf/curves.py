@@ -85,38 +85,16 @@ class PolygonGeometry:
         return np.unwrap(np.arctan2(nu[..., 1], nu[..., 0]), axis=-1)
 
 
-# Views of the pass for callers that hold vertices, documented above.
-
-def edge_lengths(P: np.ndarray) -> np.ndarray:
-    return PolygonGeometry(P).lengths
-
-
-def polygon_length(P: np.ndarray) -> float:
-    return PolygonGeometry(P).length
-
+# Views of the pass for callers that hold vertices.  No package code calls
+# discrete_tangent_normal; it stays as a hook point that perfbench/tracing.py
+# wraps by name (tests/test_benchmark_hooks.py).
 
 def discrete_tangent_normal(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return PolygonGeometry(P).frame
 
 
-def turning_cross(P: np.ndarray) -> np.ndarray:
-    return PolygonGeometry(P).cross
-
-
 def discrete_curvature(P: np.ndarray) -> np.ndarray:
     return PolygonGeometry(P).curvature
-
-
-def turning_angles(P: np.ndarray) -> np.ndarray:
-    return PolygonGeometry(P).turning_angles
-
-
-def normal_angles(P: np.ndarray) -> np.ndarray:
-    return PolygonGeometry(P).normal_angles
-
-
-def require_nondegenerate(P: np.ndarray) -> None:
-    require_edge_lengths(edge_lengths(P))
 
 
 def require_edge_lengths(lengths: np.ndarray) -> None:
@@ -134,7 +112,7 @@ def resample_equal_arclength(P: np.ndarray, fields: list[np.ndarray] = (),
     periodic cubic spline in the cumulative arc-length parameter.  Vertex
     count is preserved unless count says otherwise; vertex 0 stays fixed.
     """
-    s = np.concatenate([[0.0], np.cumsum(edge_lengths(P))])
+    s = np.concatenate([[0.0], np.cumsum(PolygonGeometry(P).lengths)])
     targets = np.linspace(0.0, s[-1], count or P.shape[0], endpoint=False)
     values = periodic_spline(s, np.column_stack([P, *fields]), targets)
     return values[:, :2], list(values[:, 2:].T)

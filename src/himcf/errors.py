@@ -17,10 +17,6 @@ class InvalidForcing(HimcfError):
     pass
 
 
-class InvalidMetric(HimcfError):
-    pass
-
-
 class NotConvex(HimcfError):
     pass
 

@@ -38,12 +38,10 @@ from functools import partial
 
 import numpy as np
 
-from .curves import normal_angles, periodic_spline
-from .errors import (CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex,
-                     OutOfDomain)
-from .grids import TWO_PI, AngleGrid, support_derivatives
+from .errors import CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex
+from .grids import AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
-from .support import SupportState, convexity_check, default_eps_convex, length_from_support
+from .support import SupportState, default_eps_convex, length_from_support
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
 DEFAULT_CFL_SAFETY = 0.5
@@ -168,20 +166,6 @@ class FlowTrajectory:
     def is_support(self) -> bool:
         return isinstance(self.snapshots[0], SupportState)
 
-    def snapshot_at(self, t: float, tol: float = 1e-9):
-        times = self.times
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > tol:
-            raise OutOfDomain(
-                f"no snapshot at t = {t}; nearest recorded time is {times[i]}")
-        return self.snapshots[i]
-
-
-def support_rhs(s: SupportState) -> np.ndarray:
-    """Acceleration a = (V_theta)^2/(S''+S) + (S''+S); raises as convexity_check."""
-    convexity_check(s)
-    return _stage_rhs(s.sv, s.derivatives)[1]
-
 
 def cfl_bound(s: SupportState) -> float:
     """Largest stable dt (before safety factor) at a state with S''+S > 0."""
@@ -226,10 +210,10 @@ def _keep_pairs(states, sv: np.ndarray):
 
 
 def step_supports(states, dt: float) -> tuple[SupportState, ...]:
-    """One RK4 step of S' = V, V' = support_rhs for members at one t (dt not policed).
+    """One RK4 step of S' = V, V' = V_theta^2/rho + rho for members at one t.
 
-    Each stage, and the candidates' own pair (kept for their validation), is
-    one kernel call on the members' (B, 2, N) stack.
+    dt is not policed.  Each stage, and the candidates' own pair (kept for
+    their validation), is one kernel call on the members' (B, 2, N) stack.
     """
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
@@ -240,7 +224,11 @@ def step_supports(states, dt: float) -> tuple[SupportState, ...]:
 
 
 def step_support(s: SupportState, dt: float) -> SupportState:
-    """One classical 4th-order step of a single state (step_supports of one)."""
+    """One classical 4th-order step of a single state (step_supports of one).
+
+    No run calls it; it stays as a hook point that perfbench/tracing.py
+    wraps by name (tests/test_benchmark_hooks.py).
+    """
     return step_supports((s,), dt)[0]
 
 
@@ -406,23 +394,3 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
         trajectories.append(FlowTrajectory(snapshots=tuple(snapshots), termination=termination,
                                            monitor=monitor))
     return tuple(trajectories)
-
-
-def sigma_field(traj: FlowTrajectory, t: float, grid: AngleGrid | None = None) -> np.ndarray:
-    """Normal-speed samples sigma~(theta, t) at a recorded time.
-
-    Support trajectories return the stored V.  Lagrangian trajectories
-    resample per-vertex sigma to the target grid through each vertex's
-    outward-normal angle (periodic cubic interpolation).
-    """
-    snap = traj.snapshot_at(t)
-    if isinstance(snap, SupportState):
-        if grid is not None and grid.N != snap.grid.N:
-            raise InvalidConfig("grid mismatch against the recorded state")
-        return np.array(snap.V)
-    if grid is None:
-        raise InvalidConfig("a target AngleGrid is required for Lagrangian trajectories")
-    th = normal_angles(snap.P)
-    th0 = th - th[0]                       # increasing, covers [0, 2*pi)
-    return periodic_spline(np.concatenate([th0, [TWO_PI]]), snap.sigma,
-                           np.mod(grid.theta - th[0], TWO_PI))

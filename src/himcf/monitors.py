@@ -4,8 +4,6 @@ Four families:
 
   * containment of one convex solution inside another (pointwise support
     ordering under ordered initial data and speeds),
-  * preservation of a curvature lower bound, with the documented expanding
-    exception flagged rather than failed,
   * the two length identities  dL/dt = integral of sigma~ dtheta  and
     d^2L/dt^2 = integral of [k sigma~_theta^2 + 1/k] dtheta,
   * long-time / finite-time outcome classification from the initial
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import discrete_curvature, polygon_length
+from .curves import PolygonGeometry, discrete_curvature
 from .errors import InsufficientData, InvalidConfig, OutOfDomain, PreconditionFailed
 from .flow import FlowTrajectory
 from .grids import TWO_PI, periodic_derivative, support_derivatives
@@ -89,7 +87,7 @@ def _snapshot_curvature(snap) -> np.ndarray:
 def _snapshot_length(snap) -> float:
     if isinstance(snap, SupportState):
         return length_from_support(snap)
-    return polygon_length(snap.P)
+    return PolygonGeometry(snap.P).length
 
 
 def _snapshot_polygon(snap) -> np.ndarray:
@@ -121,6 +119,14 @@ def aligned_snapshots(outer: FlowTrajectory, inner: FlowTrajectory) -> list[tupl
     return pairs
 
 
+def require_ordered_start(outer: SupportState, inner: SupportState) -> None:
+    """PreconditionFailed unless S_in <= S_out and V_in <= V_out pointwise at t = 0."""
+    if np.max(inner.S - outer.S) > 1e-12 * float(np.max(np.abs(outer.S))):
+        raise PreconditionFailed("inner curve does not start inside the outer")
+    if np.max(inner.V - outer.V) > 1e-12 * max(1.0, float(np.max(np.abs(outer.V)))):
+        raise PreconditionFailed("inner speed is not pointwise <= outer speed at t = 0")
+
+
 def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckRecord:
     """Pointwise support ordering S_inner <= S_outer across the common run.
 
@@ -138,12 +144,8 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
             "snapshot schedules never align; the runner must share the "
             "recording schedule")
 
-    s_out0, s_in0 = outer.snapshots[0], inner.snapshots[0]
-    scale0 = float(np.max(np.abs(s_out0.S)))
-    if np.max(s_in0.S - s_out0.S) > 1e-12 * scale0:
-        raise PreconditionFailed("inner curve does not start inside the outer")
-    if np.max(s_in0.V - s_out0.V) > 1e-12 * max(1.0, float(np.max(np.abs(s_out0.V)))):
-        raise PreconditionFailed("inner speed is not pointwise <= outer speed at t = 0")
+    s_out0 = outer.snapshots[0]
+    require_ordered_start(s_out0, inner.snapshots[0])
 
     # The first smallest gap in (snapshot, angle) order is the worst one.
     S_out = np.array([a.S for a, _ in pairs])
@@ -152,36 +154,6 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
     return margin_record("containment", float(gap[i, j]),
                          tolerance=1e-6 * float(np.max(np.abs(S_out))),
                          t_worst=pairs[i][0].t, theta_worst=float(s_out0.grid.theta[j]))
-
-
-def check_convexity_bound(traj: FlowTrajectory, delta: float) -> CheckRecord:
-    """Curvature stays above the initial minimum: min over the run of (k - delta).
-
-    A negative margin on a run whose length grew is the documented expanding
-    discrepancy (an exactly round expanding circle has k = e^{-t} < k(0));
-    such records are flagged, not failed.
-    """
-    if not delta > 0.0:
-        raise InvalidConfig("delta must be positive")
-    margin = math.inf
-    t_worst = theta_worst = None
-    for snap in traj.snapshots:
-        k = _snapshot_curvature(snap)
-        j = int(np.argmin(k))
-        if k[j] - delta < margin:
-            margin = float(k[j] - delta)
-            t_worst = snap.t
-            if isinstance(snap, SupportState):
-                theta_worst = float(snap.grid.theta[j])
-    tolerance = 1e-3 * delta
-    expanding = _snapshot_length(traj.snapshots[-1]) >= _snapshot_length(traj.snapshots[0])
-    flagged = margin < -tolerance and expanding
-    note = ("curvature dropped below the initial minimum while the curve "
-            "expanded; known bound violation on expanding solutions"
-            if flagged else "")
-    return margin_record("convexity-bound", margin, tolerance=tolerance,
-                         t_worst=t_worst, theta_worst=theta_worst,
-                         flagged=flagged, note=note)
 
 
 def _uniform_prefix(times: np.ndarray, rtol: float = 1e-9) -> int:

@@ -103,10 +103,6 @@ class RadialTrajectory:
         object.__setattr__(self, "r", _readonly(self.r))
         object.__setattr__(self, "r_t", _readonly(self.r_t))
 
-    @property
-    def extinct(self) -> bool:
-        return self.extinction_time is not None
-
 
 @dataclass(frozen=True)
 class ForcedRunReport:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import PolygonGeometry, turning_cross
+from .curves import PolygonGeometry
 from .errors import ConvexityLost, NonFinite, NotConvex, OriginNotInterior
 from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative, support_derivatives
 
@@ -174,7 +174,7 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -
     The returned state has V = 0; velocities are the caller's to supply.
     """
     P = np.asarray(c.P, dtype=float)
-    if np.min(turning_cross(P)) <= 0.0:
+    if np.min(PolygonGeometry(P).cross) <= 0.0:
         raise NotConvex("input polygon is not strictly convex (CCW)")
 
     shift = np.zeros(2)

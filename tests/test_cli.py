@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -11,8 +12,11 @@ import pytest
 
 import himcf.cli
 import himcf.flow
-from himcf.flow import FIXED_DT_CFL_LIMIT, cfl_bound
+from himcf.cli import _support_from_spec
+from himcf.errors import PreconditionFailed
+from himcf.flow import FIXED_DT_CFL_LIMIT, FlowConfig, cfl_bound, run_support_flows
 from himcf.grids import AngleGrid
+from himcf.monitors import check_containment
 from himcf.presets import circle_support, cosine_series, ellipse_support
 
 CLI = [sys.executable, "-m", "himcf"]
@@ -250,15 +254,18 @@ class TestErrorContract:
     ])
     def test_batched_pair_errors_are_exit_1_with_one_json_error(self, inner_speed, error,
                                                                  tmp_path):
-        # Only the inner member fails; the pair steps as one batch.
+        # The pair starts ordered: the outer speed is a constant at the inner
+        # speed's maximum, so no precondition check stops it.  In the CFL cases
+        # only the inner member fails; the pair steps as one batch.
         N, dt = 32, 0.05
-        outer = {"preset": "circle", "r0": 2.0, "speed": 0.5}
+        theta = AngleGrid(N).theta
+        outer_speed = float(np.max(cosine_series(np.atleast_1d(inner_speed), theta)))
+        outer = {"preset": "circle", "r0": 2.0, "speed": outer_speed}
         inner = {"preset": "ellipse", "a": 1.2, "b": 0.8, "speed": inner_speed}
-        limit = FIXED_DT_CFL_LIMIT * cfl_bound(circle_support(AngleGrid(N), 2.0, 0.5))
-        assert limit > dt
         if error == "CflViolation":
-            v = cosine_series(inner_speed, AngleGrid(N).theta)
-            state = ellipse_support(AngleGrid(N), 1.2, 0.8, v)
+            assert FIXED_DT_CFL_LIMIT * cfl_bound(circle_support(AngleGrid(N), 2.0,
+                                                                 outer_speed)) > dt
+            state = ellipse_support(AngleGrid(N), 1.2, 0.8, cosine_series(inner_speed, theta))
             assert FIXED_DT_CFL_LIMIT * cfl_bound(state) < dt
         cfg = tmp_path / "pair.json"
         cfg.write_text(json.dumps({"outer": outer, "inner": inner, "N": N, "dt": dt,
@@ -268,6 +275,69 @@ class TestErrorContract:
         err = json.loads(proc.stderr)
         assert err["error"] == error
         assert not out.exists()
+
+    @pytest.mark.parametrize("outer, inner, message", [
+        ({"preset": "circle", "r0": 2.0, "speed": 0.5},
+         {"preset": "circle", "r0": 1.0, "speed": 1e200},
+         "inner speed is not pointwise <= outer speed at t = 0"),
+        ({"preset": "circle", "r0": 1.0, "speed": 0.5},
+         {"preset": "ellipse", "a": 1.2, "b": 0.8, "speed": 0.5},
+         "inner curve does not start inside the outer"),
+    ])
+    def test_misordered_pair_fails_before_any_step(self, outer, inner, message, tmp_path,
+                                                   capsys, monkeypatch):
+        pair = [_support_from_spec(spec, AngleGrid(32)) for spec in (outer, inner)]
+        trajectories = run_support_flows([s.S for s in pair], [s.V for s in pair],
+                                         FlowConfig(N=32, dt=1e-3, t_end=2e-3))
+        with pytest.raises(PreconditionFailed) as after_the_runs:
+            check_containment(*trajectories)
+        assert str(after_the_runs.value) == message
+
+        def no_runs(*args):
+            raise AssertionError("the pair was stepped")
+
+        monkeypatch.setattr(himcf.cli, "run_support_flows", no_runs)
+        cfg = tmp_path / "pair.json"
+        cfg.write_text(json.dumps({"outer": outer, "inner": inner, "N": 32}))
+        out = tmp_path / "out"
+        assert himcf.cli.main(["containment", "--config", str(cfg),
+                               "--out-dir", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert json.loads(stderr) == {"error": "PreconditionFailed", "message": message}
+        assert not out.exists()
+
+    def test_empty_ellipse_speed_list_is_exit_1_with_one_json_error(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"preset": "ellipse", "solver": "lagrangian",
+                                   "speed": []}))
+        proc, out = run_cli(["curve", "--config", str(cfg)], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["radial", "curve", "containment", "verify"])
+    def test_non_string_out_dir_is_exit_1_with_one_json_error(self, command, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out_dir": 5}))
+        # Run where the default out/ would land, so a stray write shows.
+        src = os.path.dirname(os.path.dirname(himcf.cli.__file__))
+        proc = subprocess.run(CLI + [command, "--config", str(cfg)], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert "out_dir" in err["message"]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_unwritable_out_dir_is_exit_1_with_one_json_error(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        proc, _ = run_cli(["radial"], tmp_path, name="file/x", expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "NotADirectoryError"
+        assert "file" in err["message"]
 
     @pytest.mark.parametrize("eps", ["nan", "0", "-1", "inf"])
     def test_hostile_convexity_floor_is_exit_1_with_one_json_error(self, eps, tmp_path):

@@ -8,15 +8,10 @@ from himcf.curves import (
     cyclic_shift,
     discrete_curvature,
     discrete_tangent_normal,
-    edge_lengths,
-    normal_angles,
     periodic_spline,
     polygon_hausdorff,
-    polygon_length,
-    require_nondegenerate,
+    require_edge_lengths,
     resample_equal_arclength,
-    turning_angles,
-    turning_cross,
 )
 from himcf.errors import DegenerateEdge
 from himcf.presets import circle_curve
@@ -34,13 +29,13 @@ def ellipse_points(a, b, M=256):
 
 
 def test_polygon_length_converges_to_circumference():
-    L = polygon_length(circle_points(radius=2.0, M=4096))
+    L = PolygonGeometry(circle_points(radius=2.0, M=4096)).length
     assert L == pytest.approx(4 * np.pi, rel=1e-6)
 
 
 def test_turning_angles_sum_to_full_turn():
     for P in (circle_points(M=64), ellipse_points(1.7, 0.6, M=128)):
-        assert np.sum(turning_angles(P)) == pytest.approx(2 * np.pi, abs=1e-12)
+        assert np.sum(PolygonGeometry(P).turning_angles) == pytest.approx(2 * np.pi, abs=1e-12)
 
 
 def test_discrete_curvature_on_circle():
@@ -66,7 +61,7 @@ def test_tangent_normal_frame_on_circle():
 
 
 def test_normal_angles_unwrap_monotonically():
-    ang = normal_angles(ellipse_points(1.5, 1.0, M=256))
+    ang = PolygonGeometry(ellipse_points(1.5, 1.0, M=256)).normal_angles
     assert np.all(np.diff(ang) > 0)
     assert ang[-1] - ang[0] < 2 * np.pi
 
@@ -76,8 +71,8 @@ def test_require_nondegenerate_rejects_coincident_vertices():
     P_bad = P.copy()
     P_bad[5] = P_bad[4]
     with pytest.raises(DegenerateEdge):
-        require_nondegenerate(P_bad)
-    require_nondegenerate(P)
+        require_edge_lengths(PolygonGeometry(P_bad).lengths)
+    require_edge_lengths(PolygonGeometry(P).lengths)
 
 
 class TestHausdorff:
@@ -141,7 +136,7 @@ class TestResampling:
     def test_length_preserved(self):
         P = ellipse_points(2.0, 1.0, M=512)
         Q, _ = resample_equal_arclength(P)
-        assert polygon_length(Q) == pytest.approx(polygon_length(P), rel=1e-5)
+        assert PolygonGeometry(Q).length == pytest.approx(PolygonGeometry(P).length, rel=1e-5)
 
 
 def test_circle_curve_samples_the_circle():
@@ -222,11 +217,11 @@ class TestBatchedStencils:
     def test_single_polygons_match_the_roll_reference_bit_for_bit(self):
         for P in self.STACK:
             assert np.array_equal(PolygonGeometry(P).edges, roll_edges(P))
-            assert np.array_equal(edge_lengths(P), np.hypot(*roll_edges(P).T))
+            assert np.array_equal(PolygonGeometry(P).lengths, np.hypot(*roll_edges(P).T))
             for got, ref in zip(discrete_tangent_normal(P), roll_tangent_normal(P)):
                 assert np.array_equal(got, ref)
             assert np.array_equal(discrete_curvature(P), roll_curvature(P))
-            assert np.array_equal(turning_angles(P), roll_turning_angles(P))
+            assert np.array_equal(PolygonGeometry(P).turning_angles, roll_turning_angles(P))
 
     def test_geometry_pass_matches_the_roll_reference_bit_for_bit(self):
         for P in self.STACK:
@@ -249,12 +244,14 @@ class TestBatchedStencils:
 
     def test_stack_equals_per_polygon_calls_bit_for_bit(self):
         stack = self.STACK
-        for fn in (edge_lengths, discrete_curvature, turning_angles,
-                   turning_cross, normal_angles):
-            batched = fn(stack)
-            assert batched.shape[:2] == stack.shape[:2], fn.__name__
+        for name in ("lengths", "curvature", "turning_angles", "cross", "normal_angles"):
+            batched = getattr(PolygonGeometry(stack), name)
+            assert batched.shape[:2] == stack.shape[:2], name
             for i, P in enumerate(stack):
-                assert np.array_equal(batched[i], fn(P)), fn.__name__
+                assert np.array_equal(batched[i], getattr(PolygonGeometry(P), name)), name
+        batched = discrete_curvature(stack)
+        for i, P in enumerate(stack):
+            assert np.array_equal(batched[i], discrete_curvature(P))
         T, nu = discrete_tangent_normal(stack)
         for i, P in enumerate(stack):
             T_i, nu_i = discrete_tangent_normal(P)

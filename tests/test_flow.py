@@ -11,14 +11,13 @@ from himcf.errors import CflViolation, ConvexityLost, InvalidConfig
 from himcf.flow import (
     FIXED_DT_CFL_LIMIT,
     FlowConfig,
+    _stage_rhs,
     cfl_bound,
     fixed_step_count,
     rk4,
     run_support_flow,
     run_support_flows,
-    sigma_field,
     step_support,
-    support_rhs,
 )
 from himcf.grids import AngleGrid
 from himcf.presets import circle_support, cosine_series, ellipse_support
@@ -36,12 +35,17 @@ def fd_rhs(S, V, dtheta):
     return V_th**2 / rho + rho
 
 
+def acceleration(s):
+    """The acceleration row of the stage right-hand side at a state."""
+    return _stage_rhs(s.sv, s.derivatives)[1]
+
+
 class TestRhs:
     def test_spatially_constant_state_reduces_to_circle_ode(self):
         grid = AngleGrid(64)
         for r, v in [(1.0, -1.0), (2.5, 0.3)]:
             s = SupportState(grid=grid, S=np.full(64, r), V=np.full(64, v))
-            np.testing.assert_allclose(support_rhs(s), r, atol=1e-12)
+            np.testing.assert_allclose(acceleration(s), r, atol=1e-12)
 
     def test_cosine_velocity_perturbation(self):
         grid = AngleGrid(64)
@@ -49,7 +53,7 @@ class TestRhs:
         s = SupportState(grid=grid, S=np.full(64, r),
                          V=v + 0.01 * np.cos(grid.theta))
         expected = (0.01 * np.sin(grid.theta)) ** 2 / r + r
-        np.testing.assert_allclose(support_rhs(s), expected, atol=1e-12)
+        np.testing.assert_allclose(acceleration(s), expected, atol=1e-12)
 
     def test_against_finite_difference_oracle(self):
         grid = AngleGrid(256)
@@ -58,7 +62,7 @@ class TestRhs:
             + 0.02 * np.sin(3 * grid.theta)
         V = 0.3 * np.sin(grid.theta) + 0.1 * rng.uniform() * np.cos(2 * grid.theta)
         s = SupportState(grid=grid, S=S, V=V)
-        np.testing.assert_allclose(support_rhs(s), fd_rhs(S, V, grid.dtheta),
+        np.testing.assert_allclose(acceleration(s), fd_rhs(S, V, grid.dtheta),
                                    atol=1e-6)
 
     def test_convexity_loss_raises(self):
@@ -66,7 +70,7 @@ class TestRhs:
         s = SupportState(grid=grid, S=1.0 + 0.5 * np.cos(4 * grid.theta),
                          V=np.zeros(64))
         with pytest.raises(ConvexityLost):
-            support_rhs(s)
+            acceleration(s)
 
 
 class TestStep:
@@ -313,7 +317,7 @@ class TestSigmaField:
     def test_initial_field_is_the_given_speed(self):
         traj = run_support_flow(np.ones(64), -np.ones(64),
                                 FlowConfig(N=64, t_end=0.3, record_every=2))
-        np.testing.assert_allclose(sigma_field(traj, 0.0), -1.0, atol=1e-12)
+        np.testing.assert_allclose(traj.snapshots[0].V, -1.0, atol=1e-12)
 
     def test_circle_speed_accumulates_the_radius_integral(self):
         # dV/dt = S on a circle, so V(t) = f + integral of r
@@ -322,7 +326,7 @@ class TestSigmaField:
                                            record_every=100))
         t = traj.snapshots[-1].t
         expected = -1.0 + (1.0 - math.exp(-t))    # integral of exp(-s)
-        np.testing.assert_allclose(sigma_field(traj, t), expected, atol=1e-6)
+        np.testing.assert_allclose(traj.snapshots[-1].V, expected, atol=1e-6)
 
 
 class TestConfigValidation:

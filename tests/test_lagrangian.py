@@ -10,10 +10,8 @@ from himcf.curves import (
     PolygonGeometry,
     discrete_curvature,
     discrete_tangent_normal,
-    normal_angles,
     polygon_hausdorff,
-    polygon_length,
-    require_nondegenerate,
+    require_edge_lengths,
     resample_equal_arclength,
 )
 from himcf.errors import CflViolation, DegenerateEdge, NotConvex
@@ -69,7 +67,7 @@ class TestStep:
 
 def three_pass_geometry(P):
     """The geometry as three separate passes: collision, curvature, normal."""
-    require_nondegenerate(P)
+    require_edge_lengths(PolygonGeometry(P).lengths)
     k = discrete_curvature(P)
     if np.min(k) <= 0.0:
         raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
@@ -131,7 +129,7 @@ class TestRun:
     def test_zero_speed_circle_expands(self):
         traj = run_lagrangian_flow(circle_curve(192, 1.0), 0.0,
                                    FlowConfig(t_end=1.0, record_every=20))
-        L = polygon_length(traj.snapshots[-1].P)
+        L = PolygonGeometry(traj.snapshots[-1].P).length
         assert L > 2 * math.pi
 
     def test_normal_flow_keeps_tangential_velocity_tiny(self):
@@ -205,7 +203,7 @@ class TestSharedStepping:
         monkeypatch.setattr(himcf.lagrangian, "step_lagrangian", counted)
         c = circle_curve(256, 1.0)
         with pytest.raises(CflViolation, match="below the resolution of t_end"):
-            run_lagrangian_flow(c, 1e200 * np.cos(normal_angles(c.P)),
+            run_lagrangian_flow(c, 1e200 * np.cos(PolygonGeometry(c.P).normal_angles),
                                 FlowConfig(t_end=0.1))
         assert len(calls) < 10
 

@@ -1,5 +1,5 @@
-"""Trajectory monitors: containment, convexity, length identities, outcome
-classification, and the closed-form sphere identity residuals."""
+"""Trajectory monitors: containment, length identities, outcome classification,
+and the closed-form sphere identity residuals."""
 import math
 
 import numpy as np
@@ -11,7 +11,6 @@ from himcf.grids import AngleGrid
 from himcf.monitors import (
     OutcomeInputs,
     check_containment,
-    check_convexity_bound,
     check_length_identities,
     check_simons_sphere,
     classify_outcome,
@@ -79,30 +78,6 @@ class TestContainment:
         inner = circle_run(1.0, 0.3, dt=7e-4, record_every=13)
         with pytest.raises(PreconditionFailed):
             check_containment(outer, inner)
-
-
-class TestConvexityBound:
-    def test_shrinking_circle_passes(self):
-        # k = exp(t) >= 1 = delta; the minimum sits exactly at t = 0
-        traj = circle_run(1.0, -1.0)
-        rec = check_convexity_bound(traj, delta=1.0)
-        assert rec.passed and not rec.flagged
-        assert rec.worst >= -1e-12
-        assert rec.t_worst == pytest.approx(0.0, abs=1e-12)
-
-    def test_expanding_circle_is_flagged_not_failed(self):
-        # exact solution has k = exp(-t) < delta, a documented discrepancy
-        traj = circle_run(1.0, 1.0)
-        rec = check_convexity_bound(traj, delta=1.0)
-        assert rec.flagged
-        assert rec.worst < -1e-3
-        assert rec.note
-
-    def test_shrinking_ellipse_tracked(self):
-        traj = ellipse_run(1.2, 1.0, -0.5, t_end=0.5)
-        k0 = 1.0 / 1.2**2 * 1.0  # b/a^2 at the flat point
-        rec = check_convexity_bound(traj, delta=k0)
-        assert rec.passed
 
 
 class TestLengthIdentities:

@@ -125,7 +125,7 @@ class TestRegimes:
 class TestIntegrator:
     def test_circle_decay_to_time_one(self):
         traj = integrate_radial_ode(CIRCLE, 1.0, -1.0, 1e-3, 1.0)
-        assert not traj.extinct
+        assert traj.extinction_time is None
         assert traj.r[-1] == pytest.approx(math.exp(-1.0), abs=1e-10)
 
     def test_sphere_matches_closed_form(self):
@@ -135,7 +135,7 @@ class TestIntegrator:
 
     def test_extinction_detection(self):
         traj = integrate_radial_ode(CIRCLE, 1.0, -2.0, 1e-4, 1.0)
-        assert traj.extinct
+        assert traj.extinction_time is not None
         assert traj.extinction_time == pytest.approx(0.5 * math.log(3.0), abs=1e-3)
 
     def test_energy_is_preserved(self):
