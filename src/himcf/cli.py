@@ -109,28 +109,48 @@ def _load_config(path: str | None) -> dict:
             obj = json.load(fh)
     except OSError as e:
         raise InvalidConfig(f"cannot read config file: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # malformed, too deep, or too long a number
         raise InvalidConfig(f"config file is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise InvalidConfig("config file must hold a JSON object")
     return obj
 
 
-def _opt(args, config: dict, key: str, default=None, kind=None):
+def _opt(args, config: dict, key: str, default=None, kind=None, choices=None):
     """The flag value, else the config value, else default, converted by kind.
 
     args may be None to read a plain object such as a curve spec.  A value
-    that kind rejects is an InvalidConfig.
+    that kind rejects, or that is not one of choices, is an InvalidConfig.
     """
     value = getattr(args, key, None)
+    if value is None:       # a JSON null reads as an absent key
+        value = default if config.get(key) is None else config[key]
     if value is None:
-        value = config.get(key, default)
-    if kind is None or value is None:
-        return value
+        return None
     try:
-        return kind(value)
+        if kind is not None:
+            value = kind(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad {key} = {value!r}: {exc}")
+        raise InvalidConfig(f"bad {key} = {str(value)!r}: {exc}")
+    if choices is not None and value not in choices:
+        raise InvalidConfig(f"bad {key} = {str(value)!r}: not in {choices}")
+    return value
+
+
+# A config value is read as the text of its flag, so both accept the same
+# values: JSON 1.5 is not a count, true is not a number, and an integer too
+# large for a float reads as inf.
+def _real(value) -> float:
+    return float(str(value))
+
+
+def _count(value) -> int:
+    return int(str(value))
+
+
+# The counts of grid points and polygon vertices: 128 times the largest any
+# run uses, and small enough that no array sized by one exhausts memory.
+_POINTS = range(2 ** 16 + 1)
 
 
 def _out_dir(args, config: dict) -> str:
@@ -144,7 +164,7 @@ def _out_dir(args, config: dict) -> str:
 def _series(raw) -> list[float]:
     """A constant or a comma list of cosine coefficients, as floats."""
     items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    return [float(v) for v in items]
+    return [_real(v) for v in items]
 
 
 def _grid(n: int) -> AngleGrid:
@@ -162,7 +182,7 @@ def _finish(path: str, summary: dict, records, flags=()) -> int:
     """Add the monitors, flags and verdict to summary and write it; exit 0 or 2."""
     monitor = MonitorReport(records=tuple(records))
     summary["monitors"] = [r.as_dict() for r in sorted(records, key=lambda r: r.name)]
-    summary["flags"] = sorted([*flags, *monitor.flags])
+    summary["flags"] = sorted(flags)
     summary["passed"] = monitor.passed
     write_text_atomic(path, json_text(summary))
     return 0 if monitor.passed else 2
@@ -170,20 +190,19 @@ def _finish(path: str, summary: dict, records, flags=()) -> int:
 
 # ---------------------------------------------------------------- radial
 
-def cmd_radial(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
+def cmd_radial(args, config: dict, out_dir: str) -> int:
     shape = _opt(args, config, "geometry", "sphere")
-    n = _opt(args, config, "n", 2 if shape == "sphere" else None, int)
+    n = _opt(args, config, "n", 2 if shape == "sphere" else None, _count)
     geometry = RadialGeometry(shape, n)
-    r0 = _opt(args, config, "r0", 1.0, float)
-    r1 = _opt(args, config, "r1", 0.0, float)
-    dt = _opt(args, config, "dt", 1e-3, float)
-    t_end = _opt(args, config, "t_end", 2.0, float)
+    r0 = _opt(args, config, "r0", 1.0, _real)
+    r1 = _opt(args, config, "r1", 0.0, _real)
+    dt = _opt(args, config, "dt", 1e-3, _real)
+    t_end = _opt(args, config, "t_end", 2.0, _real)
 
     forcing = config.get("forcing")
-    if args.forcing_constant is not None:
-        forcing = {"kind": "constant", "value": float(args.forcing_constant)}
+    constant = _opt(args, {}, "forcing_constant", None, _real)
+    if constant is not None:
+        forcing = {"kind": "constant", "value": constant}
     if forcing is not None and not isinstance(forcing, dict):
         raise InvalidForcing("forcing must be an object")
     if forcing is not None and forcing.get("kind") in (None, "none"):
@@ -218,7 +237,7 @@ def cmd_radial(args) -> int:
         kind = forcing.get("kind")
         try:
             if kind == "constant":
-                value = float(forcing["value"])
+                value = _real(forcing["value"])
                 func = lambda t: value
                 c_lo = c_hi = value
             elif kind == "table":
@@ -232,7 +251,7 @@ def cmd_radial(args) -> int:
                 c_hi = float(np.max(vs))
             else:
                 raise InvalidForcing(f"unknown forcing kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidForcing(f"malformed {kind} forcing: {exc!r}")
 
         report = forced_radial(geometry, func, c_lo, c_hi, r0, r1, dt, t_end)
@@ -275,10 +294,10 @@ def _support_from_spec(spec: dict, grid: AngleGrid) -> SupportState:
     v = cosine_series(_opt(None, spec, "speed", 0.0, _series), grid.theta)
     preset = spec["preset"]
     if preset == "circle":
-        return circle_support(grid, _opt(None, spec, "r0", 1.0, float), v)
+        return circle_support(grid, _opt(None, spec, "r0", 1.0, _real), v)
     if preset == "ellipse":
-        return ellipse_support(grid, _opt(None, spec, "a", 2.0, float),
-                               _opt(None, spec, "b", 1.0, float), v)
+        return ellipse_support(grid, _opt(None, spec, "a", 2.0, _real),
+                               _opt(None, spec, "b", 1.0, _real), v)
     if preset == "fourier":
         coeffs = _opt(None, spec, "coeffs", None, _series)
         if coeffs is None:
@@ -292,13 +311,13 @@ def _curve_from_spec(spec: dict, M: int) -> PlaneCurve:
     speed = _opt(None, spec, "speed", 0.0, _series)
     if spec["preset"] == "circle":
         alpha = TWO_PI * np.arange(M) / M
-        return circle_curve(M, _opt(None, spec, "r0", 1.0, float),
+        return circle_curve(M, _opt(None, spec, "r0", 1.0, _real),
                             cosine_series(speed, alpha))
     if spec["preset"] == "ellipse":
         if len(speed) != 1:
             raise InvalidConfig("ellipse vertices take a constant speed")
-        return ellipse_curve(M, _opt(None, spec, "a", 2.0, float),
-                             _opt(None, spec, "b", 1.0, float), speed[0])
+        return ellipse_curve(M, _opt(None, spec, "a", 2.0, _real),
+                             _opt(None, spec, "b", 1.0, _real), speed[0])
     return support_to_curve(_support_from_spec(spec, _grid(M)))
 
 
@@ -338,29 +357,26 @@ def _curve_csv_blocks(traj: FlowTrajectory):
             yield snap.t, block
 
 
-def cmd_curve(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
+def cmd_curve(args, config: dict, out_dir: str) -> int:
     # The same spec object containment reads for each of its two curves.
     spec = {"preset": "circle", "speed": -1.0}
     for key in ("preset", "r0", "a", "b", "coeffs", "speed"):
         value = _opt(args, config, key)
         if value is not None:
             spec[key] = value
-    N = _opt(args, config, "N", 128, int)
-    M = _opt(args, config, "vertices", 256, int)
-    solver = _opt(args, config, "solver", "support")
-    if getattr(args, "both_solvers", False):
+    N = _opt(args, config, "N", 128, _count, _POINTS)
+    M = _opt(args, config, "vertices", 256, _count, _POINTS)
+    solver = _opt(args, config, "solver", "support",
+                  choices=("support", "lagrangian", "both"))
+    if args.both_solvers:
         solver = "both"
-    if solver not in ("support", "lagrangian", "both"):
-        raise InvalidConfig(f"unknown solver {solver!r}")
 
     cfg = FlowConfig(
         N=N,
-        dt=_opt(args, config, "dt", None, float),
-        cfl_safety=_opt(args, config, "cfl_safety", None, float),
-        t_end=_opt(args, config, "t_end", 1.0, float),
-        record_every=_opt(args, config, "record_every", 1, int),
+        dt=_opt(args, config, "dt", None, _real),
+        cfl_safety=_opt(args, config, "cfl_safety", None, _real),
+        t_end=_opt(args, config, "t_end", 1.0, _real),
+        record_every=_opt(args, config, "record_every", 1, _count),
     )
 
     support_traj = None
@@ -444,11 +460,11 @@ _SCENARIOS = {
 def _containment_config(args, config: dict, preset: dict) -> FlowConfig:
     # Fixed steps keep the two recording schedules aligned for comparison.
     return FlowConfig(
-        N=_opt(args, config, "N", 128, int),
-        dt=_opt(args, config, "dt", preset["dt"], float),
-        t_end=_opt(args, config, "t_end", preset["t_end"], float),
-        eps_convex=_opt(args, config, "eps_convex", preset["eps_convex"], float),
-        record_every=_opt(args, config, "record_every", preset["record_every"], int),
+        N=_opt(args, config, "N", 128, _count, _POINTS),
+        dt=_opt(args, config, "dt", preset["dt"], _real),
+        t_end=_opt(args, config, "t_end", preset["t_end"], _real),
+        eps_convex=_opt(args, config, "eps_convex", preset["eps_convex"], _real),
+        record_every=_opt(args, config, "record_every", preset["record_every"], _count),
     )
 
 
@@ -459,14 +475,9 @@ def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
     return outer, inner, check_containment(outer, inner)
 
 
-def cmd_containment(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
-    scenario = _opt(args, config, "scenario")
+def cmd_containment(args, config: dict, out_dir: str) -> int:
+    scenario = _opt(args, config, "scenario", choices=tuple(_SCENARIOS))
     if scenario is not None:
-        if scenario not in _SCENARIOS:
-            raise InvalidConfig(
-                f"unknown scenario {scenario!r}; valid: {sorted(_SCENARIOS)}")
         preset = _SCENARIOS[scenario]
     elif "outer" in config and "inner" in config:
         preset = {**_SCENARIOS["circle-in-circle"],
@@ -677,9 +688,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    out_dir = _out_dir(args, config)
+def cmd_verify(args, config: dict, out_dir: str) -> int:
     names = list(args.suites) or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
@@ -690,69 +699,42 @@ def cmd_verify(args) -> int:
     code = _finish(os.path.join(out_dir, "verify_report.json"),
                    {"kind": "verify", "suites": sorted(names)}, records)
     for r in records:
-        status = "PASS" if (r.passed or r.flagged) else "FAIL"
-        suffix = " [flagged]" if r.flagged else ""
-        print(f"{status} {r.name} ({r.kind} {r.worst:.3e}, tolerance "
-              f"{r.tolerance:.3e}){suffix}")
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.kind} {r.worst:.3e}, "
+              f"tolerance {r.tolerance:.3e})")
     print(f"verify: {'all checks passed' if code == 0 else 'CHECKS FAILED'}")
     return code
 
 
 # ------------------------------------------------------------------ main
 
+# Each subcommand: its function, its help line and the names of its options.
+# Each option but forcing_constant is also a config key, and `_opt` converts
+# and checks a flag and a config value alike.
+_COMMANDS = {
+    "radial": (cmd_radial, "symmetric reductions vs closed forms",
+               ("geometry", "n", "r0", "r1", "dt", "t_end", "forcing_constant")),
+    "curve": (cmd_curve, "support-PDE / Lagrangian curve flow",
+              ("preset", "r0", "a", "b", "coeffs", "speed", "solver", "N",
+               "vertices", "dt", "cfl_safety", "t_end", "record_every")),
+    "containment": (cmd_containment, "ordered pairs stay ordered",
+                    ("scenario", "N", "dt", "t_end", "eps_convex", "record_every")),
+    "verify": (cmd_verify, "run the invariant suites", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="himcf",
                      description="Hyperbolic inverse mean curvature flow toolkit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def common(p):
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--config")
-
-    p = sub.add_parser("radial", help="symmetric reductions vs closed forms")
-    common(p)
-    p.add_argument("--geometry", choices=["sphere", "cylinder", "circle"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--r0", type=float)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--forcing-constant", dest="forcing_constant", type=float)
-    p.set_defaults(func=cmd_radial)
-
-    p = sub.add_parser("curve", help="support-PDE / Lagrangian curve flow")
-    common(p)
-    p.add_argument("--preset", choices=["circle", "ellipse", "fourier"])
-    p.add_argument("--r0", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--coeffs")
-    p.add_argument("--speed")
-    p.add_argument("--solver", choices=["support", "lagrangian", "both"])
-    p.add_argument("--both-solvers", dest="both_solvers", action="store_true")
-    p.add_argument("--N", dest="N", type=int)
-    p.add_argument("--vertices", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--cfl-safety", dest="cfl_safety", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("containment", help="ordered pairs stay ordered")
-    common(p)
-    p.add_argument("--scenario", choices=sorted(_SCENARIOS))
-    p.add_argument("--N", dest="N", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--eps-convex", dest="eps_convex", type=float)
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.set_defaults(func=cmd_containment)
-
-    p = sub.add_parser("verify", help="run the invariant suites")
-    common(p)
-    p.add_argument("suites", nargs="*", metavar="suite",
-                   help=f"subset of {sorted(_SUITES)} (default: all)")
-    p.set_defaults(func=cmd_verify)
+    for command, (func, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in ("out_dir", "config", *names):
+            p.add_argument("--" + name.replace("_", "-"), dest=name)
+        p.set_defaults(func=func)
+    sub.choices["curve"].add_argument("--both-solvers", dest="both_solvers",
+                                      action="store_true")
+    sub.choices["verify"].add_argument("suites", nargs="*", metavar="suite",
+                                       help=f"subset of {sorted(_SUITES)} (default: all)")
     return parser
 
 
@@ -761,9 +743,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
-            raise InvalidConfig("a subcommand is required "
-                                "(radial | curve | containment | verify)")
-        return args.func(args)
+            raise InvalidConfig(f"a subcommand is required ({' | '.join(_COMMANDS)})")
+        config = _load_config(args.config)
+        return args.func(args, config, _out_dir(args, config))
     except _CONFIG_ERRORS as exc:
         _emit_error(exc)
         return 1

@@ -11,8 +11,6 @@ class CheckRecord:
     Margins are oriented so that larger is better; pass means
     margin >= -tolerance.  Residuals use worst = |residual| and pass means
     worst <= tolerance; the `residual` flavor flips the comparison.
-    flagged marks a documented discrepancy observation that is reported but
-    not counted as a failure.
     """
 
     name: str
@@ -22,7 +20,6 @@ class CheckRecord:
     kind: str = "margin"            # "margin" | "residual"
     t_worst: float | None = None
     theta_worst: float | None = None
-    flagged: bool = False
     note: str = ""
 
     def as_dict(self) -> dict:
@@ -32,7 +29,8 @@ class CheckRecord:
             "tolerance": self.tolerance,
             "passed": self.passed,
             "kind": self.kind,
-            "flagged": self.flagged,
+            # Kept so the summary format stays fixed; no record is flagged.
+            "flagged": False,
         }
         if self.t_worst is not None:
             out["t_worst"] = self.t_worst
@@ -44,11 +42,10 @@ class CheckRecord:
 
 
 def margin_record(name: str, margin: float, tolerance: float, *,
-                  t_worst=None, theta_worst=None, flagged=False, note="") -> CheckRecord:
+                  t_worst=None, theta_worst=None, note="") -> CheckRecord:
     return CheckRecord(name=name, worst=margin, tolerance=tolerance,
                        passed=bool(margin >= -tolerance), kind="margin",
-                       t_worst=t_worst, theta_worst=theta_worst,
-                       flagged=flagged, note=note)
+                       t_worst=t_worst, theta_worst=theta_worst, note=note)
 
 
 def residual_record(name: str, residual: float, tolerance: float, *,
@@ -64,10 +61,4 @@ class MonitorReport:
 
     @property
     def passed(self) -> bool:
-        # A flagged record documents a known discrepancy; it is surfaced in
-        # flags but does not count as a failure.
-        return all(r.passed or r.flagged for r in self.records)
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        return tuple(f"{r.name}: {r.note}" for r in self.records if r.flagged)
+        return all(r.passed for r in self.records)

@@ -22,10 +22,17 @@ from himcf.presets import circle_support, cosine_series, ellipse_support
 CLI = [sys.executable, "-m", "himcf"]
 
 
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
 def run_cli(args, tmp_path, name="out", expect=0):
+    # The timeout and the address-space cap stop a regression on a hostile
+    # input from stepping or allocating for long.
     out_dir = tmp_path / name
     proc = subprocess.run(CLI + args + ["--out-dir", str(out_dir)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_address_space)
     assert proc.returncode == expect, (proc.stdout, proc.stderr)
     return proc, out_dir
 
@@ -323,7 +330,8 @@ class TestErrorContract:
         # Run where the default out/ would land, so a stray write shows.
         src = os.path.dirname(os.path.dirname(himcf.cli.__file__))
         proc = subprocess.run(CLI + [command, "--config", str(cfg)], capture_output=True,
-                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                              timeout=60, preexec_fn=cap_address_space)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)
@@ -382,18 +390,26 @@ class TestErrorContract:
         ["containment", "--dt", "1e-12"],
     ])
     def test_fixed_dt_beyond_the_step_budget_is_exit_1(self, argv, tmp_path):
-        # Rejected before the first step; the timeout and the address-space
-        # cap stop a regression from stepping or allocating for long.
-        proc = subprocess.run(
-            CLI + argv + ["--out-dir", str(tmp_path / "out")], capture_output=True,
-            text=True, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)))
-        assert proc.returncode == 1, proc.stderr
+        # Rejected before the first step.
+        proc, out = run_cli(argv, tmp_path, expect=1)
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)
         assert err["error"] == "InvalidConfig"
         assert "step budget" in err["message"]
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--N", "2000000000"],
+        ["curve", "--solver", "lagrangian", "--vertices", "2000000000"],
+    ])
+    def test_huge_grid_or_vertex_count_is_exit_1(self, argv, tmp_path):
+        # Rejected before the first array of that size is allocated.
+        proc, out = run_cli(argv, tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert "65537" in err["message"]
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -415,6 +431,72 @@ class TestConfigFile:
         _, out = run_cli(["radial", "--config", str(cfg)], tmp_path)
         summary = load_json(out / "radial_summary.json")
         assert summary["regime"]["regime"] == "ConvergesToPointFiniteTime"
+
+    # A config value is read as the text of its flag, str(value).
+    @pytest.mark.parametrize("command, key, value", [
+        ("curve", "N", 16.9),
+        ("curve", "vertices", 1.5),
+        ("curve", "record_every", 1.5),
+        ("radial", "r0", True),
+        ("radial", "t_end", int("1" * 401)),
+        ("containment", "scenario", ["x"]),
+        ("curve", "solver", ["x"]),
+    ], ids=["N-16.9", "vertices-1.5", "record_every-1.5", "r0-true", "t_end-401-digits",
+            "scenario-list", "solver-list"])
+    def test_flag_and_config_key_reject_a_value_alike(self, command, key, value,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        errors = []
+        for argv in ([f"--{key.replace('_', '-')}", str(value)], ["--config", str(cfg)]):
+            out = tmp_path / "out"
+            assert himcf.cli.main([command, *argv, "--out-dir", str(out)]) == 1
+            errors.append(json.loads(capsys.readouterr().err))
+            assert not out.exists()
+        assert errors[0]["error"] == "InvalidConfig"
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("command, options", [
+        ("radial", {"geometry": "sphere", "n": 3, "r0": 1.5, "r1": -0.4, "t_end": 0.5}),
+        ("curve", {"preset": "ellipse", "a": 1.5, "b": 1, "speed": 0.4, "solver": "both",
+                   "N": 32, "vertices": 48, "t_end": 0.05, "record_every": 2}),
+        ("containment", {"scenario": "ellipse-in-circle", "N": 32, "t_end": 0.05,
+                         "eps_convex": 0.05}),
+    ])
+    def test_flag_and_config_key_write_the_same_files(self, command, options, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(options))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+        for name, argv in (("flag", flags), ("config", ["--config", str(cfg)])):
+            assert himcf.cli.main([command, *argv, "--out-dir", str(tmp_path / name)]) == 0
+        names = sorted(os.listdir(tmp_path / "flag"))
+        assert names == sorted(os.listdir(tmp_path / "config"))
+        for name in names:
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes())
+
+    def test_null_config_value_reads_as_absent(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": "circle", "r0": None, "r1": -2.0}))
+        _, out = run_cli(["radial", "--config", str(cfg)], tmp_path)
+        assert load_json(out / "radial_summary.json")["r0"] == 1.0
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"forcing": {"kind": "constant", "value": %s}}' % ("1" * 401), "InvalidForcing"),
+        ('{"forcing": {"kind": "table", "times": [0, 1], "values": [0, %s]}}' % ("1" * 401),
+         "InvalidForcing"),
+        ('{"forcing": {"kind": "constant", "value": true}}', "InvalidForcing"),
+        ('{"t_end": %s}' % ("1" * 5000), "InvalidConfig"),
+        ("[" * 100000 + "]" * 100000, "InvalidConfig"),
+    ], ids=["huge-constant", "huge-table-value", "true-constant", "5000-digits", "deep"])
+    def test_hostile_config_file_is_exit_1_with_one_json_error(self, text, error, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert himcf.cli.main(["radial", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
 
 
 class TestDeterminism:
