@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""A/B benchmark of two source checkouts with perfbench, in alternating pairs.
+
+    python3 scripts/bench.py --parent DIR --change DIR --pairs 10 --seconds 20 \
+        --seed 1 7 --out BENCH.json
+
+For every seed and workload this runs `perfbench/run.py` once in each
+checkout per pair, and alternates which side runs first, since a run can
+slow the one after it.  The output file holds, per workload, seed and
+end-to-end metric: each side's values, median and quartiles, the change's
+median relative to the parent's, and the pairs in which the change was
+better; plus the Python and numpy versions and the CPU count of the host.
+A summary table is printed to standard output.  Both checkouts must be
+whole source trees (`src/` and `perfbench/`); each run writes only inside
+its own checkout's `perfbench/_out` and `perfbench/_results`.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+import numpy as np
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run; the JSON object of its last output line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
+    """Per-metric summaries of the paired reports of one workload and seed."""
+    out = {}
+    for name, spec in metrics.items():
+        a = [r["metrics"][name]["value"] for r in parent]
+        b = [r["metrics"][name]["value"] for r in change]
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        pa, pb = summary(a), summary(b)
+        out[name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "parent": pa, "change": pb,
+            "change_pct": 100.0 * (pb["median"] - pa["median"]) / pa["median"],
+            "pairs_won": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+            "pairs": len(a),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
+    parser.add_argument("--workload", nargs="+", default=None,
+                        help="workloads to run (default: all in BENCHMARK.json)")
+    parser.add_argument("--out", default="BENCH.json", help="output JSON file")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+
+    results = []
+    for seed in args.seed:
+        for workload in workloads:
+            reports = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    reports[side].append(run_once(sides[side], workload, seed, args.seconds))
+                print(f"{workload} seed {seed}: pair {i + 1}/{args.pairs} done",
+                      file=sys.stderr, flush=True)
+            results.append({
+                "workload": workload, "seed": seed,
+                "failed": {side: sum(r["failed"] for r in reports[side]) for side in reports},
+                "metrics": compare(reports["parent"], reports["change"], metrics),
+            })
+
+    report = {
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
+        "pairs": args.pairs, "seconds": args.seconds, "seeds": args.seed,
+        "results": results,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+    print("| workload | seed | metric | parent median [Q1, Q3] | change median | change | won |")
+    print("|---|---|---|---|---|---|---|")
+    for r in results:
+        for name, m in r["metrics"].items():
+            p, c = m["parent"], m["change"]
+            print(f"| {r['workload']} | {r['seed']} | {name} | {p['median']:.4g} "
+                  f"[{p['q1']:.4g}, {p['q3']:.4g}] | {c['median']:.4g} | "
+                  f"{m['change_pct']:+.1f} % | {m['pairs_won']}/{m['pairs']} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

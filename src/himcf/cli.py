@@ -56,7 +56,7 @@ from .monitors import (
     outcome_inputs_from_trajectory,
     require_ordered_start,
 )
-from .output import csv_text, json_text, svg_text, write_text_atomic
+from .output import json_text, svg_text, write_csv, write_text_atomic
 from .presets import (
     circle_curve,
     circle_support,
@@ -274,8 +274,7 @@ def cmd_radial(args, config: dict, out_dir: str) -> int:
                                  report.r_lo, report.r_hi])
         header = ["t", "r_closed", "r_numeric", "abs_err", "r_lo", "r_hi"]
 
-    write_text_atomic(os.path.join(out_dir, "radial.csv"),
-                      csv_text(header, [(None, table)]))
+    write_csv(os.path.join(out_dir, "radial.csv"), header, [(None, table)])
     code = _finish(os.path.join(out_dir, "radial_summary.json"), summary, records, flags)
     regime_text = summary["regime"]["regime"] if summary.get("regime") else "forced"
     print(f"radial: {regime_text}, {len(table)} samples, {'pass' if code == 0 else 'FAIL'}")
@@ -406,8 +405,7 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
                                           _snapshot_polygon(lagrangian_traj.snapshots[-1]))
 
     blocks = (_support_csv_blocks if primary.is_support else _curve_csv_blocks)(primary)
-    write_text_atomic(os.path.join(out_dir, "curve.csv"),
-                      csv_text(["t", "theta", "S", "V", "k"], blocks))
+    write_csv(os.path.join(out_dir, "curve.csv"), ["t", "theta", "S", "V", "k"], blocks)
 
     outlines = [_snapshot_polygon(traj.snapshots[i])
                 for traj in (support_traj, lagrangian_traj) if traj is not None
@@ -491,8 +489,8 @@ def cmd_containment(args, config: dict, out_dir: str) -> int:
     cfg = _containment_config(args, config, preset)
     outer, inner, record = _run_containment_pair(outer_spec, inner_spec, cfg)
     rows = [(a.t, float(np.min(a.S - b.S))) for a, b in aligned_snapshots(outer, inner)]
-    write_text_atomic(os.path.join(out_dir, "containment.csv"),
-                      csv_text(["t", "min_gap"], [(None, np.reshape(rows, (-1, 2)))]))
+    write_csv(os.path.join(out_dir, "containment.csv"), ["t", "min_gap"],
+              [(None, np.reshape(rows, (-1, 2)))])
 
     summary = {
         "kind": "containment",

@@ -2,10 +2,13 @@
 
 All numeric text uses the shortest round-trip decimal form of binary64 so
 repeated runs are byte-identical; files land via temp-file + rename so
-parallel scenario runs never interleave bytes.
+parallel scenario runs never interleave bytes.  A CSV file is streamed to
+disk one block at a time, so the memory that writing it takes does not grow
+with the length of the run (the trajectory still holds every snapshot).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -13,13 +16,14 @@ import tempfile
 import numpy as np
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text) -> None:
+    """Write text, a str or an iterable of str pieces in order, to path via a temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".himcf-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -29,25 +33,39 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def csv_text(header: list[str], blocks) -> str:
-    """Header row plus the rows of each (t, columns) block.
+# A format call holds its cells as Python floats, about 1.5x their text, so
+# csv_text formats _FORMAT_ROWS rows per call.  write_csv streams a CSV in
+# pieces of at most _PIECE_ROWS rows: a snapshot block, or a slice of a table.
+_FORMAT_ROWS = 128
+_PIECE_ROWS = 4096
+
+
+def csv_text(header: list[str] | None, blocks) -> str:
+    """Header row (none if header is None) plus the rows of each (t, columns) block.
 
     columns is a 2-D float array, one row per CSV row.  t, unless None, is
     written once per block as the first cell of each of its rows.  Floats
     are formatted by %r, the shortest round-trip form of repr(float(x)),
-    with one format call per block.
+    with one format call per _FORMAT_ROWS rows.  Every line ends in a newline.
     """
-    lines = [",".join(header)]
+    lines = [] if header is None else [",".join(header) + "\n"]
     for t, columns in blocks:
         values = np.asarray(columns, dtype=float)
         count, width = values.shape
-        if count == 0:
-            continue
-        row = ",".join(["%r"] * width)
+        row = ",".join(["%r"] * width) + "\n"
         if t is not None:
             row = f"{float(t)!r},{row}"
-        lines.append("\n".join([row] * count) % tuple(values.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+        for start in range(0, count, _FORMAT_ROWS):
+            part = values[start:start + _FORMAT_ROWS]
+            lines.append((row * len(part)) % tuple(part.ravel().tolist()))
+    return "".join(lines)
+
+
+def write_csv(path: str, header: list[str], blocks) -> None:
+    """Write csv_text(header, blocks) to path, each piece its own csv_text call."""
+    pieces = (csv_text(None, [(t, columns[start:start + _PIECE_ROWS])])
+              for t, columns in blocks for start in range(0, len(columns), _PIECE_ROWS))
+    write_text_atomic(path, itertools.chain([csv_text(header, ())], pieces))
 
 
 def json_text(obj) -> str:

@@ -17,6 +17,7 @@ One RK4 march integrates the unforced (c = 0), forced and bracket rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +28,7 @@ from .errors import (
     InvalidConfig,
     InvalidForcing,
     InvalidInitialRadius,
+    NonFinite,
 )
 from .flow import fixed_step_count
 from .grids import _readonly
@@ -50,8 +52,9 @@ class RadialGeometry:
 
     def __post_init__(self):
         if self.kind == "sphere":
-            if self.n is None or self.n < 2:
-                raise InvalidConfig("sphere reduction requires n >= 2")
+            # n must convert to a float for the stiffness 1/n.
+            if self.n is None or not 2 <= self.n <= sys.float_info.max:
+                raise InvalidConfig("sphere reduction requires 2 <= n <= the largest float")
         elif self.kind in ("cylinder", "circle"):
             if self.n is not None:
                 raise InvalidConfig(f"{self.kind} takes no dimension parameter")
@@ -119,6 +122,7 @@ class ForcedRunReport:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
+@np.errstate(all="ignore")      # an overflow raises NonFinite instead
 def closed_form(lam: float, r0: float, r1: float, t,
                 velocity: bool = False) -> float | np.ndarray:
     """r(t) (or r'(t)) of r'' = lam^2 r with r(0) = r0, r'(0) = r1, lam > 0."""
@@ -128,6 +132,8 @@ def closed_form(lam: float, r0: float, r1: float, t,
     grow = c_plus * np.exp(lam * t)
     decay = c_minus * np.exp(-lam * t)
     out = lam * (grow - decay) if velocity else grow + decay
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("the radial closed form overflows double precision")
     return float(out) if out.ndim == 0 else out
 
 
@@ -227,6 +233,8 @@ def _march(omega_sq: Callable[[float], float], r0: float, r1: float,
         h = min(dt, t_end - t)
         r, v = _rk4_step(r, v, omega_sq, t, h)
         t += h
+        if not (math.isfinite(r) and math.isfinite(v)):
+            raise NonFinite(f"the radial march overflows double precision at t = {t}")
         ts.append(t)
         rs.append(r)
         vs.append(v)

@@ -369,6 +369,16 @@ class TestErrorContract:
         assert "radius" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [["--r0", "1e308"], ["--r1", "1e308"]])
+    @pytest.mark.parametrize("forcing", [[], ["--forcing-constant", "0.25"]])
+    def test_overflowing_radial_run_is_exit_1(self, value, forcing, tmp_path):
+        # The march once overflowed to inf unchecked: NaN error, RuntimeWarnings, exit 2.
+        proc, out = run_cli(["radial", *value, *forcing], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "NonFinite"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["radial", "--r1", "nan", "--forcing-constant", "0.25"],
         ["radial", "--r1", "inf", "--forcing-constant", "0.25"],
@@ -439,10 +449,11 @@ class TestConfigFile:
         ("curve", "record_every", 1.5),
         ("radial", "r0", True),
         ("radial", "t_end", int("1" * 401)),
+        ("radial", "n", int("1" * 401)),
         ("containment", "scenario", ["x"]),
         ("curve", "solver", ["x"]),
     ], ids=["N-16.9", "vertices-1.5", "record_every-1.5", "r0-true", "t_end-401-digits",
-            "scenario-list", "solver-list"])
+            "n-401-digits", "scenario-list", "solver-list"])
     def test_flag_and_config_key_reject_a_value_alike(self, command, key, value,
                                                       tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -2,12 +2,13 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import himcf.cli
-from himcf.output import csv_text, svg_text
+from himcf.output import csv_text, svg_text, write_csv
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16,
            1e-5, 0.1 + 0.2, -1.5, 123456789.125, 2.0**-1074 * 3, 1e308 * 1.7]
@@ -47,6 +48,64 @@ class TestCsvText:
     def test_empty_blocks_add_no_rows(self):
         text = csv_text(["t", "x"], [(0.5, np.empty((0, 1))), (None, np.empty((0, 2)))])
         assert text == "t,x\n"
+
+    def test_no_header_line_when_header_is_none(self):
+        block = (0.5, np.array([[1.0, 2.0]]))
+        assert csv_text(None, [block]) == "0.5,1.0,2.0\n"
+        assert csv_text(None, []) == ""
+
+
+def stream_blocks():
+    """Blocks of every kind a CLI run writes: t None and float, empty, SPECIAL."""
+    rng = np.random.default_rng(11)
+    yield 0.0, np.array(SPECIAL[:12]).reshape(3, 4)
+    yield 0.1 + 0.2, np.empty((0, 4))
+    yield np.float64(5e-324), rng.standard_normal((7, 4))
+    yield None, np.array(SPECIAL).reshape(-1, 1) * np.ones((1, 5))
+    yield None, np.empty((0, 5))
+    # Longer than one streamed piece, so the table is written in slices.
+    yield None, rng.standard_normal((10000, 5)) * 10.0 ** rng.integers(-300, 300, (10000, 5))
+
+
+class TestWriteCsv:
+    def test_streamed_file_equals_csv_text(self, tmp_path):
+        header = ["t", "a", "b", "c", "d"]
+        write_csv(str(tmp_path / "s.csv"), header, stream_blocks())
+        assert (tmp_path / "s.csv").read_bytes() == csv_text(header, stream_blocks()).encode()
+
+    def test_writing_memory_does_not_grow_with_the_block_count(self, tmp_path):
+        # A run's snapshot: M = 512 rows, full-precision t and cells.
+        block = np.random.default_rng(5).standard_normal((512, 4))
+        times = np.linspace(0.0, 0.3, 300).tolist()
+        piece = len(csv_text(None, [(times[1], block)]))
+
+        def blocks():
+            for t in times:
+                yield t, block
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(str(tmp_path / "m.csv"), ["t", "a", "b", "c", "d"], blocks())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "m.csv").stat().st_size > 250 * piece
+        assert peak < 3 * piece, (peak, piece, peak / piece)
+
+    def test_a_raising_block_leaves_the_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "c.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def blocks():
+            for i in range(3):
+                yield float(i), np.ones((4, 2))
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            write_csv(str(target), ["t", "x", "y"], blocks())
+        assert target.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob(".himcf-*.tmp"))
 
 
 def test_svg_points_match_per_vertex_repr():

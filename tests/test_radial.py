@@ -1,5 +1,6 @@
 """Closed-form radial solutions, regime classification, integration, forcing."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from himcf.errors import (
     InvalidConfig,
     InvalidForcing,
     InvalidInitialRadius,
+    NonFinite,
 )
 from himcf.radial import (
     CIRCLE,
@@ -17,6 +19,7 @@ from himcf.radial import (
     CYLINDER_HALF_FACTOR_FLAG,
     RadialGeometry,
     classify_regime,
+    closed_form,
     closed_form_radius,
     closed_form_velocity,
     forced_radial,
@@ -185,6 +188,27 @@ class TestIntegrator:
         with pytest.raises(InvalidConfig, match="step budget"):
             forced_radial(CIRCLE, lambda t: 0.5, 0.5, 0.5, 1.0, 0.0, 1e-12, 2.0)
 
+    @pytest.mark.parametrize("r0, r1", [(1e308, 0.0), (1.0, 1e308)])
+    def test_overflowing_march_is_nonfinite(self, r0, r1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="march overflows"):
+                integrate_radial_ode(sphere_geometry(2), r0, r1, 1e-3, 2.0)
+            with pytest.raises(NonFinite, match="march overflows"):
+                forced_radial(sphere_geometry(2), lambda t: 0.25, 0.25, 0.25,
+                              r0, r1, 1e-3, 2.0)
+
+    def test_overflowing_closed_form_is_nonfinite(self):
+        # The march to t = 1 stays finite; the closed form's e^(lam t) term does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert closed_form(1.0, 1e307, 0.0, 1.0) < math.inf
+            for t in (800.0, np.array([0.0, 800.0])):
+                with pytest.raises(NonFinite, match="closed form overflows"):
+                    closed_form(1.0, 1.0, 0.0, t)
+                with pytest.raises(NonFinite, match="closed form overflows"):
+                    closed_form(1.0, 1.0, 0.0, t, velocity=True)
+
     def test_halving_dt_improves_fourth_order(self):
         exact = closed_form_radius(CIRCLE, 1.0, 0.5, 1.0)
         errs = []
@@ -234,6 +258,10 @@ class TestGeometryType:
     def test_sphere_dimension_bound(self):
         with pytest.raises(InvalidConfig):
             sphere_geometry(1)
+        # n must convert to a float for the stiffness 1/n.
+        assert sphere_geometry(10**300).stiffness == 1e-300
+        with pytest.raises(InvalidConfig, match="largest float"):
+            sphere_geometry(int("1" * 401))
 
     def test_lam_is_sqrt_stiffness(self):
         g = sphere_geometry(3)
