@@ -10,7 +10,9 @@ slow the one after it.  The output file holds, per workload, seed and
 end-to-end metric: each side's values, median and quartiles, the change's
 median relative to the parent's, and the pairs in which the change was
 better; plus the Python and numpy versions and the CPU count of the host.
-A summary table is printed to standard output.  Both checkouts must be
+A summary table is printed to standard output, then each change median
+against the one in the newest earlier BENCH_<n>.json beside --out (the
+highest n below the output's own, if its name has one).  Both checkouts must be
 whole source trees (`src/` and `perfbench/`); each run writes only inside
 its own checkout's `perfbench/_out` and `perfbench/_results`.
 """
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -57,6 +60,38 @@ def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
             "pairs": len(a),
         }
     return out
+
+
+def _bench_number(path: str) -> int | None:
+    match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+    return int(match.group(1)) if match else None
+
+
+def previous_bench(out: str) -> str | None:
+    """The newest BENCH_<n>.json beside out that is older than out, or None."""
+    directory = os.path.dirname(os.path.abspath(out))
+    own = _bench_number(out)
+    found = [(n, name) for name in os.listdir(directory)
+             if (n := _bench_number(name)) is not None and (own is None or n < own)]
+    return os.path.join(directory, max(found)[1]) if found else None
+
+
+def print_diff(previous_path: str, report: dict) -> None:
+    """Each change median of report against the same workload, seed and metric before."""
+    with open(previous_path) as fh:
+        previous = json.load(fh)
+    before = {(r["workload"], r["seed"], name): m["change"]["median"]
+              for r in previous["results"] for name, m in r["metrics"].items()}
+    print(f"\nChange medians against {os.path.basename(previous_path)}:")
+    print("| workload | seed | metric | before | now | change |")
+    print("|---|---|---|---|---|---|")
+    for r in report["results"]:
+        for name, m in r["metrics"].items():
+            old = before.get((r["workload"], r["seed"], name))
+            if old is not None:
+                now = m["change"]["median"]
+                print(f"| {r['workload']} | {r['seed']} | {name} | {old:.4g} | {now:.4g} | "
+                      f"{100.0 * (now - old) / old:+.1f} % |")
 
 
 def main(argv=None) -> int:
@@ -113,6 +148,9 @@ def main(argv=None) -> int:
             print(f"| {r['workload']} | {r['seed']} | {name} | {p['median']:.4g} "
                   f"[{p['q1']:.4g}, {p['q3']:.4g}] | {c['median']:.4g} | "
                   f"{m['change_pct']:+.1f} % | {m['pairs_won']}/{m['pairs']} |")
+    previous = previous_bench(args.out)
+    if previous is not None:
+        print_diff(previous, report)
     return 0
 
 

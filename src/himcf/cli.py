@@ -39,13 +39,13 @@ from .errors import (
     PreconditionFailed,
 )
 from .flow import FlowConfig, FlowTrajectory, run_support_flow, run_support_flows
-from .grids import TWO_PI, AngleGrid
+from .grids import TWO_PI, AngleGrid, support_derivatives
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max
 from .monitors import (
     _snapshot_curvature,
     _snapshot_length,
     _snapshot_polygon,
-    aligned_snapshots,
+    aligned_prefix,
     check_containment,
     check_length_identities,
     check_simons_sphere,
@@ -77,7 +77,7 @@ from .radial import (
     sphere_geometry,
 )
 from .report import CheckRecord, MonitorReport, margin_record, residual_record
-from .support import PlaneCurve, SupportState, curvature_from_support, length_from_support, support_to_curve
+from .support import PlaneCurve, SupportState, support_lengths, support_to_curve, unpack_curve
 
 _CONFIG_ERRORS = (
     InvalidConfig,
@@ -326,34 +326,28 @@ def _outline_indices(count: int, limit: int = 13) -> list[int]:
     return sorted(set(np.linspace(0, count - 1, limit).round().astype(int).tolist()))
 
 
-# Snapshots per batched stencil call when writing a Lagrangian CSV; a small
-# chunk keeps the stacked temporaries small at no cost in speed.
+# Snapshots per batched kernel or stencil call when writing a curve CSV; a
+# small chunk keeps the temporaries small at no cost in speed.
 _CSV_CHUNK = 16
 
 
-def _support_csv_blocks(traj: FlowTrajectory):
-    for snap in traj.snapshots:
-        yield snap.t, np.column_stack([snap.grid.theta, snap.S, snap.V,
-                                       curvature_from_support(snap)])
+def _csv_blocks(traj: FlowTrajectory):
+    """Per snapshot: normal angle, support value, speed and curvature per point.
 
-
-def _curve_csv_blocks(traj: FlowTrajectory):
-    """Per snapshot: normal angle, support value, sigma and curvature per vertex.
-
-    One geometry pass per chunk of snapshots on the stacked polygons; the
-    solver keeps the vertex count fixed, so every chunk stacks.
+    One spectral kernel call or polygon geometry pass per chunk of data rows.
     """
-    snaps = traj.snapshots
-    for start in range(0, len(snaps), _CSV_CHUNK):
-        chunk = snaps[start:start + _CSV_CHUNK]
-        P = np.stack([snap.P for snap in chunk])
-        g = PolygonGeometry(P)
-        columns = np.stack([np.mod(g.normal_angles, TWO_PI),
-                            np.sum(P * g.frame[1], axis=-1),
-                            np.stack([snap.sigma for snap in chunk]),
-                            g.curvature], axis=-1)
-        for snap, block in zip(chunk, columns):
-            yield snap.t, block
+    for start in range(0, len(traj.times), _CSV_CHUNK):
+        rows = traj.data[start:start + _CSV_CHUNK]
+        if traj.is_support:
+            S, V = rows[:, 0], rows[:, 1]
+            columns = [np.broadcast_to(AngleGrid(S.shape[-1]).theta, S.shape), S, V,
+                       1.0 / support_derivatives(rows)[:, 0]]
+        else:
+            P, sigma = unpack_curve(rows)
+            g = PolygonGeometry(P)
+            columns = [np.mod(g.normal_angles, TWO_PI), np.sum(P * g.frame[1], axis=-1),
+                       sigma, g.curvature]
+        yield from zip(traj.times[start:start + _CSV_CHUNK].tolist(), np.stack(columns, axis=-1))
 
 
 def cmd_curve(args, config: dict, out_dir: str) -> int:
@@ -391,28 +385,23 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
     outcome = classify_outcome(primary, outcome_inputs_from_trajectory(primary))
 
     records = list(primary.monitor.records)
-    if solver == "both":
-        records.extend(
-            dataclasses.replace(r, name="lagrangian-" + r.name)
-            for r in lagrangian_traj.monitor.records)
-
     hausdorff = None
     if solver == "both":
-        both_full = (support_traj.termination.kind == "HorizonReached"
-                     and lagrangian_traj.termination.kind == "HorizonReached")
-        if both_full:
-            hausdorff = polygon_hausdorff(_snapshot_polygon(support_traj.snapshots[-1]),
-                                          _snapshot_polygon(lagrangian_traj.snapshots[-1]))
+        records.extend(dataclasses.replace(r, name="lagrangian-" + r.name)
+                       for r in lagrangian_traj.monitor.records)
+        if support_traj.termination.kind == lagrangian_traj.termination.kind == "HorizonReached":
+            hausdorff = polygon_hausdorff(_snapshot_polygon(support_traj, -1),
+                                          _snapshot_polygon(lagrangian_traj, -1))
 
-    blocks = (_support_csv_blocks if primary.is_support else _curve_csv_blocks)(primary)
-    write_csv(os.path.join(out_dir, "curve.csv"), ["t", "theta", "S", "V", "k"], blocks)
+    write_csv(os.path.join(out_dir, "curve.csv"), ["t", "theta", "S", "V", "k"],
+              _csv_blocks(primary))
 
-    outlines = [_snapshot_polygon(traj.snapshots[i])
+    outlines = [_snapshot_polygon(traj, i)
                 for traj in (support_traj, lagrangian_traj) if traj is not None
-                for i in _outline_indices(len(traj.snapshots))]
+                for i in _outline_indices(len(traj.times))]
     write_text_atomic(os.path.join(out_dir, "curve.svg"), svg_text(outlines))
 
-    final_k = _snapshot_curvature(primary.snapshots[-1])
+    final_k = _snapshot_curvature(primary, -1)
     summary = {
         "kind": "curve",
         "preset": spec["preset"],
@@ -424,7 +413,7 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
         "record_every": cfg.record_every,
         "termination": dataclasses.asdict(primary.termination),
         "outcome": dataclasses.asdict(outcome),
-        "final_length": _snapshot_length(primary.snapshots[-1]),
+        "final_length": _snapshot_length(primary, -1),
         "final_k_min": float(np.min(final_k)),
         "final_k_max": float(np.max(final_k)),
         "cross_solver_hausdorff": hausdorff,
@@ -468,7 +457,7 @@ def _containment_config(args, config: dict, preset: dict) -> FlowConfig:
 
 def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
     pair = [_support_from_spec(spec, _grid(cfg.N)) for spec in (outer_spec, inner_spec)]
-    require_ordered_start(*pair)
+    require_ordered_start(*(s.sv for s in pair))
     outer, inner = run_support_flows([s.S for s in pair], [s.V for s in pair], cfg)
     return outer, inner, check_containment(outer, inner)
 
@@ -488,9 +477,10 @@ def cmd_containment(args, config: dict, out_dir: str) -> int:
 
     cfg = _containment_config(args, config, preset)
     outer, inner, record = _run_containment_pair(outer_spec, inner_spec, cfg)
-    rows = [(a.t, float(np.min(a.S - b.S))) for a, b in aligned_snapshots(outer, inner)]
+    m = aligned_prefix(outer, inner)
+    gaps = np.min(outer.data[:m, 0] - inner.data[:m, 0], axis=-1)
     write_csv(os.path.join(out_dir, "containment.csv"), ["t", "min_gap"],
-              [(None, np.reshape(rows, (-1, 2)))])
+              [(None, np.column_stack([outer.times[:m], gaps]))])
 
     summary = {
         "kind": "containment",
@@ -623,7 +613,7 @@ def _suite_outcomes() -> list[CheckRecord]:
     traj = run_support_flow(growing.S, growing.V, cfg)
     outcome = classify_outcome(traj, outcome_inputs_from_trajectory(traj))
     long_ok = outcome.predicted == "LongTime" and outcome.agreement
-    L = np.array([length_from_support(s) for s in traj.snapshots])
+    L = support_lengths(traj.data[:, 0])
     late = L[traj.times >= 0.5 * traj.times[-1]]
     growth_margin = float(np.min(np.diff(late)))
 
@@ -648,8 +638,9 @@ def _suite_normal_flow() -> list[CheckRecord]:
     curve = ellipse_curve(128, 1.5, 1.0, 1.0)
     cfg = FlowConfig(N=128, t_end=1.0, record_every=10)
     traj = run_lagrangian_flow(curve, curve.sigma, cfg)
-    worst = max(tangential_velocity_max(s) for s in traj.snapshots)
-    scale = max(float(np.max(np.abs(s.sigma))) for s in traj.snapshots)
+    P, sigma = unpack_curve(traj.data)
+    worst = tangential_velocity_max(P, sigma)
+    scale = float(np.max(np.abs(sigma)))
     return [residual_record("normal-flow/tangential-velocity", worst,
                             tolerance=1e-6 * scale)]
 

@@ -14,7 +14,8 @@ grids.support_derivatives, gives [S_thth + S, V_theta] of any such stack
 from one FFT round trip, so a stage costs one transform whatever B is.  A
 state caches its pair in SupportState.derivatives: validating an accepted
 step computes it, and the next step reuses it for the CFL bound and as its
-first stage, so an accepted step costs four stacked transforms.
+first stage, so an accepted step costs four stacked transforms.  A
+trajectory keeps each recorded state's row alone, so its pair dies with it.
 
 The principal part has characteristic speeds |k S_theta_t| +- 1, giving the
 CFL bound
@@ -35,13 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex
 from .grids import AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
-from .support import SupportState, default_eps_convex, length_from_support
+from .support import (PlaneCurve, SupportState, default_eps_convex, length_from_support,
+                      unpack_curve)
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
 DEFAULT_CFL_SAFETY = 0.5
@@ -149,22 +152,40 @@ class _Violation:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    snapshots: tuple            # SupportState or PlaneCurve, time-ordered
+    """A run's snapshot times (K,) and data rows, two read-only arrays.
+
+    data is (K, 2, N), rows [S, V], for a support run and (K, 3M), rows
+    [P.ravel(), sigma], for a Lagrangian run.
+    """
+
+    times: np.ndarray
+    data: np.ndarray
     termination: Termination
     monitor: MonitorReport
 
     def __post_init__(self):
-        times = [s.t for s in self.snapshots]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvalidConfig("snapshot times must be strictly increasing")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
+        self.times.setflags(write=False)
+        self.data.setflags(write=False)
+        if len(self.times) != len(self.data) or np.any(np.diff(self.times) <= 0.0):
+            raise InvalidConfig("snapshot times must be strictly increasing, one per row")
 
     @property
     def is_support(self) -> bool:
-        return isinstance(self.snapshots[0], SupportState)
+        return self.data.ndim == 3
+
+    def snapshot(self, k: int):
+        """Snapshot k as a new SupportState or PlaneCurve."""
+        t = float(self.times[k])
+        if self.is_support:
+            S, V = self.data[k]
+            return SupportState(grid=AngleGrid(S.size), S=S, V=V, t=t)
+        P, sigma = unpack_curve(self.data[k])
+        return PlaneCurve(P=P, sigma=sigma, t=t)
+
+    @property
+    def snapshots(self) -> tuple:
+        """Every snapshot(k), built anew on each access, for callers that want objects."""
+        return tuple(map(self.snapshot, range(len(self.times))))
 
 
 def cfl_bound(s: SupportState) -> float:
@@ -274,7 +295,7 @@ def bisect_to_violation(state, dt, first_bad: _Violation, attempt,
     return good, bad, state.t + 0.5 * (lo + hi)
 
 
-def integrate(states, cfg: FlowConfig, bound, step, validators, after_accept=None):
+def integrate(states, cfg: FlowConfig, bound, step, validators, row, after_accept=None):
     """Step members at one t to cfg.t_end on one schedule; the loop of both curve solvers.
 
     bound(state) is a member's CFL bound before safety (a fixed dt, the only
@@ -286,8 +307,9 @@ def integrate(states, cfg: FlowConfig, bound, step, validators, after_accept=Non
     admissibility boundary and ends there; the others go on.  after_accept(
     state, steps) may replace an accepted state before the record_every
     cadence; a violation of the replacement ends the member at the accepted
-    state.  Returns per member (snapshots, termination, final_state,
-    cfl_margin = min over steps of (allowed dt - taken dt)).
+    state.  row(state) is the float row a kept state is recorded as.  Returns
+    per member (times, data, termination, final_state, cfl_margin = min over
+    steps of (allowed dt - taken dt)), data the stack of the kept rows.
     """
     if len(states) > 1 and cfg.adaptive:
         raise InvalidConfig("members share one step schedule only with a fixed dt")
@@ -302,7 +324,7 @@ def integrate(states, cfg: FlowConfig, bound, step, validators, after_accept=Non
         return [(c, validators[i](c)) for c, i in zip(cands, index)]
 
     states = list(states)
-    snapshots = [[s] for s in states]
+    kept = [[(s.t, row(s))] for s in states]
     ends = [None] * len(states)
     cfl_margins = [math.inf] * len(states)
     live = list(range(len(states)))
@@ -327,9 +349,6 @@ def integrate(states, cfg: FlowConfig, bound, step, validators, after_accept=Non
                 live.remove(i)
                 continue
 
-            # The superseded state lives on only as a snapshot; clear its cached
-            # support pair or polygon geometry (a frozen dataclass cannot del it).
-            vars(states[i]).pop("derivatives", None)
             states[i] = trial
             replaced = trial if after_accept is None else after_accept(trial, steps)
             if replaced is not trial:
@@ -340,13 +359,15 @@ def integrate(states, cfg: FlowConfig, bound, step, validators, after_accept=Non
                     continue
                 states[i] = replaced
             if steps % cfg.record_every == 0:
-                snapshots[i].append(states[i])
+                kept[i].append((states[i].t, row(states[i])))
 
-    for snaps, state in zip(snapshots, states):
-        if snaps[-1].t < state.t - 1e-15:
-            snaps.append(state)
+    for rec, state in zip(kept, states):
+        if rec[-1][0] < state.t - 1e-15:
+            rec.append((state.t, row(state)))
     ends = [end or Termination("HorizonReached", t=s.t) for end, s in zip(ends, states)]
-    return list(zip(snapshots, ends, states, cfl_margins))
+    records = (zip(*rec) for rec in kept)      # (times, rows) of each member
+    return [(np.array(times), np.stack(rows), end, state, margin)
+            for (times, rows), end, state, margin in zip(records, ends, states, cfl_margins)]
 
 
 def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTrajectory:
@@ -381,9 +402,9 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
     # Every state cfl_bound sees has passed validate, so S''+S > eps there.
     runs = integrate(states, cfg, cfl_bound, step_supports,
                      [partial(validate_support_state, eps=eps, L0=L0)
-                      for eps, L0 in zip(floors, L0s)])
+                      for eps, L0 in zip(floors, L0s)], attrgetter("sv"))
     trajectories = []
-    for (snapshots, termination, state, cfl_margin), eps in zip(runs, floors):
+    for (times, data, termination, state, cfl_margin), eps in zip(runs, floors):
         monitor = MonitorReport(records=(
             margin_record("run-convexity-floor", float(np.min(state.derivatives[0]) - eps),
                           tolerance=0.0, note="final S''+S margin above the configured floor"),
@@ -391,6 +412,5 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
                           float(cfl_margin) if math.isfinite(cfl_margin) else 0.0,
                           tolerance=1e-15, note="min over steps of (allowed dt - taken dt)"),
         ))
-        trajectories.append(FlowTrajectory(snapshots=tuple(snapshots), termination=termination,
-                                           monitor=monitor))
+        trajectories.append(FlowTrajectory(times, data, termination, monitor))
     return tuple(trajectories)

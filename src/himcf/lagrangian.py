@@ -17,10 +17,12 @@ the point: agreement of the two is the module's strongest correctness check.
 What the two do share is the stepping policy (flow.integrate: the step
 rule, bisection of a violating step, the snapshot cadence) and classical
 RK4 (flow.rk4), here on the curve packed as one array [P.ravel(), sigma],
-whose P and sigma are contiguous views; the resampling runs as integrate's
-after_accept hook.
+whose P and sigma are contiguous views; that packed row is also what a
+trajectory records, and the resampling runs as integrate's after_accept hook.
 """
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .curves import (
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
 from .report import MonitorReport, margin_record
-from .support import PlaneCurve
+from .support import PlaneCurve, unpack_curve
 
 RESAMPLE_INTERVAL = 50
 
@@ -50,39 +52,34 @@ def _normal_curvature(g: PolygonGeometry):
 def _velocity(g: PolygonGeometry, sigma: np.ndarray) -> np.ndarray:
     nu, k = _normal_curvature(g)
     rates = np.empty(3 * sigma.size)
-    P_rate, sigma_rate = _unpack(rates)
+    P_rate, sigma_rate = unpack_curve(rates)
     np.multiply(sigma[:, None], nu, out=P_rate)
     np.divide(1.0, k, out=sigma_rate)
     return rates
 
 
-def _unpack(y: np.ndarray):
-    M = y.size // 3
-    return y[:2 * M].reshape(M, 2), y[2 * M:]
-
-
 def _rhs(y: np.ndarray) -> np.ndarray:
-    P, sigma = _unpack(y)
+    P, sigma = unpack_curve(y)
     return _velocity(PolygonGeometry(P), sigma)
 
 
-def tangential_velocity_max(c: PlaneCurve) -> float:
-    """Largest |<instantaneous vertex velocity, unit tangent>| on the curve.
+def tangential_velocity_max(P: np.ndarray, sigma: np.ndarray) -> float:
+    """Largest |<vertex velocity, unit tangent>| on polygons P (..., M, 2) with speeds sigma.
 
     The prescribed velocity is sigma * nu, so for an honest normal flow this
     is floating-point noise; a nonzero value would mean tangential drift.
     """
-    T, nu = c.derivatives.frame
-    vel = np.asarray(c.sigma)[:, None] * nu
-    return float(np.max(np.abs(np.sum(vel * T, axis=1))))
+    T, nu = PolygonGeometry(P).frame
+    vel = sigma[..., None] * nu
+    return float(np.max(np.abs(np.sum(vel * T, axis=-1))))
 
 
 def step_lagrangian(c: PlaneCurve, dt: float) -> PlaneCurve:
     """One classical 4th-order step of P' = sigma*nu(P), sigma' = 1/k(P)."""
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    y = rk4(_rhs, np.concatenate([c.P.ravel(), c.sigma]), dt, _velocity(c.derivatives, c.sigma))
-    P, sigma = _unpack(y)
+    y = rk4(_rhs, c.packed, dt, _velocity(c.derivatives, c.sigma))
+    P, sigma = unpack_curve(y)
     return PlaneCurve(P=P, sigma=sigma, t=c.t + dt)
 
 
@@ -142,9 +139,10 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
 
     L0 = curve.derivatives.length
     eps = cfg.convexity_floor(L0)
-    [(snapshots, termination, curve, _)] = integrate(
+    [(times, data, termination, curve, _)] = integrate(
         [curve], cfg, lagrangian_cfl_bound, lambda cs, h: [step_lagrangian(c, h) for c in cs],
-        [lambda cand: _validate_curve(cand, eps, L0)], _resample_every_interval)
+        [lambda cand: _validate_curve(cand, eps, L0)], attrgetter("packed"),
+        _resample_every_interval)
 
     k_final = curve.derivatives.curvature
     monitor = MonitorReport(records=(
@@ -152,5 +150,4 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
                       tolerance=0.0,
                       note="final discrete curvature stays positive"),
     ))
-    return FlowTrajectory(snapshots=tuple(snapshots), termination=termination,
-                          monitor=monitor)
+    return FlowTrajectory(times, data, termination, monitor)

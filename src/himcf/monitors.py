@@ -26,10 +26,10 @@ import numpy as np
 from .curves import PolygonGeometry, discrete_curvature
 from .errors import InsufficientData, InvalidConfig, OutOfDomain, PreconditionFailed
 from .flow import FlowTrajectory
-from .grids import TWO_PI, periodic_derivative, support_derivatives
+from .grids import TWO_PI, AngleGrid, periodic_derivative, support_derivatives
 from .radial import classify_regime, closed_form_radius, closed_form_velocity, sphere_geometry
 from .report import CheckRecord, MonitorReport, margin_record, residual_record
-from .support import SupportState, length_from_support, support_to_curve
+from .support import support_lengths, support_to_curve, unpack_curve
 
 # k_theta^2 coefficient of the curvature evolution equation, fixed by the
 # symbolic jet-space derivation in the test suite: -C * k_theta^2 / k**P.
@@ -78,52 +78,51 @@ def comparison_horizon(delta: float, f_max: float) -> float:
     return 0.5 * math.log((-1.0 + delta * f_max) / (1.0 + delta * f_max))
 
 
-def _snapshot_curvature(snap) -> np.ndarray:
-    if isinstance(snap, SupportState):
-        return 1.0 / snap.curvature_denominator()
-    return discrete_curvature(snap.P)
+# Fields of snapshot k of a trajectory, read off its data row.
+
+def _snapshot_curvature(traj: FlowTrajectory, k: int) -> np.ndarray:
+    if traj.is_support:
+        return 1.0 / support_derivatives(traj.data[k])[0]
+    return discrete_curvature(unpack_curve(traj.data[k])[0])
 
 
-def _snapshot_length(snap) -> float:
-    if isinstance(snap, SupportState):
-        return length_from_support(snap)
-    return PolygonGeometry(snap.P).length
+def _snapshot_length(traj: FlowTrajectory, k: int) -> float:
+    if traj.is_support:
+        return float(support_lengths(traj.data[k, 0]))
+    return PolygonGeometry(unpack_curve(traj.data[k])[0]).length
 
 
-def _snapshot_polygon(snap) -> np.ndarray:
-    if isinstance(snap, SupportState):
-        return support_to_curve(snap).P
-    return snap.P
+def _snapshot_polygon(traj: FlowTrajectory, k: int) -> np.ndarray:
+    if traj.is_support:
+        return support_to_curve(traj.snapshot(k)).P
+    return unpack_curve(traj.data[k])[0]
 
 
 def outcome_inputs_from_trajectory(traj: FlowTrajectory) -> OutcomeInputs:
     """Extract delta, zeta and the f extremes at t = 0; T* follows from them."""
-    snap = traj.snapshots[0]
-    k0 = _snapshot_curvature(snap)
-    speeds = snap.V if isinstance(snap, SupportState) else snap.sigma
+    k0 = _snapshot_curvature(traj, 0)
+    speeds = traj.data[0, 1] if traj.is_support else unpack_curve(traj.data[0])[1]
     return OutcomeInputs(delta=float(np.min(k0)), zeta=float(np.max(k0)),
                          f_min=float(np.min(speeds)), f_max=float(np.max(speeds)))
 
 
-def aligned_snapshots(outer: FlowTrajectory, inner: FlowTrajectory) -> list[tuple]:
-    """Snapshot pairs of the longest prefix whose times agree to 1e-9.
+def aligned_prefix(outer: FlowTrajectory, inner: FlowTrajectory) -> int:
+    """Length of the longest snapshot prefix whose times agree to 1e-9.
 
     A run that ends by bisection appends one off-schedule snapshot, so two
-    runs on one recording schedule need not align on all pairs.
+    runs on one recording schedule need not align on all snapshots.
     """
-    pairs = []
-    for a, b in zip(outer.snapshots, inner.snapshots):
-        if abs(a.t - b.t) > 1e-9:
-            break
-        pairs.append((a, b))
-    return pairs
+    m = min(len(outer.times), len(inner.times))
+    # The first True of the mismatches, a True appended as the sentinel.
+    return int(np.argmax(np.append(np.abs(outer.times[:m] - inner.times[:m]) > 1e-9, True)))
 
 
-def require_ordered_start(outer: SupportState, inner: SupportState) -> None:
-    """PreconditionFailed unless S_in <= S_out and V_in <= V_out pointwise at t = 0."""
-    if np.max(inner.S - outer.S) > 1e-12 * float(np.max(np.abs(outer.S))):
+def require_ordered_start(outer: np.ndarray, inner: np.ndarray) -> None:
+    """PreconditionFailed unless rows [S, V] at t = 0 have S_in <= S_out and V_in <= V_out."""
+    (S_out, V_out), (S_in, V_in) = outer, inner
+    if np.max(S_in - S_out) > 1e-12 * float(np.max(np.abs(S_out))):
         raise PreconditionFailed("inner curve does not start inside the outer")
-    if np.max(inner.V - outer.V) > 1e-12 * max(1.0, float(np.max(np.abs(outer.V)))):
+    if np.max(V_in - V_out) > 1e-12 * max(1.0, float(np.max(np.abs(V_out)))):
         raise PreconditionFailed("inner speed is not pointwise <= outer speed at t = 0")
 
 
@@ -136,37 +135,32 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
     """
     if not (outer.is_support and inner.is_support):
         raise PreconditionFailed("containment check needs support trajectories")
-    if outer.snapshots[0].grid.N != inner.snapshots[0].grid.N:
+    N = outer.data.shape[-1]
+    if inner.data.shape[-1] != N:
         raise PreconditionFailed("trajectories use different grids")
-    pairs = aligned_snapshots(outer, inner)
-    if len(pairs) < 2:
+    m = aligned_prefix(outer, inner)
+    if m < 2:
         raise PreconditionFailed(
             "snapshot schedules never align; the runner must share the "
             "recording schedule")
 
-    s_out0 = outer.snapshots[0]
-    require_ordered_start(s_out0, inner.snapshots[0])
+    require_ordered_start(outer.data[0], inner.data[0])
 
     # The first smallest gap in (snapshot, angle) order is the worst one.
-    S_out = np.array([a.S for a, _ in pairs])
-    gap = S_out - np.array([b.S for _, b in pairs])
+    S_out = outer.data[:m, 0]
+    gap = S_out - inner.data[:m, 0]
     i, j = np.unravel_index(np.argmin(gap), gap.shape)
     return margin_record("containment", float(gap[i, j]),
                          tolerance=1e-6 * float(np.max(np.abs(S_out))),
-                         t_worst=pairs[i][0].t, theta_worst=float(s_out0.grid.theta[j]))
+                         t_worst=float(outer.times[i]), theta_worst=float(AngleGrid(N).theta[j]))
 
 
 def _uniform_prefix(times: np.ndarray, rtol: float = 1e-9) -> int:
     """Length of the longest uniformly spaced snapshot prefix."""
     if times.size < 2:
         return times.size
-    d0 = times[1] - times[0]
-    count = 2
-    for i in range(2, times.size):
-        if abs((times[i] - times[i - 1]) - d0) > rtol * max(d0, 1e-300):
-            break
-        count += 1
-    return count
+    d = np.diff(times)
+    return 1 + int(np.argmax(np.append(np.abs(d - d[0]) > rtol * max(d[0], 1e-300), True)))
 
 
 def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
@@ -183,38 +177,24 @@ def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
         raise InsufficientData(
             f"need >= 5 uniformly spaced snapshots, found {m} "
             "(non-uniform spacing truncates the usable prefix)")
-    snaps = traj.snapshots[:m]
+    sv = traj.data[:m]
     dt = times[1] - times[0]
-    L = np.array([length_from_support(s) for s in snaps])
-    dtheta = TWO_PI / snaps[0].grid.N
+    L = support_lengths(sv[:, 0])
+    dtheta = TWO_PI / sv.shape[-1]
+    # Residuals at the interior snapshots 1 .. m-2.
+    rho, V_th = np.moveaxis(support_derivatives(sv)[1:-1], 1, 0)
+    r1 = np.abs((L[2:] - L[:-2]) / (2.0 * dt) - np.sum(sv[1:-1, 1], axis=-1) * dtheta)
+    r2 = np.abs((L[2:] - 2.0 * L[1:-1] + L[:-2]) / dt**2
+                - np.sum(1.0 / rho * V_th**2 + rho, axis=-1) * dtheta)
 
-    res1 = 0.0
-    res2 = 0.0
-    t1 = t2 = None
+    def record(name, r, tolerance):
+        i = int(np.argmax(r))
+        return residual_record(name, float(r[i]), tolerance=tolerance,
+                               t_worst=float(times[i + 1]) if r[i] > 0.0 else None)
+
     L_scale = float(np.max(L))
-    pairs = support_derivatives(np.stack([s.sv for s in snaps]))
-    for i in range(1, m - 1):
-        s = snaps[i]
-        dL = (L[i + 1] - L[i - 1]) / (2.0 * dt)
-        integral_v = float(np.sum(s.V)) * dtheta
-        r1 = abs(dL - integral_v)
-        if r1 > res1:
-            res1, t1 = r1, s.t
-
-        d2L = (L[i + 1] - 2.0 * L[i] + L[i - 1]) / dt**2
-        rho, V_th = pairs[i]
-        k = 1.0 / rho
-        integral_a = float(np.sum(k * V_th**2 + rho)) * dtheta
-        r2 = abs(d2L - integral_a)
-        if r2 > res2:
-            res2, t2 = r2, s.t
-
-    return MonitorReport(records=(
-        residual_record("length-identity-first", res1,
-                        tolerance=1e-3 * L_scale, t_worst=t1),
-        residual_record("length-identity-second", res2,
-                        tolerance=1e-2 * L_scale, t_worst=t2),
-    ))
+    return MonitorReport(records=(record("length-identity-first", r1, 1e-3 * L_scale),
+                                  record("length-identity-second", r2, 1e-2 * L_scale)))
 
 
 def classify_outcome(traj: FlowTrajectory, inputs: OutcomeInputs) -> OutcomeReport:
@@ -237,8 +217,8 @@ def classify_outcome(traj: FlowTrajectory, inputs: OutcomeInputs) -> OutcomeRepo
     finite_end = term.kind in ("LengthVanished", "CurvatureBlowup", "ConvexityLost")
     sub_label = None
     if finite_end:
-        L_end = _snapshot_length(traj.snapshots[-1])
-        L_start = _snapshot_length(traj.snapshots[0])
+        L_end = _snapshot_length(traj, -1)
+        L_start = _snapshot_length(traj, 0)
         if term.kind == "LengthVanished" or L_end <= 0.05 * L_start:
             sub_label = "PointCollapse"
         else:
@@ -391,21 +371,20 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> float:
     m = _uniform_prefix(times)
     if m < 3:
         raise InsufficientData("need >= 3 uniformly spaced snapshots")
-    snaps = traj.snapshots[:m]
+    sv = traj.data[:m]
     dt = times[1] - times[0]
-    pairs = support_derivatives(np.stack([s.sv for s in snaps]))
+    pairs = support_derivatives(sv)
     ks = 1.0 / pairs[:, 0]
 
     worst = 0.0
     for i in range(1, m - 1):
-        s = snaps[i]
         k = ks[i]
         k_tt = (ks[i + 1] - 2.0 * k + ks[i - 1]) / dt**2
         k_t = (ks[i + 1] - ks[i - 1]) / (2.0 * dt)
         k_th = periodic_derivative(k, 1)
         k_thth = periodic_derivative(k, 2)
         k_tth = periodic_derivative(k_t, 1)
-        S_t = np.asarray(s.V)
+        S_t = sv[i, 1]
         S_tht = pairs[i][1]
         rhs = (k**2 * (1.0 / k**2 - S_tht**2) * k_thth
                + 2.0 * k * S_tht * k_tth

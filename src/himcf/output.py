@@ -4,7 +4,7 @@ All numeric text uses the shortest round-trip decimal form of binary64 so
 repeated runs are byte-identical; files land via temp-file + rename so
 parallel scenario runs never interleave bytes.  A CSV file is streamed to
 disk one block at a time, so the memory that writing it takes does not grow
-with the length of the run (the trajectory still holds every snapshot).
+with the length of the run (the trajectory holds every snapshot's floats).
 """
 from __future__ import annotations
 

@@ -220,27 +220,26 @@ def _check_run(r0: float, r1: float, dt: float, t_end: float) -> None:
 
 
 def _march(omega_sq: Callable[[float], float], r0: float, r1: float,
-           dt: float, t_end: float, steps: int | None = None):
-    """RK4 samples [t], [r], [r_t] of r'' = omega_sq(t) r from (r0, r1).
+           dt: float, t_end: float, steps: int | None = None) -> np.ndarray:
+    """RK4 samples of r'' = omega_sq(t) r from (r0, r1), one row [t, r, r_t] each.
 
     Checks the inputs and the step budget, then steps h = min(dt, t_end - t)
     to t_end, stopping after the first r <= 0, or takes exactly `steps` steps.
     """
     _check_run(r0, r1, dt, t_end)
-    ts, rs, vs = [0.0], [r0], [r1]
-    t, r, v = 0.0, r0, r1
-    for _ in range(fixed_step_count(dt, t_end) if steps is None else steps):
+    count = fixed_step_count(dt, t_end) if steps is None else steps
+    out = np.empty((count + 1, 3))
+    t, r, v = out[0] = 0.0, r0, r1
+    for k in range(1, count + 1):
         h = min(dt, t_end - t)
         r, v = _rk4_step(r, v, omega_sq, t, h)
         t += h
         if not (math.isfinite(r) and math.isfinite(v)):
             raise NonFinite(f"the radial march overflows double precision at t = {t}")
-        ts.append(t)
-        rs.append(r)
-        vs.append(v)
+        out[k] = t, r, v
         if r <= 0.0 and steps is None:
-            break
-    return ts, rs, vs
+            return out[:k + 1]
+    return out
 
 
 def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
@@ -251,13 +250,13 @@ def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
     time is refined by bisection on the cubic Hermite dense output of the
     offending step, to 1e-6 in t.
     """
-    ts, rs, vs = _march(lambda _t, w=geometry.stiffness: w, r0, r1, dt, t_end)
+    rows = _march(lambda _t, w=geometry.stiffness: w, r0, r1, dt, t_end)
     extinction = None
-    if rs[-1] <= 0.0:
-        h = min(dt, t_end - ts[-2])
-        extinction = ts[-2] + _bisect_zero(rs[-2], vs[-2], rs[-1], vs[-1], h)
-        del ts[-1], rs[-1], vs[-1]
-    return RadialTrajectory(geometry=geometry, times=ts, r=rs, r_t=vs,
+    if rows[-1, 1] <= 0.0:
+        (t, ra, va), (_, rb, vb) = rows[-2:].tolist()
+        extinction = t + _bisect_zero(ra, va, rb, vb, min(dt, t_end - t))
+        rows = rows[:-1]
+    return RadialTrajectory(geometry=geometry, times=rows[:, 0], r=rows[:, 1], r_t=rows[:, 2],
                             extinction_time=extinction)
 
 
@@ -296,9 +295,8 @@ def forced_radial(geometry: RadialGeometry, c: Callable[[float], float],
         return stiffness + value
 
     # The brackets take as many steps as the forced row, past zeros of their own.
-    times, r = map(np.array, _march(omega_forced, r0, r1, dt, t_end)[:2])
-    r_lo, r_hi = (np.array(_march(lambda _t, w=stiffness + cb: w, r0, r1, dt, t_end,
-                                  len(times) - 1)[1])
+    times, r = _march(omega_forced, r0, r1, dt, t_end)[:, :2].T
+    r_lo, r_hi = (_march(lambda _t, w=stiffness + cb: w, r0, r1, dt, t_end, len(times) - 1)[:, 1]
                   for cb in (c_lo, c_hi))
     tolerance = 1e-8 * float(np.max(r_hi))
     lower = float(np.min(r - r_lo))

@@ -70,8 +70,8 @@ class SupportState:
         The state is immutable, so the flow solver's validation of a
         candidate also supplies its next CFL bound and first RK4 stage; a
         stepped batch fills each member's pair from one stacked kernel call.
-        flow.integrate drops the pair once the state is superseded, so
-        recorded snapshots hold S and V only.
+        A trajectory records only the state's sv, so the pair dies with the
+        state once it is superseded.
         """
         d = support_derivatives(self.sv)
         d.setflags(write=False)
@@ -108,10 +108,21 @@ class PlaneCurve:
     def M(self) -> int:
         return self.P.shape[0]
 
+    @property
+    def packed(self) -> np.ndarray:
+        """[P.ravel(), sigma] as one new (3M,) array: the RK4 state and trajectory row."""
+        return np.concatenate([self.P.ravel(), self.sigma])
+
     @cached_property
     def derivatives(self) -> PolygonGeometry:
-        """P's geometry pass, kept and dropped as SupportState.derivatives is."""
+        """P's geometry pass, cached per curve as SupportState.derivatives is."""
         return PolygonGeometry(self.P)
+
+
+def unpack_curve(y: np.ndarray):
+    """Views P (..., M, 2) and sigma (..., M) of packed rows y (..., 3M) = [P.ravel(), sigma]."""
+    M = y.shape[-1] // 3
+    return y[..., :2 * M].reshape(y.shape[:-1] + (M, 2)), y[..., 2 * M:]
 
 
 def convexity_check(s: SupportState) -> np.ndarray:
@@ -133,7 +144,12 @@ def curvature_from_support(s: SupportState) -> np.ndarray:
 
 def length_from_support(s: SupportState) -> float:
     """Curve length: the trapezoid (here: exact spectral) quadrature of S."""
-    return TWO_PI * float(s.S.mean())
+    return float(support_lengths(s.S))
+
+
+def support_lengths(S: np.ndarray) -> np.ndarray:
+    """length_from_support of each row of support samples S (..., N)."""
+    return TWO_PI * S.mean(axis=-1)
 
 
 def support_to_curve(s: SupportState) -> PlaneCurve:
@@ -225,11 +241,9 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -
                 converged = True
                 break
         if converged and abs(a - TWO_PI * i / M) <= 1.5 * TWO_PI / M:
-            polished = _trig_eval(coeff, weights, freq, a)
-            # Newton may only improve on the quadratic fit, never undercut the
-            # attained discrete maximum.
-            if polished >= g0:
-                value = polished
+            # Newton replaces the quadratic fit but never undercuts the attained
+            # discrete maximum (at a vertex it lands an ulp below it).
+            value = max(_trig_eval(coeff, weights, freq, a), g0)
         S[j] = value
 
     return SupportState(grid=grid, S=S, V=np.zeros(grid.N), t=c.t,

@@ -266,7 +266,7 @@ def test_criterion_10_normal_flow_invariant():
     worst = 0.0
     for snap in traj.snapshots:
         cap = max(np.max(np.abs(snap.sigma)), 1e-30)
-        worst = max(worst, tangential_velocity_max(snap) / cap)
+        worst = max(worst, tangential_velocity_max(snap.P, snap.sigma) / cap)
     _report(10, "normal-flow-invariant", worst <= 1e-6,
             f"worst tangential/normal velocity ratio {worst:.3e} "
             f"(tolerance 1e-6)")

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from himcf.errors import ConvexityLost, NotConvex, OriginNotInterior
 from himcf.grids import AngleGrid
+from himcf.presets import ellipse_support
 from himcf.support import (
     PlaneCurve,
     SupportState,
@@ -83,6 +84,15 @@ class TestCurveToSupport:
         S = 1.0 + 0.15 * np.cos(grid.theta) + 0.05 * np.cos(2 * grid.theta)
         back = curve_to_support(support_to_curve(make_state(grid, S)), grid)
         np.testing.assert_allclose(back.S, S, atol=1e-6)
+
+    @pytest.mark.parametrize("M", [256, 512, 1024])
+    def test_sampled_ellipse_converts_back_to_machine_precision(self, M):
+        # Grid angles that meet a vertex exactly must keep the vertex value,
+        # which Newton's polish reaches only to within an ulp.
+        curve = support_to_curve(ellipse_support(AngleGrid(M), 2.0, 1.0, 0.0))
+        back = curve_to_support(curve, AngleGrid(128))
+        np.testing.assert_allclose(back.S, ellipse_support(AngleGrid(128), 2.0, 1.0, 0.0).S,
+                                   rtol=0.0, atol=1e-13)
 
     def test_noninterior_origin_recenters_and_records_shift(self):
         M = 512
