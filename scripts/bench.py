@@ -4,6 +4,8 @@
     python3 scripts/bench.py --parent DIR --change DIR --pairs 10 --seconds 20 \
         --seed 1 7 --out BENCH.json
 
+    python3 scripts/bench.py --parent DIR --change DIR --counts --out BENCH.json
+
 For every seed and workload this runs `perfbench/run.py` once in each
 checkout per pair, and alternates which side runs first, since a run can
 slow the one after it.  The output file holds, per workload, seed and
@@ -15,6 +17,13 @@ against the one in the newest earlier BENCH_<n>.json beside --out (the
 highest n below the output's own, if its name has one).  Both checkouts must be
 whole source trees (`src/` and `perfbench/`); each run writes only inside
 its own checkout's `perfbench/_out` and `perfbench/_results`.
+
+With --counts nothing is timed.  For each checkout a fresh interpreter
+counts, with sys.setprofile, the Python and C calls per accepted step of
+fixed-dt support runs at N in COUNT_N and B in COUNT_B and of a Lagrangian
+run at COUNT_M vertices.  The counts are exact for one Python and numpy
+version.  They go under "counts" in --out, next to what the file already
+holds (run the timed pairs first), and a table of both sides is printed.
 """
 from __future__ import annotations
 
@@ -26,8 +35,14 @@ import re
 import statistics
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
+
+COUNT_N = (64, 128, 256, 512)
+COUNT_B = (1, 2)
+COUNT_M = 256
+COUNT_STEPS = (10, 30)    # two run lengths; their difference is the per-step work
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -60,6 +75,93 @@ def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
             "pairs": len(a),
         }
     return out
+
+
+def profiled_calls(fn):
+    """({"python": n, "c": n}, fn()): the calls sys.setprofile sees while fn runs."""
+    counts = {"python": 0, "c": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["python"] += 1
+        elif event == "c_call":
+            counts["c"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return counts, result
+
+
+def per_step_calls(run) -> dict:
+    """Calls per accepted step of run(steps), a fixed-dt run returning trajectories.
+
+    After a warm-up run, the calls of a long and a short run are differenced
+    and divided by their difference in steps, so set-up and the final
+    record cancel.
+    """
+    short, long = COUNT_STEPS
+    run(short)
+    (a, traj_a), (b, traj_b) = (profiled_calls(partial(run, n)) for n in (short, long))
+    steps = len(traj_b[0].times) - len(traj_a[0].times)
+    out = {key: (b[key] - a[key]) / steps for key in a}
+    out["total"] = out["python"] + out["c"]
+    return out
+
+
+def call_counts() -> dict:
+    """Per-step profiled calls of the himcf on sys.path (see --counts)."""
+    from himcf.flow import FlowConfig, run_support_flows
+    from himcf.grids import AngleGrid
+    from himcf.lagrangian import run_lagrangian_flow
+    from himcf.presets import ellipse_curve, ellipse_support
+
+    def support_run(N, B, steps, dt=1e-3):
+        s = ellipse_support(AngleGrid(N), 2.0, 1.0, speed=0.5)
+        return run_support_flows([s.S, 1.5 * s.S][:B], [s.V, s.V][:B],
+                                 FlowConfig(N=N, dt=dt, t_end=steps * dt))
+
+    def lagrangian_run(steps, dt=1e-4):
+        curve = ellipse_curve(COUNT_M, 2.0, 1.0, speed=0.5)
+        return [run_lagrangian_flow(curve, 0.5, FlowConfig(dt=dt, t_end=steps * dt))]
+
+    counts = {f"support N={N} B={B}": per_step_calls(partial(support_run, N, B))
+              for N in COUNT_N for B in COUNT_B}
+    counts[f"lagrangian M={COUNT_M}"] = per_step_calls(lagrangian_run)
+    return counts
+
+
+def side_counts(checkout: str) -> dict:
+    """call_counts() of the himcf under checkout/src, in a fresh interpreter."""
+    scripts = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"), scripts]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, bench; print(json.dumps(bench.call_counts()))"],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def write_counts(sides: dict, out: str) -> None:
+    """Both sides' call_counts under "counts" in out, keeping its other keys; print a table."""
+    counts = {side: side_counts(path) for side, path in sides.items()}
+    report = {}
+    if os.path.exists(out):
+        with open(out) as fh:
+            report = json.load(fh)
+    report["counts"] = {"python": platform.python_version(), "numpy": np.__version__,
+                        "unit": "profiled calls per accepted step", **counts}
+    with open(out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print("| run | parent C + Python = total | change C + Python = total | change |")
+    print("|---|---|---|---|")
+    for name, p in counts["parent"].items():
+        c = counts["change"][name]
+        print(f"| {name} | {p['c']:g} + {p['python']:g} = {p['total']:g} | "
+              f"{c['c']:g} + {c['python']:g} = {c['total']:g} | "
+              f"{100.0 * (c['total'] - p['total']) / p['total']:+.1f} % |")
 
 
 def _bench_number(path: str) -> int | None:
@@ -104,15 +206,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", default=None,
                         help="workloads to run (default: all in BENCHMARK.json)")
     parser.add_argument("--out", default="BENCH.json", help="output JSON file")
+    parser.add_argument("--counts", action="store_true",
+                        help="count profiled calls per step instead of timing (see above)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    if args.counts:
+        write_counts(sides, args.out)
+        return 0
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     results = []
     for seed in args.seed:

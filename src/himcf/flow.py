@@ -6,16 +6,15 @@ The flow in normal-angle gauge is the quasilinear wave equation
          = k (S_theta_t)^2 + 1/k,          k = 1/(S_thth + S),
 
 integrated as the first-order system S' = V, V' = rhs with classical RK4 and
-spectral theta-derivatives.  A state is one (2, N) array [S, V], and a run
-has a leading batch axis: members on one fixed-dt schedule step as a
-(B, 2, N) stack (run_support_flows; run_support_flow is B = 1), each ending
-on its own and equal to its solo run bit for bit.  One kernel,
-grids.support_derivatives, gives [S_thth + S, V_theta] of any such stack
-from one FFT round trip, so a stage costs one transform whatever B is.  A
-state caches its pair in SupportState.derivatives: validating an accepted
-step computes it, and the next step reuses it for the CFL bound and as its
-first stage, so an accepted step costs four stacked transforms.  A
-trajectory keeps each recorded state's row alone, so its pair dies with it.
+spectral theta-derivatives.  One kernel, grids.support_derivatives, gives the
+pair [S_thth + S, V_theta] of any (..., 2, N) stack of rows [S, V] from one
+FFT round trip.  A run holds its live members as one (B, 2, 2, N) array,
+member b = [[S, V], [S_thth + S, V_theta]]: members on one fixed-dt schedule
+step together (run_support_flows; run_support_flow is B = 1), each ending on
+its own and equal to its solo run bit for bit.  A step forms its stages in
+work arrays allocated once per run and returns the candidates with their
+pairs, which validate them and give an accepted member's CFL bound and first
+stage: an accepted step costs four stacked transforms and builds no state.
 
 The principal part has characteristic speeds |k S_theta_t| +- 1, giving the
 CFL bound
@@ -35,16 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex
-from .grids import AngleGrid, support_derivatives
+from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
 from .support import (PlaneCurve, SupportState, default_eps_convex, length_from_support,
-                      unpack_curve)
+                      support_lengths, unpack_curve)
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
 DEFAULT_CFL_SAFETY = 0.5
@@ -102,11 +100,11 @@ class FlowConfig:
         """The run's floor: a state ends it once min S''+S <= floor (k >= 1/floor)."""
         return default_eps_convex(L0) if self.eps_convex is None else self.eps_convex
 
-    @property
+    @cached_property
     def adaptive(self) -> bool:
         return self.dt is None
 
-    @property
+    @cached_property
     def safety(self) -> float:
         if self.cfl_safety is not None:
             return self.cfl_safety
@@ -190,58 +188,76 @@ class FlowTrajectory:
 
 def cfl_bound(s: SupportState) -> float:
     """Largest stable dt (before safety factor) at a state with S''+S > 0."""
-    rho, V_th = s.derivatives
-    k = 1.0 / rho
-    speed = float(np.abs(k * V_th).max()) + 1.0
-    return s.grid.dtheta / speed
+    return _member_cfl_bound((s.sv, s.derivatives))
 
 
-def _stage_rhs(y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """[V, V_theta^2/rho + rho] of (..., 2, N) stacks y = [S, V], d = [rho, V_theta]."""
+def _member_cfl_bound(member) -> float:
+    # cfl_bound of a live member [[S, V], [S''+S, V_theta]].
+    rho, V_th = member[1]
+    q = np.divide(1.0, rho)
+    speed = float(np.maximum.reduce(np.abs(np.multiply(q, V_th, out=q), out=q))) + 1.0
+    return TWO_PI / rho.size / speed
+
+
+def _stage_rhs(y: np.ndarray, d: np.ndarray, out=None, spectrum=None) -> np.ndarray:
+    """[V, V_theta^2/rho + rho] of (..., 2, N) stacks y = [S, V], d = [rho, V_theta], into out.
+
+    Given a spectrum buffer it is a whole stage: d is first set to y's kernel pair.
+    """
+    if spectrum is not None:
+        support_derivatives(y, d, spectrum)
     # Stages only guard against sign loss; the eps ceiling is enforced on
     # completed candidate states, where the violation can be classified.
     rho = d[..., 0, :]
-    if rho.min() <= 0.0:
-        raise ConvexityLost(f"S''+S = {rho.min():.3e} <= 0")
-    out = np.empty_like(y)
+    m = np.minimum.reduce(rho, axis=None)
+    if m <= 0.0:
+        raise ConvexityLost(f"S''+S = {m:.3e} <= 0")
+    out = np.empty(y.shape) if out is None else out
     out[..., 0, :] = y[..., 1, :]
-    out[..., 1, :] = d[..., 1, :]**2 / rho + rho
+    a = out[..., 1, :]
+    np.add(np.divide(np.square(d[..., 1, :], out=a), rho, out=a), rho, out=a)
     return out
 
 
-def _stage(y: np.ndarray) -> np.ndarray:
-    return _stage_rhs(y, support_derivatives(y))
+def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray, out=None, u=None) -> np.ndarray:
+    """Classical RK4 step of the array y, y' = rhs(y); k1 = rhs(y) is given.
+
+    Stage inputs y + (0.5*dt)*k are formed in u and y + (dt/6) * (((k1 + 2 k2)
+    + 2 k3) + k4) in out (new arrays if not given); rhs may reuse one buffer.
+    """
+    out = np.empty(y.shape, y.dtype) if out is None else out
+    u = np.empty(y.shape, y.dtype) if u is None else u
+    k = rhs(np.add(y, np.multiply(0.5 * dt, k1, out=u), out=u))
+    np.add(k1, np.multiply(2.0, k, out=out), out=out)
+    k = rhs(np.add(y, np.multiply(0.5 * dt, k, out=u), out=u))
+    np.add(out, 2.0 * k, out=out)
+    np.add(out, rhs(np.add(y, np.multiply(dt, k, out=u), out=u)), out=out)
+    return np.add(y, np.multiply(dt / 6.0, out, out=out), out=out)
 
 
-def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
-    """Classical RK4 step of the array y, y' = rhs(y); k1 = rhs(y) is given."""
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _stage_work(B: int, N: int):
+    # Stage buffers of up to B members: input, k1, k and pair; the spectrum.
+    return np.empty((4, B, 2, N)), np.empty((B, 2, N // 2 + 1), complex)
 
 
-def _keep_pairs(states, sv: np.ndarray):
-    """Give each state its row of one kernel call on sv, the stack of their rows."""
-    d = support_derivatives(sv)
-    d.setflags(write=False)
-    for state, pair in zip(states, d):
-        vars(state)["derivatives"] = pair
-    return states
+def step_supports(members, dt: float, work) -> np.ndarray:
+    """One RK4 step of S' = V, V' = V_theta^2/rho + rho for live members at one t.
 
-
-def step_supports(states, dt: float) -> tuple[SupportState, ...]:
-    """One RK4 step of S' = V, V' = V_theta^2/rho + rho for members at one t.
-
-    dt is not policed.  Each stage, and the candidates' own pair (kept for
-    their validation), is one kernel call on the members' (B, 2, N) stack.
+    members is a (B, 2, 2, N) stack or sequence of [[S, V], [S''+S, V_theta]];
+    returns the candidates, with their pairs, as a new stack.  Each stage is one
+    kernel call into work, a run's _stage_work of at least B rows.  dt is not policed.
     """
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    y = np.array([s.sv for s in states])
-    sv = rk4(_stage, y, dt, _stage_rhs(y, np.array([s.derivatives for s in states])))
-    return _keep_pairs(tuple(SupportState(grid=s.grid, S=r[0], V=r[1], t=s.t + dt,
-                                          center=s.center) for s, r in zip(states, sv)), sv)
+    members = np.asarray(members, dtype=float)
+    b = members.shape[0]
+    real, spectrum = work
+    u, k1, k, d = real[:, :b]
+    y, cand = members[:, 0], np.empty(members.shape)
+    rk4(partial(_stage_rhs, d=d, out=k, spectrum=spectrum[:b]), y, dt,
+        _stage_rhs(y, members[:, 1], k1), out=cand[:, 0], u=u)
+    support_derivatives(cand[:, 0], cand[:, 1], spectrum[:b])
+    return cand
 
 
 def step_support(s: SupportState, dt: float) -> SupportState:
@@ -250,124 +266,137 @@ def step_support(s: SupportState, dt: float) -> SupportState:
     No run calls it; it stays as a hook point that perfbench/tracing.py
     wraps by name (tests/test_benchmark_hooks.py).
     """
-    return step_supports((s,), dt)[0]
+    S, V = step_supports([[s.sv, s.derivatives]], dt, _stage_work(1, s.grid.N))[0, 0]
+    return SupportState(grid=s.grid, S=S, V=V, t=s.t + dt, center=s.center)
 
 
-def validate_support_state(state: SupportState, eps: float, L0: float) -> _Violation | None:
-    """First degeneracy of a candidate state, or None if admissible.
+def validate_support_state(member: np.ndarray, eps: float, L0: float) -> _Violation | None:
+    """First degeneracy of a candidate member [[S, V], [S''+S, V_theta]], or None.
 
     LengthVanished is tested first (in a collapse it is crossed while the
     state is still convex); a sign loss of S''+S is ConvexityLost; a still
     positive S''+S at or below eps means k >= 1/eps, CurvatureBlowup.
     """
-    if length_from_support(state) <= LENGTH_VANISH_REL * L0:
+    if support_lengths(member[0, 0]) <= LENGTH_VANISH_REL * L0:
         return _Violation("LengthVanished")
-    rho = state.derivatives[0]
-    m = float(rho.min())
+    rho = member[1, 0]
+    m = np.minimum.reduce(rho)
     if m <= eps:
-        j = int(np.argmin(rho))
-        theta_j = float(state.grid.theta[j])
-        kind = "ConvexityLost" if m <= 0.0 else "CurvatureBlowup"
-        return _Violation(kind, theta=theta_j)
+        theta_j = float(AngleGrid(rho.size).theta[np.argmin(rho)])
+        return _Violation("ConvexityLost" if m <= 0.0 else "CurvatureBlowup", theta=theta_j)
     return None
 
 
-def bisect_to_violation(state, dt, first_bad: _Violation, attempt,
+def bisect_to_violation(batch, dt, first_bad: _Violation, attempt,
                         tol: float = _BISECT_TOL):
-    """Shrink a violating step to the admissibility boundary.
+    """Shrink a violating step of a batch of one member to the admissibility boundary.
 
-    attempt(state, h) -> (candidate | None, violation | None).  Returns the
-    last valid sub-stepped state (None if even tiny steps fail), the boundary
-    violation, and its time.
+    attempt(batch, h) -> ([candidate | None], [violation | None]).  Returns the
+    last valid sub-stepped member (None if even tiny steps fail) and its step,
+    the boundary violation, and the step to it (the final bracket's midpoint).
     """
     lo, hi = 0.0, dt
     good = None
     bad = first_bad
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        cand, v = attempt(state, mid)
+        (cand,), (v,) = attempt(batch, mid)
         if v is None:
             lo = mid
             good = cand
         else:
             hi = mid
             bad = v
-    return good, bad, state.t + 0.5 * (lo + hi)
+    return good, lo, bad, 0.5 * (lo + hi)
 
 
-def integrate(states, cfg: FlowConfig, bound, step, validators, row, after_accept=None):
-    """Step members at one t to cfg.t_end on one schedule; the loop of both curve solvers.
+def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
+              after_accept=None):
+    """Step members at time t to cfg.t_end on one schedule; the loop of both curve solvers.
 
-    bound(state) is a member's CFL bound before safety (a fixed dt, the only
-    kind that may serve B > 1, is checked against each, lowest index first);
-    step(members, h) returns their candidates; validators[i](candidate) is
-    member i's first violation or None.  A step raising ConvexityLost,
-    NotConvex or DegenerateEdge is a ConvexityLost violation (a batch is then
-    retried member by member).  A violating member is bisected alone to its
-    admissibility boundary and ends there; the others go on.  after_accept(
-    state, steps) may replace an accepted state before the record_every
-    cadence; a violation of the replacement ends the member at the accepted
-    state.  row(state) is the float row a kept state is recorded as.  Returns
-    per member (times, data, termination, final_state, cfl_margin = min over
-    steps of (allowed dt - taken dt)), data the stack of the kept rows.
+    step(members, h) returns the candidates as a sequence of the kind it takes
+    (the support solver's one array; a list where after_accept may replace
+    one).  bound(member) is a member's CFL bound before safety (a fixed dt, the
+    only kind that may serve B > 1, is checked against each, lowest index
+    first); validators[i](candidate) is member i's first violation or None.  A
+    step raising ConvexityLost, NotConvex or DegenerateEdge is a ConvexityLost
+    violation (a batch is then retried member by member).  A violating member
+    is bisected alone to its admissibility boundary and ends there.
+    after_accept(member, steps) may replace an accepted member before the
+    record_every cadence; a violation of the replacement ends the member at
+    the accepted one.  row(member) is the new float row a kept member is
+    recorded as.  Returns per member (times, data, termination, final member,
+    cfl_margin = min over steps of (allowed dt - taken dt)).
     """
-    if len(states) > 1 and cfg.adaptive:
+    if len(members) > 1 and cfg.adaptive:
         raise InvalidConfig("members share one step schedule only with a fixed dt")
 
-    def attempt(members, h, index):
+    def attempt(batch, h, index):
+        # The candidates of members index (batch) after a step h, and their violations.
         try:
-            cands = step(members, h)
+            cands = step(batch, h)
         except (ConvexityLost, NotConvex, DegenerateEdge):
-            if len(members) > 1:
-                return [attempt((m,), h, (i,))[0] for m, i in zip(members, index)]
-            return [(None, _Violation("ConvexityLost"))]
-        return [(c, validators[i](c)) for c, i in zip(cands, index)]
+            if len(batch) == 1:
+                return [None], [_Violation("ConvexityLost")]
+            solo = [attempt(batch[j:j + 1], h, index[j:j + 1]) for j in range(len(batch))]
+            return [c for (c,), _ in solo], [v for _, (v,) in solo]
+        return cands, [validators[i](c) for i, c in zip(index, cands)]
 
-    states = list(states)
-    kept = [[(s.t, row(s))] for s in states]
-    ends = [None] * len(states)
-    cfl_margins = [math.inf] * len(states)
-    live = list(range(len(states)))
+    kept = [[(t, row(m))] for m in members]
+    ends = [None] * len(members)        # (termination, final member, its t) once ended
+    cfl_margins = [math.inf] * len(members)
+    live = list(range(len(members)))
+    safety = cfg.safety
     steps = 0
-    while live and states[live[0]].t < cfg.t_end - 1e-12:
+    while live and t < cfg.t_end - 1e-12:
         if steps >= _MAX_STEPS:
             raise InvalidConfig("step budget exhausted before t_end")
 
-        for i in live:
-            b = bound(states[i])
-            dt = cfg.next_dt(b, states[i].t)
-            cfl_margins[i] = min(cfl_margins[i], cfg.safety * b - dt)
+        for i, m in zip(live, members):
+            b = bound(m)
+            dt = cfg.next_dt(b, t)
+            margin = safety * b - dt
+            if margin < cfl_margins[i]:
+                cfl_margins[i] = margin
 
         steps += 1
-        for i, (trial, violation) in zip(live[:], attempt([states[i] for i in live], dt, live)):
+        cands, violations = attempt(members, dt, live)
+        dropped = False
+        for j, (i, cand, violation) in enumerate(zip(live, cands, violations)):
             if violation is not None:
-                good, boundary, t_bad = bisect_to_violation(
-                    states[i], dt, violation, lambda st, h, i=i: attempt((st,), h, (i,))[0])
-                if good is not None:
-                    states[i] = good
-                ends[i] = Termination(boundary.kind, t=t_bad, theta=boundary.theta)
-                live.remove(i)
+                good, lo, bad, h_bad = bisect_to_violation(
+                    members[j:j + 1], dt, violation, lambda batch, h, i=i: attempt(batch, h, (i,)))
+                end = Termination(bad.kind, t=t + h_bad, theta=bad.theta)
+                ends[i] = (end, members[j], t) if good is None else (end, good, t + lo)
+                dropped = True
                 continue
-
-            states[i] = trial
-            replaced = trial if after_accept is None else after_accept(trial, steps)
-            if replaced is not trial:
-                violation = validators[i](replaced)
-                if violation is not None:
-                    ends[i] = Termination(violation.kind, t=trial.t, theta=violation.theta)
-                    live.remove(i)
-                    continue
-                states[i] = replaced
+            if after_accept is not None:
+                replaced = after_accept(cand, steps)
+                if replaced is not cand:
+                    violation = validators[i](replaced)
+                    if violation is not None:
+                        ends[i] = (Termination(violation.kind, t=t + dt, theta=violation.theta),
+                                   cand, t + dt)
+                        dropped = True
+                        continue
+                    cands[j] = cand = replaced
             if steps % cfg.record_every == 0:
-                kept[i].append((states[i].t, row(states[i])))
+                kept[i].append((t + dt, row(cand)))
+        t += dt
+        members = cands
+        if dropped:
+            members = [m for m, i in zip(members, live) if ends[i] is None]
+            live = [i for i in live if ends[i] is None]
 
-    for rec, state in zip(kept, states):
-        if rec[-1][0] < state.t - 1e-15:
-            rec.append((state.t, row(state)))
-    ends = [end or Termination("HorizonReached", t=s.t) for end, s in zip(ends, states)]
-    records = (zip(*rec) for rec in kept)      # (times, rows) of each member
-    return [(np.array(times), np.stack(rows), end, state, margin)
-            for (times, rows), end, state, margin in zip(records, ends, states, cfl_margins)]
+    for i, m in zip(live, members):
+        ends[i] = (Termination("HorizonReached", t=t), m, t)
+    runs = []
+    for rec, (end, m, t_m), margin in zip(kept, ends, cfl_margins):
+        if rec[-1][0] < t_m - 1e-15:
+            rec.append((t_m, row(m)))
+        times, rows = zip(*rec)
+        runs.append((np.array(times), np.stack(rows), end, m, margin))
+    return runs
 
 
 def run_support_flow(S0: np.ndarray, V0: np.ndarray, cfg: FlowConfig) -> FlowTrajectory:
@@ -393,20 +422,23 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
         if grid.N != cfg.N:
             raise InvalidConfig(f"config N = {cfg.N} but data has {grid.N} samples")
         states.append(SupportState(grid=grid, S=S0, V=V0, t=0.0))
-    _keep_pairs(states, np.array([s.sv for s in states]))
+    y = np.array([s.sv for s in states])
+    members = np.stack([y, support_derivatives(y)], axis=1)
     L0s = [length_from_support(s) for s in states]
     floors = [cfg.convexity_floor(L0) for L0 in L0s]
-    if any(validate_support_state(*args) is not None for args in zip(states, floors, L0s)):
+    if any(validate_support_state(m, eps, L0) is not None
+           for m, eps, L0 in zip(members, floors, L0s)):
         raise ConvexityLost("initial data is not strictly convex", t=0.0)
 
-    # Every state cfl_bound sees has passed validate, so S''+S > eps there.
-    runs = integrate(states, cfg, cfl_bound, step_supports,
+    # Every member _member_cfl_bound sees has passed validation, so S''+S > eps there.
+    runs = integrate(members, 0.0, cfg, _member_cfl_bound,
+                     partial(step_supports, work=_stage_work(len(members), cfg.N)),
                      [partial(validate_support_state, eps=eps, L0=L0)
-                      for eps, L0 in zip(floors, L0s)], attrgetter("sv"))
+                      for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy())
     trajectories = []
-    for (times, data, termination, state, cfl_margin), eps in zip(runs, floors):
+    for (times, data, termination, member, cfl_margin), eps in zip(runs, floors):
         monitor = MonitorReport(records=(
-            margin_record("run-convexity-floor", float(np.min(state.derivatives[0]) - eps),
+            margin_record("run-convexity-floor", float(np.min(member[1, 0]) - eps),
                           tolerance=0.0, note="final S''+S margin above the configured floor"),
             margin_record("run-cfl-compliance",
                           float(cfl_margin) if math.isfinite(cfl_margin) else 0.0,

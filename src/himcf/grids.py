@@ -80,18 +80,22 @@ def _support_multipliers(n: int) -> np.ndarray:
     return table
 
 
-def support_derivatives(sv: np.ndarray) -> np.ndarray:
-    """[S_thth + S, V_theta] of a (..., 2, N) stack of rows [S, V]: the one stage kernel.
+def support_derivatives(sv: np.ndarray, out: np.ndarray | None = None,
+                        spectrum: np.ndarray | None = None) -> np.ndarray:
+    """[S_thth + S, V_theta] of a (..., 2, N) float array of rows [S, V]: the one stage kernel.
 
     One FFT round trip serves the whole stack (a batch of B members costs one
     transform); each row equals the periodic_derivative call bit for bit.
+    The pair is written to out and the half spectrum to spectrum, shaped
+    (..., 2, N) and (..., 2, N//2 + 1) complex, when the caller gives them.
     """
-    sv = np.asarray(sv, dtype=float)
     if sv.ndim < 2 or sv.shape[-2] != 2:
         raise ValueError(f"expected a (..., 2, N) stack of rows [S, V], got {sv.shape}")
-    if not np.isfinite(sv).all():
+    if not np.logical_and.reduce(np.isfinite(sv), axis=None):
         raise NonFinite("non-finite samples (an overflow or NaN)")
     n = sv.shape[-1]
-    d = np.fft.irfft(np.fft.rfft(sv) * _support_multipliers(n), n)
+    spectrum = np.fft.rfft(sv, out=spectrum)
+    np.multiply(spectrum, _support_multipliers(n), out=spectrum)
+    d = np.fft.irfft(spectrum, n, out=out)
     d[..., 0, :] += sv[..., 0, :]
     return d

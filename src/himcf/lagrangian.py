@@ -140,7 +140,8 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
     L0 = curve.derivatives.length
     eps = cfg.convexity_floor(L0)
     [(times, data, termination, curve, _)] = integrate(
-        [curve], cfg, lagrangian_cfl_bound, lambda cs, h: [step_lagrangian(c, h) for c in cs],
+        [curve], curve.t, cfg, lagrangian_cfl_bound,
+        lambda cs, h: [step_lagrangian(c, h) for c in cs],
         [lambda cand: _validate_curve(cand, eps, L0)], attrgetter("packed"),
         _resample_every_interval)
 

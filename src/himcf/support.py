@@ -67,11 +67,9 @@ class SupportState:
     def derivatives(self) -> np.ndarray:
         """[S'' + S, V_theta] as a read-only (2, N) array, computed once per state.
 
-        The state is immutable, so the flow solver's validation of a
-        candidate also supplies its next CFL bound and first RK4 stage; a
-        stepped batch fills each member's pair from one stacked kernel call.
-        A trajectory records only the state's sv, so the pair dies with the
-        state once it is superseded.
+        For callers that hold a state, such as cfl_bound or step_support.  A
+        flow run builds no state while it steps: each live member carries
+        its pair next to its [S, V] rows in the run's stack.
         """
         d = support_derivatives(self.sv)
         d.setflags(write=False)
@@ -115,7 +113,7 @@ class PlaneCurve:
 
     @cached_property
     def derivatives(self) -> PolygonGeometry:
-        """P's geometry pass, cached per curve as SupportState.derivatives is."""
+        """P's geometry pass, once per curve: its check, CFL bound and next stage share it."""
         return PolygonGeometry(self.P)
 
 
@@ -149,7 +147,7 @@ def length_from_support(s: SupportState) -> float:
 
 def support_lengths(S: np.ndarray) -> np.ndarray:
     """length_from_support of each row of support samples S (..., N)."""
-    return TWO_PI * S.mean(axis=-1)
+    return TWO_PI * (np.add.reduce(S, axis=-1) / S.shape[-1])
 
 
 def support_to_curve(s: SupportState) -> PlaneCurve:

@@ -1,15 +1,18 @@
 """Support-function PDE solver: RHS, stepping, full runs, termination."""
 import functools
 import gc
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import himcf.flow
+import himcf.grids
 import himcf.support
-from himcf.errors import CflViolation, ConvexityLost, InvalidConfig
+from himcf.errors import CflViolation, ConvexityLost, InvalidConfig, NonFinite
 from himcf.flow import (
     FIXED_DT_CFL_LIMIT,
     FlowConfig,
@@ -228,9 +231,9 @@ class TestDerivativeReuse:
         for B in (1, 2):
             calls = []
 
-            def counted(sv):
+            def counted(sv, *out):
                 calls.append(np.shape(sv))
-                return kernel(sv)
+                return kernel(sv, *out)
 
             monkeypatch.setattr(himcf.flow, "support_derivatives", counted)
             monkeypatch.setattr(himcf.support, "support_derivatives", counted)
@@ -302,9 +305,9 @@ class TestBatchInvariance:
         calls = []
         real_step = himcf.flow.step_supports
 
-        def spy(states, dt):
+        def spy(states, dt, **work):
             try:
-                out = real_step(states, dt)
+                out = real_step(states, dt, **work)
             except ConvexityLost:
                 calls.append((len(states), "raised"))
                 raise
@@ -388,3 +391,107 @@ class TestConfigValidation:
             with pytest.raises(InvalidConfig, match="step budget"):
                 FlowConfig(dt=dt, t_end=t_end)
         FlowConfig(t_end=1e300)                     # adaptive runs are not counted
+
+
+# The allocating support step that the in-place one replaced: every operation
+# makes a new array, in the arithmetic order the in-place step must keep.
+
+def _reference_kernel(sv):
+    if not np.isfinite(sv).all():
+        raise NonFinite("non-finite samples (an overflow or NaN)")
+    n = sv.shape[-1]
+    d = np.fft.irfft(np.fft.rfft(sv) * himcf.grids._support_multipliers(n), n)
+    d[..., 0, :] += sv[..., 0, :]
+    return d
+
+
+def _reference_rhs(y, d):
+    rho = d[..., 0, :]
+    if rho.min() <= 0.0:
+        raise ConvexityLost(f"S''+S = {rho.min():.3e} <= 0")
+    out = np.empty_like(y)
+    out[..., 0, :] = y[..., 1, :]
+    out[..., 1, :] = d[..., 1, :]**2 / rho + rho
+    return out
+
+
+def reference_step(members, dt, work=None):
+    """step_supports on new arrays: stage inputs y + 0.5*dt*k, then y + dt/6*(k1 + ... + k4)."""
+    members = np.asarray(members, dtype=float)
+    y = members[:, 0]
+    k1 = _reference_rhs(y, members[:, 1])
+    k2 = _reference_rhs(y + 0.5 * dt * k1, _reference_kernel(y + 0.5 * dt * k1))
+    k3 = _reference_rhs(y + 0.5 * dt * k2, _reference_kernel(y + 0.5 * dt * k2))
+    k4 = _reference_rhs(y + dt * k3, _reference_kernel(y + dt * k3))
+    cand = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.stack([cand, _reference_kernel(cand)], axis=1)
+
+
+class TestInPlaceStep:
+    """run_support_flows equals runs stepped by reference_step, bit for bit."""
+
+    def assert_reference_runs(self, S0s, V0s, cfg, monkeypatch):
+        runs = run_support_flows(S0s, V0s, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(himcf.flow, "step_supports", reference_step)
+            references = run_support_flows(S0s, V0s, cfg)
+        for run, ref in zip(runs, references, strict=True):
+            assert np.array_equal(run.times, ref.times)
+            assert np.array_equal(run.data, ref.data)
+            assert run.termination == ref.termination
+            # The CFL margin and the final convexity margin, exactly.
+            assert run.monitor == ref.monitor
+        return runs
+
+    @pytest.mark.parametrize("N", [64, 512])
+    @pytest.mark.parametrize("B", [1, 2])
+    def test_fixed_dt(self, N, B, monkeypatch):
+        grid = AngleGrid(N)
+        s0 = ellipse_support(grid, 1.3, 1.0, speed=0.4)
+        V0 = s0.V + 0.1 * np.cos(2 * grid.theta)
+        runs = self.assert_reference_runs([s0.S, 1.5 * s0.S][:B], [V0, -V0][:B],
+                                          FlowConfig(N=N, dt=1e-3, t_end=0.05), monkeypatch)
+        assert [len(run.times) for run in runs] == [51] * B
+
+    def test_adaptive_expanding_run(self, monkeypatch):
+        s0 = ellipse_support(AngleGrid(128), 2.0, 1.0, speed=0.5)
+        [run] = self.assert_reference_runs([s0.S], [s0.V], FlowConfig(N=128, t_end=0.3),
+                                           monkeypatch)
+        assert run.termination.kind == "HorizonReached"
+
+    def test_collapsing_circle_ends_by_bisection(self, monkeypatch):
+        [run] = self.assert_reference_runs([np.ones(64)], [-2.0 * np.ones(64)],
+                                           FlowConfig(N=64, t_end=1.0), monkeypatch)
+        assert run.termination.kind == "LengthVanished"
+        assert run.termination.t == pytest.approx(0.5 * math.log(3.0), abs=1e-5)
+
+    def test_stage_failure_retried_member_by_member(self, monkeypatch):
+        pool = _batch_pool()
+        runs = self.assert_reference_runs([pool[0].S, pool[4].S], [pool[0].V, pool[4].V],
+                                          _BATCH_CFG, monkeypatch)
+        assert [run.termination.kind for run in runs] == ["HorizonReached", "CurvatureBlowup"]
+
+
+def _load_bench():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_profiled_call_counts_of_a_fixed_dt_run_repeat_exactly():
+    # The instrument behind `scripts/bench.py --counts`: sys.setprofile call
+    # counts are exact, so they can resolve per-step work that wall time
+    # cannot.  They change with the Python and numpy versions and are not pinned.
+    bench = _load_bench()
+    s0 = ellipse_support(AngleGrid(128), 2.0, 1.0, speed=0.5)
+    cfg = FlowConfig(N=128, dt=1e-3, t_end=0.05)
+
+    def run():
+        return run_support_flow(s0.S, s0.V, cfg)
+
+    run()
+    counts = [bench.profiled_calls(run)[0] for _ in range(3)]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["python"] > 50 and counts[0]["c"] > 50
