@@ -23,11 +23,13 @@ counts, with sys.setprofile, the Python and C calls per accepted step of
 fixed-dt support runs at N in COUNT_N and B in COUNT_B and of a Lagrangian
 run at COUNT_M vertices.  The counts are exact for one Python and numpy
 version.  They go under "counts" in --out, next to what the file already
-holds (run the timed pairs first), and a table of both sides is printed.
+holds (run the timed pairs first), with each checkout's src_lines (the line
+count of src/himcf/*.py), and a table of both sides is printed.
 """
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -143,15 +145,29 @@ def side_counts(checkout: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def src_lines(checkout: str) -> int:
+    """Lines of checkout/src/himcf/*.py, as `cat src/himcf/*.py | wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "himcf", "*.py")):
+        with open(path) as fh:
+            total += fh.read().count("\n")
+    return total
+
+
 def write_counts(sides: dict, out: str) -> None:
-    """Both sides' call_counts under "counts" in out, keeping its other keys; print a table."""
+    """Both sides' call_counts and src_lines under "counts" in out, keeping its other keys.
+
+    A table of both sides is printed.
+    """
     counts = {side: side_counts(path) for side, path in sides.items()}
+    lines = {side: src_lines(path) for side, path in sides.items()}
     report = {}
     if os.path.exists(out):
         with open(out) as fh:
             report = json.load(fh)
     report["counts"] = {"python": platform.python_version(), "numpy": np.__version__,
-                        "unit": "profiled calls per accepted step", **counts}
+                        "unit": "profiled calls per accepted step", **counts,
+                        "src_lines": lines}
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -162,6 +178,8 @@ def write_counts(sides: dict, out: str) -> None:
         print(f"| {name} | {p['c']:g} + {p['python']:g} = {p['total']:g} | "
               f"{c['c']:g} + {c['python']:g} = {c['total']:g} | "
               f"{100.0 * (c['total'] - p['total']) / p['total']:+.1f} % |")
+    p, c = lines["parent"], lines["change"]
+    print(f"| src lines | {p} | {c} | {100.0 * (c - p) / p:+.1f} % |")
 
 
 def _bench_number(path: str) -> int | None:

@@ -42,9 +42,6 @@ from .flow import FlowConfig, FlowTrajectory, run_support_flow, run_support_flow
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max
 from .monitors import (
-    _snapshot_curvature,
-    _snapshot_length,
-    _snapshot_polygon,
     aligned_prefix,
     check_containment,
     check_length_identities,
@@ -390,18 +387,17 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
         records.extend(dataclasses.replace(r, name="lagrangian-" + r.name)
                        for r in lagrangian_traj.monitor.records)
         if support_traj.termination.kind == lagrangian_traj.termination.kind == "HorizonReached":
-            hausdorff = polygon_hausdorff(_snapshot_polygon(support_traj, -1),
-                                          _snapshot_polygon(lagrangian_traj, -1))
+            hausdorff = polygon_hausdorff(support_traj.polygon(-1), lagrangian_traj.polygon(-1))
 
     write_csv(os.path.join(out_dir, "curve.csv"), ["t", "theta", "S", "V", "k"],
               _csv_blocks(primary))
 
-    outlines = [_snapshot_polygon(traj, i)
+    outlines = [traj.polygon(i)
                 for traj in (support_traj, lagrangian_traj) if traj is not None
                 for i in _outline_indices(len(traj.times))]
     write_text_atomic(os.path.join(out_dir, "curve.svg"), svg_text(outlines))
 
-    final_k = _snapshot_curvature(primary, -1)
+    final_k = primary.curvature(-1)
     summary = {
         "kind": "curve",
         "preset": spec["preset"],
@@ -413,7 +409,7 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
         "record_every": cfg.record_every,
         "termination": dataclasses.asdict(primary.termination),
         "outcome": dataclasses.asdict(outcome),
-        "final_length": _snapshot_length(primary, -1),
+        "final_length": primary.length(-1),
         "final_k_min": float(np.min(final_k)),
         "final_k_max": float(np.max(final_k)),
         "cross_solver_hausdorff": hausdorff,
@@ -464,13 +460,16 @@ def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
 
 def cmd_containment(args, config: dict, out_dir: str) -> int:
     scenario = _opt(args, config, "scenario", choices=tuple(_SCENARIOS))
-    if scenario is not None:
-        preset = _SCENARIOS[scenario]
-    elif "outer" in config and "inner" in config:
+    pair = [key for key in ("outer", "inner") if config.get(key) is not None]
+    if pair and scenario is not None:
+        raise InvalidConfig(f"config key {pair[0]!r} and a scenario exclude each other")
+    if len(pair) == 1:
+        raise InvalidConfig(f"config key {pair[0]!r} needs its partner: give outer and inner")
+    if pair:
         preset = {**_SCENARIOS["circle-in-circle"],
                   "outer": config["outer"], "inner": config["inner"]}
     else:
-        scenario = "circle-in-circle"
+        scenario = scenario or "circle-in-circle"
         preset = _SCENARIOS[scenario]
     outer_spec = preset["outer"]
     inner_spec = preset["inner"]

@@ -38,11 +38,12 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .curves import PolygonGeometry, discrete_curvature
 from .errors import CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
-from .support import (PlaneCurve, SupportState, default_eps_convex, length_from_support,
-                      support_lengths, unpack_curve)
+from .support import (PlaneCurve, SupportState, default_eps_convex, support_lengths,
+                      support_to_curve, unpack_curve)
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
 DEFAULT_CFL_SAFETY = 0.5
@@ -185,14 +186,33 @@ class FlowTrajectory:
         """Every snapshot(k), built anew on each access, for callers that want objects."""
         return tuple(map(self.snapshot, range(len(self.times))))
 
+    # Fields of snapshot k, read off its data row.
 
-def cfl_bound(s: SupportState) -> float:
-    """Largest stable dt (before safety factor) at a state with S''+S > 0."""
-    return _member_cfl_bound((s.sv, s.derivatives))
+    def curvature(self, k: int) -> np.ndarray:
+        """Curvature per point: 1/(S''+S), or the polygon's discrete curvature."""
+        if self.is_support:
+            return 1.0 / support_derivatives(self.data[k])[0]
+        return discrete_curvature(unpack_curve(self.data[k])[0])
+
+    def length(self, k: int) -> float:
+        """Curve length: the quadrature of S, or the polygon's perimeter."""
+        if self.is_support:
+            return float(support_lengths(self.data[k, 0]))
+        return PolygonGeometry(unpack_curve(self.data[k])[0]).length
+
+    def speeds(self, k: int) -> np.ndarray:
+        """V, or the vertices' normal speeds sigma."""
+        return self.data[k, 1] if self.is_support else unpack_curve(self.data[k])[1]
+
+    def polygon(self, k: int) -> np.ndarray:
+        """Boundary vertices (M, 2): the support state's reconstruction, or P itself."""
+        if self.is_support:
+            return support_to_curve(self.snapshot(k)).P
+        return unpack_curve(self.data[k])[0]
 
 
-def _member_cfl_bound(member) -> float:
-    # cfl_bound of a live member [[S, V], [S''+S, V_theta]].
+def cfl_bound(member) -> float:
+    """Largest stable dt (before safety) of a member [[S, V], [S''+S, V_theta]], S''+S > 0."""
     rho, V_th = member[1]
     q = np.divide(1.0, rho)
     speed = float(np.maximum.reduce(np.abs(np.multiply(q, V_th, out=q), out=q))) + 1.0
@@ -266,7 +286,7 @@ def step_support(s: SupportState, dt: float) -> SupportState:
     No run calls it; it stays as a hook point that perfbench/tracing.py
     wraps by name (tests/test_benchmark_hooks.py).
     """
-    S, V = step_supports([[s.sv, s.derivatives]], dt, _stage_work(1, s.grid.N))[0, 0]
+    S, V = step_supports([[s.sv, support_derivatives(s.sv)]], dt, _stage_work(1, s.grid.N))[0, 0]
     return SupportState(grid=s.grid, S=S, V=V, t=s.t + dt, center=s.center)
 
 
@@ -416,22 +436,20 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
     bisection.  Overflow raises NonFinite.  The members share cfg's schedule
     (B > 1 needs a fixed dt), and each equals its solo run bit for bit.
     """
-    states = []
-    for S0, V0 in zip(S0s, V0s, strict=True):
-        grid = AngleGrid(np.size(S0))
-        if grid.N != cfg.N:
-            raise InvalidConfig(f"config N = {cfg.N} but data has {grid.N} samples")
-        states.append(SupportState(grid=grid, S=S0, V=V0, t=0.0))
-    y = np.array([s.sv for s in states])
+    y = np.array([[S0, V0] for S0, V0 in zip(S0s, V0s, strict=True)], dtype=float)
+    if y.ndim != 3:
+        raise ValueError("S and V must be 1-d arrays of one size")
+    if AngleGrid(y.shape[-1]).N != cfg.N:
+        raise InvalidConfig(f"config N = {cfg.N} but data has {y.shape[-1]} samples")
     members = np.stack([y, support_derivatives(y)], axis=1)
-    L0s = [length_from_support(s) for s in states]
+    L0s = support_lengths(y[:, 0]).tolist()
     floors = [cfg.convexity_floor(L0) for L0 in L0s]
     if any(validate_support_state(m, eps, L0) is not None
            for m, eps, L0 in zip(members, floors, L0s)):
         raise ConvexityLost("initial data is not strictly convex", t=0.0)
 
-    # Every member _member_cfl_bound sees has passed validation, so S''+S > eps there.
-    runs = integrate(members, 0.0, cfg, _member_cfl_bound,
+    # Every member cfl_bound sees has passed validation, so S''+S > eps there.
+    runs = integrate(members, 0.0, cfg, cfl_bound,
                      partial(step_supports, work=_stage_work(len(members), cfg.N)),
                      [partial(validate_support_state, eps=eps, L0=L0)
                       for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy())

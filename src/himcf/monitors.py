@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolygonGeometry, discrete_curvature
 from .errors import InsufficientData, InvalidConfig, OutOfDomain, PreconditionFailed
 from .flow import FlowTrajectory
 from .grids import TWO_PI, AngleGrid, periodic_derivative, support_derivatives
 from .radial import classify_regime, closed_form_radius, closed_form_velocity, sphere_geometry
 from .report import CheckRecord, MonitorReport, margin_record, residual_record
-from .support import support_lengths, support_to_curve, unpack_curve
+from .support import support_lengths
 
 # k_theta^2 coefficient of the curvature evolution equation, fixed by the
 # symbolic jet-space derivation in the test suite: -C * k_theta^2 / k**P.
@@ -78,30 +77,9 @@ def comparison_horizon(delta: float, f_max: float) -> float:
     return 0.5 * math.log((-1.0 + delta * f_max) / (1.0 + delta * f_max))
 
 
-# Fields of snapshot k of a trajectory, read off its data row.
-
-def _snapshot_curvature(traj: FlowTrajectory, k: int) -> np.ndarray:
-    if traj.is_support:
-        return 1.0 / support_derivatives(traj.data[k])[0]
-    return discrete_curvature(unpack_curve(traj.data[k])[0])
-
-
-def _snapshot_length(traj: FlowTrajectory, k: int) -> float:
-    if traj.is_support:
-        return float(support_lengths(traj.data[k, 0]))
-    return PolygonGeometry(unpack_curve(traj.data[k])[0]).length
-
-
-def _snapshot_polygon(traj: FlowTrajectory, k: int) -> np.ndarray:
-    if traj.is_support:
-        return support_to_curve(traj.snapshot(k)).P
-    return unpack_curve(traj.data[k])[0]
-
-
 def outcome_inputs_from_trajectory(traj: FlowTrajectory) -> OutcomeInputs:
     """Extract delta, zeta and the f extremes at t = 0; T* follows from them."""
-    k0 = _snapshot_curvature(traj, 0)
-    speeds = traj.data[0, 1] if traj.is_support else unpack_curve(traj.data[0])[1]
+    k0, speeds = traj.curvature(0), traj.speeds(0)
     return OutcomeInputs(delta=float(np.min(k0)), zeta=float(np.max(k0)),
                          f_min=float(np.min(speeds)), f_max=float(np.max(speeds)))
 
@@ -217,9 +195,7 @@ def classify_outcome(traj: FlowTrajectory, inputs: OutcomeInputs) -> OutcomeRepo
     finite_end = term.kind in ("LengthVanished", "CurvatureBlowup", "ConvexityLost")
     sub_label = None
     if finite_end:
-        L_end = _snapshot_length(traj, -1)
-        L_start = _snapshot_length(traj, 0)
-        if term.kind == "LengthVanished" or L_end <= 0.05 * L_start:
+        if term.kind == "LengthVanished" or traj.length(-1) <= 0.05 * traj.length(0):
             sub_label = "PointCollapse"
         else:
             sub_label = "CurvatureJump"

@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import resample_equal_arclength
 from .errors import InvalidConfig
-from .grids import TWO_PI, AngleGrid
+from .grids import TWO_PI, AngleGrid, support_derivatives
 from .support import PlaneCurve, SupportState
 
 
@@ -44,6 +44,8 @@ def circle_support(grid: AngleGrid, radius: float, speed=0.0) -> SupportState:
                         V=_speed_field(speed, theta))
 
 
+# Overflowing semi-axes give inf or nan samples, which the state raises as NonFinite.
+@np.errstate(all="ignore")
 def ellipse_support(grid: AngleGrid, a: float, b: float, speed=0.0) -> SupportState:
     """Origin-centred ellipse with semi-axes a, b: S = sqrt(a^2cos^2 + b^2sin^2)."""
     if not (a > 0.0 and b > 0.0):
@@ -58,7 +60,7 @@ def fourier_support(grid: AngleGrid, coeffs, speed=0.0) -> SupportState:
     theta = grid.theta
     state = SupportState(grid=grid, S=cosine_series(coeffs, theta),
                          V=_speed_field(speed, theta))
-    rho = state.curvature_denominator()
+    rho = support_derivatives(state.sv)[0]
     if np.min(rho) <= 0.0:
         raise InvalidConfig(
             f"coefficients give a non-convex curve (min curvature radius "
@@ -77,6 +79,7 @@ def circle_curve(M: int, radius: float, speed=0.0) -> PlaneCurve:
     return PlaneCurve(P=P, sigma=_speed_field(speed, alpha), t=0.0)
 
 
+@np.errstate(all="ignore")
 def ellipse_curve(M: int, a: float, b: float, speed=0.0) -> PlaneCurve:
     """Ellipse sampled at M equal-arc-length vertices (dense resample)."""
     if not (a > 0.0 and b > 0.0):

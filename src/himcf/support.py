@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import PolygonGeometry
 from .errors import ConvexityLost, NonFinite, NotConvex, OriginNotInterior
-from .grids import TWO_PI, AngleGrid, _readonly, periodic_derivative, support_derivatives
+from .grids import TWO_PI, AngleGrid, periodic_derivative, support_derivatives
 
 DEFAULT_EPS_CONVEX_REL = 1e-8
 
@@ -63,53 +63,39 @@ class SupportState:
         object.__setattr__(self, "S", sv[0])
         object.__setattr__(self, "V", sv[1])
 
-    @cached_property
-    def derivatives(self) -> np.ndarray:
-        """[S'' + S, V_theta] as a read-only (2, N) array, computed once per state.
-
-        For callers that hold a state, such as cfl_bound or step_support.  A
-        flow run builds no state while it steps: each live member carries
-        its pair next to its [S, V] rows in the run's stack.
-        """
-        d = support_derivatives(self.sv)
-        d.setflags(write=False)
-        return d
-
-    def curvature_denominator(self) -> np.ndarray:
-        """S'' + S, the reciprocal curvature, from the kernel without caching the pair."""
-        return support_derivatives(self.sv)[0]
-
 
 @dataclass(frozen=True)
 class PlaneCurve:
     """Closed discrete convex curve: vertex positions and normal speeds.
 
     Vertices are ordered counterclockwise; index arithmetic is modulo the
-    vertex count.
+    vertex count.  P and sigma are views of one read-only (3M,) array packed =
+    [P.ravel(), sigma], the curve's RK4 state and trajectory row.
     """
 
     P: np.ndarray       # (M, 2) vertex positions
     sigma: np.ndarray   # (M,) normal velocity per vertex
     t: float = 0.0
+    packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _readonly(self.P))
-        object.__setattr__(self, "sigma", _readonly(self.sigma))
-        if self.P.ndim != 2 or self.P.shape[1] != 2 or self.P.shape[0] < 3:
+        P, sigma = np.asarray(self.P), np.asarray(self.sigma)
+        if P.ndim != 2 or P.shape[1] != 2 or P.shape[0] < 3:
             raise ValueError("P must be (M, 2) with M >= 3")
-        if self.sigma.shape != (self.P.shape[0],):
+        if sigma.shape != (P.shape[0],):
             raise ValueError("sigma must have one entry per vertex")
-        if not (np.all(np.isfinite(self.P)) and np.all(np.isfinite(self.sigma))):
+        packed = np.concatenate([P.ravel(), sigma], dtype=float)
+        packed.setflags(write=False)
+        if not np.isfinite(packed).all():
             raise NonFinite(f"non-finite curve data at t = {self.t}")
+        P, sigma = unpack_curve(packed)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def M(self) -> int:
         return self.P.shape[0]
-
-    @property
-    def packed(self) -> np.ndarray:
-        """[P.ravel(), sigma] as one new (3M,) array: the RK4 state and trajectory row."""
-        return np.concatenate([self.P.ravel(), self.sigma])
 
     @cached_property
     def derivatives(self) -> PolygonGeometry:
@@ -126,7 +112,7 @@ def unpack_curve(y: np.ndarray):
 def convexity_check(s: SupportState) -> np.ndarray:
     """Return S''+S, raising ConvexityLost if any sample is <= default_eps_convex(L)."""
     eps = default_eps_convex(length_from_support(s))
-    rho = s.curvature_denominator()
+    rho = support_derivatives(s.sv)[0]
     if np.min(rho) <= eps:
         j = int(np.argmin(rho))
         theta_j = float(s.grid.theta[j])

@@ -59,3 +59,22 @@ def test_every_csv_byte_passes_through_csv_text(argv, csv_name, tmp_path, monkey
     assert himcf.cli.main([*argv, "--out-dir", str(out)]) == 0
     assert len(lengths) >= 2          # the header line, then the blocks
     assert sum(lengths) == (out / csv_name).stat().st_size
+
+
+def test_a_support_run_takes_its_cfl_bound_from_the_traced_name(monkeypatch):
+    """perfbench's flow.cfl_bound.calls counts calls through the module attribute."""
+    import numpy as np
+
+    import himcf.flow
+    original = himcf.flow.cfl_bound
+    calls = []
+
+    def counted(member):
+        calls.append(member)
+        return original(member)
+
+    monkeypatch.setattr(himcf.flow, "cfl_bound", counted)
+    traj = himcf.flow.run_support_flow(np.ones(64), np.full(64, 0.5),
+                                       himcf.flow.FlowConfig(N=64, t_end=0.2))
+    assert traj.termination.kind == "HorizonReached"
+    assert len(calls) >= len(traj.times) - 1 > 0

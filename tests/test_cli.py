@@ -15,11 +15,13 @@ import himcf.flow
 from himcf.cli import _support_from_spec
 from himcf.errors import PreconditionFailed
 from himcf.flow import FIXED_DT_CFL_LIMIT, FlowConfig, cfl_bound, run_support_flows
-from himcf.grids import AngleGrid
+from himcf.grids import AngleGrid, support_derivatives
 from himcf.monitors import check_containment
 from himcf.presets import circle_support, cosine_series, ellipse_support
 
 CLI = [sys.executable, "-m", "himcf"]
+PAIR = {"outer": {"preset": "circle", "r0": 2.0, "speed": 0.5},
+        "inner": {"preset": "circle", "r0": 1.0, "speed": 0.3}}
 
 
 def cap_address_space():
@@ -171,6 +173,23 @@ class TestContainment:
         for key in ("t_end", "dt", "record_every", "eps_convex"):
             assert summary[key] == schedule[key]
 
+    @pytest.mark.parametrize("config, argv, key", [
+        ({"outer": {"preset": "circle", "r0": 3.0, "speed": 0.5}}, [], "outer"),
+        ({"inner": {"preset": "circle", "r0": 1.0, "speed": 0.3}}, [], "inner"),
+        ({**PAIR, "scenario": "ellipse-in-circle"}, [], "outer"),
+        (PAIR, ["--scenario", "circle-in-circle"], "outer"),
+    ])
+    def test_a_config_pair_is_whole_and_alone(self, config, argv, key, tmp_path, capsys):
+        # Each of these once ran a built-in pair and ignored the configured curves.
+        cfg = tmp_path / "pair.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert himcf.cli.main(["containment", "--config", str(cfg), *argv,
+                               "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig" and repr(key) in err["message"]
+        assert not out.exists()
+
 
 class TestVerify:
     def test_subset_passes_and_prints_lines(self, tmp_path):
@@ -270,10 +289,10 @@ class TestErrorContract:
         outer = {"preset": "circle", "r0": 2.0, "speed": outer_speed}
         inner = {"preset": "ellipse", "a": 1.2, "b": 0.8, "speed": inner_speed}
         if error == "CflViolation":
-            assert FIXED_DT_CFL_LIMIT * cfl_bound(circle_support(AngleGrid(N), 2.0,
-                                                                 outer_speed)) > dt
+            calm = circle_support(AngleGrid(N), 2.0, outer_speed)
+            assert FIXED_DT_CFL_LIMIT * cfl_bound([calm.sv, support_derivatives(calm.sv)]) > dt
             state = ellipse_support(AngleGrid(N), 1.2, 0.8, cosine_series(inner_speed, theta))
-            assert FIXED_DT_CFL_LIMIT * cfl_bound(state) < dt
+            assert FIXED_DT_CFL_LIMIT * cfl_bound([state.sv, support_derivatives(state.sv)]) < dt
         cfg = tmp_path / "pair.json"
         cfg.write_text(json.dumps({"outer": outer, "inner": inner, "N": N, "dt": dt,
                                    "t_end": 0.2}))
@@ -376,6 +395,17 @@ class TestErrorContract:
         proc, out = run_cli(["radial", *value, *forcing], tmp_path, expect=1)
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "NonFinite"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--preset", "ellipse", "--a", "1e300", "--t-end", "0.1"],
+        ["curve", "--solver", "lagrangian", "--preset", "ellipse", "--a", "1e200",
+         "--t-end", "0.1"],
+    ])
+    def test_overflowing_ellipse_preset_is_exit_1_with_one_json_error(self, argv, tmp_path):
+        # The preset once put numpy's RuntimeWarnings ahead of the JSON error.
+        proc, out = run_cli(argv, tmp_path, expect=1)
         assert json.loads(proc.stderr)["error"] == "NonFinite"
         assert not out.exists()
 

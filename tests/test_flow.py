@@ -24,7 +24,7 @@ from himcf.flow import (
     run_support_flows,
     step_support,
 )
-from himcf.grids import AngleGrid
+from himcf.grids import AngleGrid, support_derivatives
 from himcf.presets import circle_support, cosine_series, ellipse_support
 from himcf.support import SupportState, default_eps_convex, length_from_support
 
@@ -61,7 +61,7 @@ def retained_bytes_per_snapshot(run):
 
 def acceleration(s):
     """The acceleration row of the stage right-hand side at a state."""
-    return _stage_rhs(s.sv, s.derivatives)[1]
+    return _stage_rhs(s.sv, support_derivatives(s.sv))[1]
 
 
 class TestRhs:
@@ -157,6 +157,15 @@ class TestRunSupportFlow:
         lengths = [length_from_support(s) for s in traj.snapshots]
         assert np.all(np.diff(lengths) > 0)
 
+    @pytest.mark.parametrize("S0, V0, error", [
+        (np.ones(64), np.zeros(32), ValueError),
+        (np.ones(64), np.full(64, np.nan), NonFinite),
+        (np.ones(32), np.zeros(32), InvalidConfig),
+    ])
+    def test_bad_initial_data_raises_its_own_error(self, S0, V0, error):
+        with pytest.raises(error):
+            run_support_flow(S0, V0, FlowConfig(N=64, dt=1e-2, t_end=0.1))
+
     def test_snapshot_cadence_and_monotone_times(self):
         traj = run_support_flow(np.ones(64), np.zeros(64),
                                 FlowConfig(N=64, dt=1e-2, t_end=0.2,
@@ -168,7 +177,7 @@ class TestRunSupportFlow:
 
     def test_fixed_step_policing(self):
         s0 = circle_support(AngleGrid(64), 1.0, speed=-1.0)
-        bound = cfl_bound(s0)
+        bound = cfl_bound([s0.sv, support_derivatives(s0.sv)])
         with pytest.raises(CflViolation):
             run_support_flow(s0.S, s0.V,
                              FlowConfig(N=64, dt=2.0 * bound, t_end=0.5))
@@ -245,6 +254,16 @@ class TestDerivativeReuse:
             assert set(calls) == {(B, 2, self.N)}
             for traj in trajs:
                 assert traj.termination.kind == "HorizonReached"
+
+    def test_a_batched_run_builds_no_support_state(self, monkeypatch):
+        S0, V0 = self.initial()
+        built = []
+        post_init = SupportState.__post_init__
+        monkeypatch.setattr(SupportState, "__post_init__",
+                            lambda state: (built.append(state.t), post_init(state))[1])
+        run_support_flows([S0, 1.5 * S0], [V0, V0],
+                          FlowConfig(N=self.N, dt=self.DT, t_end=self.T_END))
+        assert built == []
 
     def test_recorded_snapshots_hold_only_the_floats(self):
         s0 = ellipse_support(AngleGrid(128), 2.0, 1.0, speed=0.5)
@@ -332,7 +351,7 @@ class TestBatchInvariance:
         steep = [circle_support(grid, 1.0, cosine_series([0.0, amp], grid.theta))
                  for amp in (80.0, 160.0)]
         cfg = FlowConfig(N=64, dt=2e-3, t_end=0.01)
-        bounds = [FIXED_DT_CFL_LIMIT * cfl_bound(s) for s in steep]
+        bounds = [FIXED_DT_CFL_LIMIT * cfl_bound([s.sv, support_derivatives(s.sv)]) for s in steep]
         with pytest.raises(CflViolation, match=f"{bounds[0]:.3e}"):
             run_support_flows([calm.S, steep[0].S, steep[1].S],
                               [calm.V, steep[0].V, steep[1].V], cfg)

@@ -67,6 +67,15 @@ class TestSupportToCurve:
             support_to_curve(make_state(grid, S))
 
 
+class TestPlaneCurve:
+    def test_P_and_sigma_are_views_of_one_packed_row(self):
+        c = dense_ellipse_polygon(2.0, 1.0, M=16)
+        assert c.packed is c.packed
+        assert c.packed.shape == (48,) and not c.packed.flags.writeable
+        assert np.shares_memory(c.P, c.packed) and np.shares_memory(c.sigma, c.packed)
+        np.testing.assert_array_equal(c.packed, np.concatenate([c.P.ravel(), c.sigma]))
+
+
 class TestCurveToSupport:
     def test_unit_circle(self):
         grid = AngleGrid(64)
