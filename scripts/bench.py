@@ -4,7 +4,7 @@
     python3 scripts/bench.py --parent DIR --change DIR --pairs 10 --seconds 20 \
         --seed 1 7 --out BENCH.json
 
-    python3 scripts/bench.py --parent DIR --change DIR --counts --out BENCH.json
+    python3 scripts/bench.py --parent DIR --change DIR --counts --layers --out BENCH.json
 
 For every seed and workload this runs `perfbench/run.py` once in each
 checkout per pair, and alternates which side runs first, since a run can
@@ -25,10 +25,24 @@ run at COUNT_M vertices.  The counts are exact for one Python and numpy
 version.  They go under "counts" in --out, next to what the file already
 holds (run the timed pairs first), with each checkout's src_lines (the line
 count of src/himcf/*.py), and a table of both sides is printed.
+
+With --layers the stage layers of layer_calls (the spectral kernel, one
+stage, step_supports at B = 1 and 2, the CFL and admissibility checks at N
+in LAYER_N; a Lagrangian step at M = 2N, curve_to_support of a 512-vertex
+polygon, polygon_hausdorff) are timed instead, again in one fresh
+interpreter per checkout.  Each layer gets LAYER_SETS sets, each the minimum
+over LAYER_REPEAT loops, sized to take about LAYER_LOOP_S, of the time per
+call; the two checkouts time their loops in turn.  The set minima (in
+microseconds per call) and their spread go under "layers" in --out, and a
+table of both sides is printed, with the sets in which the change's minimum
+is below the parent's set of the same index.
+
+The output file's directory is created if it is missing.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import os
@@ -37,6 +51,7 @@ import re
 import statistics
 import subprocess
 import sys
+import timeit
 from functools import partial
 
 import numpy as np
@@ -45,6 +60,10 @@ COUNT_N = (64, 128, 256, 512)
 COUNT_B = (1, 2)
 COUNT_M = 256
 COUNT_STEPS = (10, 30)    # two run lengths; their difference is the per-step work
+LAYER_N = (64, 128, 256, 512)
+LAYER_SETS = 5
+LAYER_REPEAT = 7
+LAYER_LOOP_S = 0.02       # target seconds of one timed loop of calls
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -80,7 +99,11 @@ def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
 
 
 def profiled_calls(fn):
-    """({"python": n, "c": n}, fn()): the calls sys.setprofile sees while fn runs."""
+    """({"python": n, "c": n}, fn()): the calls sys.setprofile sees while fn runs.
+
+    The garbage collector is off meanwhile: a collection runs the callbacks
+    in gc.callbacks (hypothesis installs one), which would add calls.
+    """
     counts = {"python": 0, "c": 0}
 
     def profile(frame, event, arg):
@@ -89,11 +112,16 @@ def profiled_calls(fn):
         elif event == "c_call":
             counts["c"] += 1
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return counts, result
 
 
@@ -135,13 +163,110 @@ def call_counts() -> dict:
     return counts
 
 
+def layer_calls() -> dict:
+    """Each stage layer of the himcf on sys.path as a call without arguments (see --layers)."""
+    from himcf.curves import polygon_hausdorff
+    from himcf.flow import (_stage_rhs, _stage_work, cfl_bound, step_supports,
+                            validate_support_state)
+    from himcf.grids import AngleGrid, support_derivatives
+    from himcf.lagrangian import step_lagrangian
+    from himcf.presets import ellipse_curve, ellipse_support
+    from himcf.support import curve_to_support, support_lengths
+
+    P, Q = ellipse_curve(256, 2.0, 1.0).P, ellipse_curve(256, 2.1, 0.9).P
+    calls = {"polygon_hausdorff M=256": lambda: polygon_hausdorff(P, Q)}
+    polygon = ellipse_curve(512, 2.0, 1.0)
+    for N in LAYER_N:
+        grid = AngleGrid(N)
+        s = ellipse_support(grid, 2.0, 1.0, speed=0.5)
+        y = np.array([[s.S, s.V], [1.5 * s.S, s.V]])
+        members = np.stack([y, support_derivatives(y)], axis=1)
+        work = _stage_work(2, N)
+        out, spectrum = np.empty((2, N)), np.empty((2, N // 2 + 1), complex)
+        stage = np.empty((2, 1, 2, N))
+        L0 = float(support_lengths(s.S))
+        curve = ellipse_curve(2 * N, 2.0, 1.0, speed=0.5)
+        calls.update({f"{name} N={N}": fn for name, fn in {
+            "support_derivatives": partial(support_derivatives, s.sv, out, spectrum),
+            "_stage_rhs stage": partial(_stage_rhs, y[:1], stage[0], stage[1], work[1][:1]),
+            "step_supports B=1": partial(step_supports, members[:1], 1e-3, work),
+            "step_supports B=2": partial(step_supports, members, 1e-3, work),
+            "cfl_bound": partial(cfl_bound, members[0]),
+            "validate_support_state": partial(validate_support_state, members[0], 1e-8, L0),
+            "step_lagrangian M=2N": partial(step_lagrangian, curve, 1e-4),
+            "curve_to_support M=512": partial(curve_to_support, polygon, grid),
+        }.items()})
+    return calls
+
+
+def serve_layers() -> None:
+    """Print the layer names, then answer each name read from stdin with one timed loop.
+
+    The reply is the loop's microseconds per call; a layer's loop length is
+    fixed at its first request.
+    """
+    calls = layer_calls()
+    print(json.dumps(list(calls)), flush=True)
+    numbers = {}
+    for line in sys.stdin:
+        name = line.strip()
+        timer = timeit.Timer(calls[name])
+        if name not in numbers:
+            timer.timeit(1)
+            numbers[name] = max(1, round(LAYER_LOOP_S / timer.timeit(1)))
+        number = numbers[name]
+        print(json.dumps(1e6 * timer.timeit(number) / number), flush=True)
+
+
+def layer_times(sides: dict) -> dict:
+    """LAYER_SETS sets of each layer per side, from one serve_layers interpreter per checkout.
+
+    Within a set the two sides time their LAYER_REPEAT loops in turn, the side
+    that goes first alternating, so drift in the host's speed reaches both alike.
+    """
+    procs = {side: subprocess.Popen(
+        [sys.executable, "-c", "import bench; bench.serve_layers()"], env=_checkout_env(path),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for side, path in sides.items()}
+
+    def ask(side, request=None):
+        proc = procs[side]
+        if request is not None:
+            proc.stdin.write(request + "\n")
+            proc.stdin.flush()
+        reply = proc.stdout.readline()
+        if not reply:
+            raise RuntimeError(f"the {side} layer timer exited with {proc.wait()}")
+        return json.loads(reply)
+
+    try:
+        names = [ask(side) for side in procs][-1]
+        times = {side: {name: [] for name in names} for side in procs}
+        for _ in range(LAYER_SETS):
+            for name in names:
+                loops = {side: [] for side in procs}
+                for r in range(LAYER_REPEAT):
+                    for side in (list(procs) if r % 2 == 0 else list(procs)[::-1]):
+                        loops[side].append(ask(side, name))
+                for side, values in loops.items():
+                    times[side][name].append(min(values))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    return times
+
+
+def _checkout_env(checkout: str) -> dict:
+    # The himcf of checkout/src, and this script's directory for `import bench`.
+    scripts = os.path.dirname(os.path.abspath(__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"), scripts]))
+
+
 def side_counts(checkout: str) -> dict:
     """call_counts() of the himcf under checkout/src, in a fresh interpreter."""
-    scripts = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"), scripts]))
     proc = subprocess.run(
         [sys.executable, "-c", "import json, bench; print(json.dumps(bench.call_counts()))"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_checkout_env(checkout), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -154,23 +279,24 @@ def src_lines(checkout: str) -> int:
     return total
 
 
-def write_counts(sides: dict, out: str) -> None:
-    """Both sides' call_counts and src_lines under "counts" in out, keeping its other keys.
-
-    A table of both sides is printed.
-    """
-    counts = {side: side_counts(path) for side, path in sides.items()}
-    lines = {side: src_lines(path) for side, path in sides.items()}
+def update_report(out: str, key: str, value: dict) -> None:
+    """Set key in the JSON object of out (created if missing), keeping its other keys."""
     report = {}
     if os.path.exists(out):
         with open(out) as fh:
             report = json.load(fh)
-    report["counts"] = {"python": platform.python_version(), "numpy": np.__version__,
-                        "unit": "profiled calls per accepted step", **counts,
-                        "src_lines": lines}
+    report[key] = {"python": platform.python_version(), "numpy": np.__version__, **value}
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+
+
+def write_counts(sides: dict, out: str) -> None:
+    """Both sides' call_counts and src_lines under "counts" in out; a table is printed."""
+    counts = {side: side_counts(path) for side, path in sides.items()}
+    lines = {side: src_lines(path) for side, path in sides.items()}
+    update_report(out, "counts", {"unit": "profiled calls per accepted step", **counts,
+                                  "src_lines": lines})
     print("| run | parent C + Python = total | change C + Python = total | change |")
     print("|---|---|---|---|")
     for name, p in counts["parent"].items():
@@ -180,6 +306,25 @@ def write_counts(sides: dict, out: str) -> None:
               f"{100.0 * (c['total'] - p['total']) / p['total']:+.1f} % |")
     p, c = lines["parent"], lines["change"]
     print(f"| src lines | {p} | {c} | {100.0 * (c - p) / p:+.1f} % |")
+
+
+def write_layers(sides: dict, out: str) -> None:
+    """Both sides' layer_times under "layers" in out; a table is printed."""
+    times = layer_times(sides)
+    layers = {side: {name: {"sets": sets, "min": min(sets),
+                            "spread_pct": 100.0 * (max(sets) - min(sets)) / min(sets)}
+                     for name, sets in rows.items()}
+              for side, rows in times.items()}
+    update_report(out, "layers", {
+        "unit": "us per call", "sets": LAYER_SETS, "repeat": LAYER_REPEAT, **layers})
+    print("| layer | parent min [spread] | change min [spread] | change | sets won |")
+    print("|---|---|---|---|---|")
+    for name, p in layers["parent"].items():
+        c = layers["change"][name]
+        won = sum(b < a for a, b in zip(p["sets"], c["sets"]))
+        print(f"| {name} | {p['min']:.4g} [{p['spread_pct']:.1f} %] | "
+              f"{c['min']:.4g} [{c['spread_pct']:.1f} %] | "
+              f"{100.0 * (c['min'] - p['min']) / p['min']:+.1f} % | {won}/{len(p['sets'])} |")
 
 
 def _bench_number(path: str) -> int | None:
@@ -226,12 +371,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH.json", help="output JSON file")
     parser.add_argument("--counts", action="store_true",
                         help="count profiled calls per step instead of timing (see above)")
+    parser.add_argument("--layers", action="store_true",
+                        help="time the stage layers instead of perfbench runs (see above)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     if args.counts:
         write_counts(sides, args.out)
+    if args.layers:
+        write_layers(sides, args.out)
+    if args.counts or args.layers:
         return 0
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:

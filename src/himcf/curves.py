@@ -43,24 +43,23 @@ class PolygonGeometry:
     def __init__(self, P: np.ndarray):
         P_next = cyclic_shift(P, -1, axis=-2)
         P_prev = cyclic_shift(P, 1, axis=-2)
-        e_prev = P - P_prev
+        self.prev_edges = e_prev = P - P_prev
         self.edges = e = P_next - P
         self.lengths = vector_norms(e)
         self.prev_lengths = vector_norms(e_prev)
         self.cross = e_prev[..., 0] * e[..., 1] - e_prev[..., 1] * e[..., 0]
-        self.dot = np.sum(e_prev * e, axis=-1)
         self.triangle = self.prev_lengths * self.lengths * vector_norms(e_prev + e)
         self.chord = P_next - P_prev
 
     @property
     def length(self) -> float:
         """Perimeter of a single polygon."""
-        return float(self.lengths.sum())
+        return float(np.add.reduce(self.lengths))
 
     @cached_property
     def curvature(self) -> np.ndarray:
         """Signed curvature from the circumscribed circle of each vertex triple."""
-        if np.min(self.triangle) <= 0.0:
+        if np.minimum.reduce(self.triangle, axis=None) <= 0.0:
             raise DegenerateEdge("zero-length edge in curvature stencil")
         return 2.0 * self.cross / self.triangle
 
@@ -68,7 +67,7 @@ class PolygonGeometry:
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit tangent (chord central difference) and outward unit normal."""
         norm = vector_norms(self.chord)
-        if np.min(norm) <= 0.0:
+        if np.minimum.reduce(norm, axis=None) <= 0.0:
             raise DegenerateEdge("coincident neighbor vertices")
         T = self.chord / norm[..., None]
         return T, np.stack([T[..., 1], -T[..., 0]], axis=-1)
@@ -77,6 +76,11 @@ class PolygonGeometry:
     def turning_angles(self) -> np.ndarray:
         """Exterior angle at each vertex; all positive for strictly convex CCW."""
         return np.arctan2(self.cross, self.dot)
+
+    @property
+    def dot(self) -> np.ndarray:
+        """Corner dot product e[i-1] . e[i], formed when read; turning_angles reads it."""
+        return np.add.reduce(self.prev_edges * self.edges, axis=-1)
 
     @property
     def normal_angles(self) -> np.ndarray:
@@ -99,8 +103,7 @@ def discrete_curvature(P: np.ndarray) -> np.ndarray:
 
 def require_edge_lengths(lengths: np.ndarray) -> None:
     """DegenerateEdge when an edge of one polygon is below 1e-12 of the mean."""
-    mean = float(lengths.mean())
-    if np.min(lengths) < 1e-12 * mean:
+    if np.minimum.reduce(lengths) < 1e-12 * (np.add.reduce(lengths) / lengths.size):
         raise DegenerateEdge("adjacent vertices collide")
 
 

@@ -39,7 +39,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .curves import PolygonGeometry, discrete_curvature
-from .errors import CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NotConvex
+from .errors import (CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NonFinite,
+                     NotConvex)
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .report import MonitorReport, margin_record
 from .support import (PlaneCurve, SupportState, default_eps_convex, support_lengths,
@@ -117,8 +118,10 @@ class FlowConfig:
         Adaptive runs take safety * bound; a fixed dt that exceeds it raises
         CflViolation, and so does a step below the resolution of t or (short
         of landing) of t_end, which could only stall.  The last step is cut
-        to land on t_end.
+        to land on t_end.  A non-finite bound (overflowed geometry) is NonFinite.
         """
+        if not math.isfinite(bound):
+            raise NonFinite(f"non-finite CFL bound {bound} at t = {t:.6e}")
         if self.adaptive:
             dt = min(self.safety * bound, self.t_end - t)
         else:

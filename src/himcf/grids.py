@@ -4,6 +4,10 @@ The flow solvers and monitors all live on a periodic grid theta_j = 2*pi*j/N.
 Differentiation is spectral (FFT multipliers), exact for trigonometric
 polynomials of degree < N/2; the curvature denominator S_thth + S needs the
 second derivative at high accuracy, which rules out low-order stencils.
+
+Every Fourier transform of the package is here: the pocketfft gufuncs that
+np.fft.rfft / irfft call (numpy >= 2.0), called directly for the same bits
+without the Python wrappers, which cost more than a transform at N <= 128.
 """
 from __future__ import annotations
 
@@ -11,10 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# The C module np.fft.rfft / irfft call; a numpy that moves it fails this import.
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import NonFinite
 
 TWO_PI = 2.0 * np.pi
+_RFFT = (_pocketfft.rfft_n_even, _pocketfft.rfft_n_odd)   # by n % 2, with fct = 1; irfft: 1/n
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -47,6 +54,12 @@ def _grid_theta(n: int) -> np.ndarray:
     return _readonly(TWO_PI * np.arange(n) / n)
 
 
+def rfft(x: np.ndarray) -> np.ndarray:
+    """np.fft.rfft of real rows x (..., n): their half spectra (..., n//2 + 1)."""
+    n = x.shape[-1]
+    return _RFFT[n % 2](x, 1.0, out=(np.empty(x.shape[:-1] + (n // 2 + 1,), complex),))
+
+
 @lru_cache(maxsize=64)
 def _derivative_multipliers(n: int, order: int) -> np.ndarray:
     freq = np.fft.rfftfreq(n, d=1.0 / n)
@@ -54,7 +67,6 @@ def _derivative_multipliers(n: int, order: int) -> np.ndarray:
     if order % 2 == 1 and n % 2 == 0:
         # Nyquist mode of a real sequence carries no sign information for odd
         # derivatives; the symmetric interpolant assigns it derivative zero.
-        mult = mult.copy()
         mult[-1] = 0.0
     mult.setflags(write=False)
     return mult
@@ -69,8 +81,8 @@ def periodic_derivative(values: np.ndarray, order: int) -> np.ndarray:
         raise ValueError("expected a 1-d sample sequence")
     if not np.all(np.isfinite(v)):
         raise NonFinite("non-finite samples (an overflow or NaN)")
-    mult = _derivative_multipliers(v.size, order)
-    return np.fft.irfft(np.fft.rfft(v) * mult, v.size)
+    spectrum = rfft(v) * _derivative_multipliers(v.size, order)
+    return _pocketfft.irfft(spectrum, 1.0 / v.size, out=(np.empty(v.size),))
 
 
 @lru_cache(maxsize=64)
@@ -94,8 +106,11 @@ def support_derivatives(sv: np.ndarray, out: np.ndarray | None = None,
     if not np.logical_and.reduce(np.isfinite(sv), axis=None):
         raise NonFinite("non-finite samples (an overflow or NaN)")
     n = sv.shape[-1]
-    spectrum = np.fft.rfft(sv, out=spectrum)
+    if spectrum is None:
+        spectrum = np.empty(sv.shape[:-1] + (n // 2 + 1,), complex)
+    d = np.empty(sv.shape) if out is None else out
+    _RFFT[n % 2](sv, 1.0, out=(spectrum,))
     np.multiply(spectrum, _support_multipliers(n), out=spectrum)
-    d = np.fft.irfft(spectrum, n, out=out)
+    _pocketfft.irfft(spectrum, 1.0 / n, out=(d,))
     d[..., 0, :] += sv[..., 0, :]
     return d

@@ -26,12 +26,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .curves import (
-    PolygonGeometry,
-    cyclic_shift,
-    require_edge_lengths,
-    resample_equal_arclength,
-)
+from .curves import (PolygonGeometry, cyclic_shift, require_edge_lengths,
+                     resample_equal_arclength)
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
 from .report import MonitorReport, margin_record
@@ -44,7 +40,7 @@ def _normal_curvature(g: PolygonGeometry):
     """Outward normal and curvature of a stage polygon, with degeneracy checks."""
     require_edge_lengths(g.lengths)
     k = g.curvature
-    if np.min(k) <= 0.0:
+    if np.minimum.reduce(k) <= 0.0:
         raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
     return g.frame[1], k
 
@@ -94,8 +90,8 @@ def lagrangian_cfl_bound(c: PlaneCurve) -> float:
     dsig = cyclic_shift(c.sigma, -1, axis=-1) - cyclic_shift(c.sigma, 1, axis=-1)
     # Central difference over the two adjacent edges: vertex i-1 to i+1.
     sigma_s = dsig / (g.lengths + g.prev_lengths)
-    speed = float(np.max(np.abs(sigma_s))) + 1.0
-    return float(np.min(g.turning_angles)) / speed
+    speed = float(np.maximum.reduce(np.abs(sigma_s))) + 1.0
+    return float(np.minimum.reduce(g.turning_angles)) / speed
 
 
 def _validate_curve(c: PlaneCurve, eps: float, L0: float) -> _Violation | None:
@@ -107,9 +103,9 @@ def _validate_curve(c: PlaneCurve, eps: float, L0: float) -> _Violation | None:
         k = g.curvature
     except DegenerateEdge:
         return _Violation("ConvexityLost")
-    if np.min(k) <= 0.0:
+    if np.minimum.reduce(k) <= 0.0:
         return _Violation("ConvexityLost")
-    if np.max(k) >= 1.0 / eps:
+    if np.maximum.reduce(k) >= 1.0 / eps:
         return _Violation("CurvatureBlowup")
     return None
 

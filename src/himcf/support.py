@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import PolygonGeometry
 from .errors import ConvexityLost, NonFinite, NotConvex, OriginNotInterior
-from .grids import TWO_PI, AngleGrid, periodic_derivative, support_derivatives
+from .grids import TWO_PI, AngleGrid, periodic_derivative, rfft, support_derivatives
 
 DEFAULT_EPS_CONVEX_REL = 1e-8
 
@@ -188,8 +188,7 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -
             raise OriginNotInterior("centroid recentering failed to give an interior origin")
 
     M = P.shape[0]
-    fx = np.fft.rfft(P[:, 0])
-    fy = np.fft.rfft(P[:, 1])
+    fx, fy = rfft(P.T)
     freq = np.fft.rfftfreq(M, d=1.0 / M)
     weights = np.full(freq.shape, 2.0 / M)
     weights[0] = 1.0 / M

@@ -272,6 +272,16 @@ class TestErrorContract:
         assert err["error"] in ("NonFinite", "CflViolation")
         assert "dt must be positive" not in err["message"]
 
+    @pytest.mark.parametrize("shape", [["--preset", "circle", "--r0", "1e300"],
+                                       ["--preset", "fourier", "--coeffs", "1e300"]])
+    def test_overflowing_lagrangian_geometry_is_nonfinite(self, shape, tmp_path):
+        # The polygon pass overflows to NaN turning angles, so the CFL bound
+        # is NaN: NonFinite, not a CflViolation about a NaN step.
+        proc, _ = run_cli(["curve", "--solver", "lagrangian", *shape, "--t-end", "0.1"],
+                          tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "NonFinite"
+
 
     @pytest.mark.parametrize("inner_speed, error", [
         ([0, 5], "CflViolation"),

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from himcf.grids import AngleGrid, periodic_derivative, support_derivatives
+from himcf.grids import AngleGrid, periodic_derivative, rfft, support_derivatives
 
 
 def test_grid_samples_are_uniform():
@@ -99,6 +99,55 @@ def test_support_derivatives_reject_mismatched_rows():
     for bad in (np.ones(16), np.ones((3, 16)), np.ones((2, 2, 3, 16))):
         with pytest.raises(ValueError):
             support_derivatives(bad)
+
+
+# The kernels call numpy's pocketfft gufuncs directly; these tests hold them to
+# the public np.fft round trip bit for bit, at even and odd lengths.
+
+def public_multipliers(n, order):
+    mult = (1j * np.fft.rfftfreq(n, d=1.0 / n)) ** order
+    if order == 1 and n % 2 == 0:
+        mult[-1] = 0.0
+    return mult
+
+
+def public_derivative(x, order):
+    n = x.shape[-1]
+    return np.fft.irfft(np.fft.rfft(x) * public_multipliers(n, order), n)
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 33, 64, 128, 512, 1000, 1001])
+@pytest.mark.parametrize("shape", [(), (2,), (2, 4, 2)])
+def test_rfft_equals_np_fft_bit_for_bit(n, shape):
+    x = np.random.default_rng(n).standard_normal(shape + (n,))
+    spectrum = rfft(x)
+    assert spectrum.shape == shape + (n // 2 + 1,)
+    assert spectrum.tobytes() == np.fft.rfft(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 64, 128, 512])
+@pytest.mark.parametrize("order", [1, 2])
+def test_periodic_derivative_equals_the_public_round_trip(n, order):
+    v = 2.0 + np.random.default_rng(n).standard_normal(n)
+    assert periodic_derivative(v, order).tobytes() == public_derivative(v, order).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 17, 18, 64, 128, 512])
+@pytest.mark.parametrize("shape", [(), (2, 4)])
+@pytest.mark.parametrize("buffers", [False, True])
+def test_support_derivatives_equal_the_public_round_trip(n, shape, buffers):
+    sv = np.random.default_rng(n).standard_normal(shape + (2, n))
+    sv[..., 0, :] += 2.0
+    expected = np.stack([public_derivative(sv[..., 0, :], 2) + sv[..., 0, :],
+                         public_derivative(sv[..., 1, :], 1)], axis=-2)
+    out = np.empty(sv.shape) if buffers else None
+    spectrum = np.empty(shape + (2, n // 2 + 1), complex) if buffers else None
+    d = support_derivatives(sv, out, spectrum)
+    assert d.tobytes() == expected.tobytes()
+    if buffers:
+        assert d is out
+        assert spectrum.tobytes() == (np.fft.rfft(sv) * np.stack(
+            [public_multipliers(n, 2), public_multipliers(n, 1)])).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from himcf.errors import ConvexityLost, NotConvex, OriginNotInterior
+import himcf.support
 from himcf.grids import AngleGrid
 from himcf.presets import ellipse_support
 from himcf.support import (
@@ -102,6 +103,25 @@ class TestCurveToSupport:
         back = curve_to_support(curve, AngleGrid(128))
         np.testing.assert_allclose(back.S, ellipse_support(AngleGrid(128), 2.0, 1.0, 0.0).S,
                                    rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("x0", [0.0, 5.0])
+    def test_odd_vertex_count_equals_the_np_fft_reference(self, x0, monkeypatch):
+        # grids.rfft calls numpy's pocketfft gufunc; the reference transforms
+        # each coordinate with np.fft.rfft.  x0 = 5 moves the origin outside,
+        # so the recentred polygon is the one transformed.
+        M = 257
+        s_par = 2 * np.pi * np.arange(M) / M
+        curve = PlaneCurve(P=np.column_stack([x0 + 2.0 * np.cos(s_par), np.sin(s_par)]),
+                           sigma=np.zeros(M))
+        grid = AngleGrid(128)
+        state = curve_to_support(curve, grid)
+        np.testing.assert_allclose(state.S, ellipse_support_samples(2.0, 1.0, grid.theta),
+                                   rtol=0.0, atol=1e-12)
+        monkeypatch.setattr(himcf.support, "rfft",
+                            lambda PT: (np.fft.rfft(PT[0]), np.fft.rfft(PT[1])))
+        reference = curve_to_support(curve, grid)
+        assert state.S.tobytes() == reference.S.tobytes()
+        assert state.center == reference.center
 
     def test_noninterior_origin_recenters_and_records_shift(self):
         M = 512
