@@ -21,8 +21,10 @@ its own checkout's `perfbench/_out` and `perfbench/_results`.
 With --counts nothing is timed.  For each checkout a fresh interpreter
 counts, with sys.setprofile, the Python and C calls per accepted step of
 fixed-dt support runs at N in COUNT_N and B in COUNT_B and of a Lagrangian
-run at COUNT_M vertices.  The counts are exact for one Python and numpy
-version.  They go under "counts" in --out, next to what the file already
+run at COUNT_M vertices, and the calls of one curve_to_support of a
+512-vertex ellipse to N = 128 and of one curvature_evolution_residual of
+the verify curvature-equation run.  The counts are exact for one Python and
+numpy version.  They go under "counts" in --out, next to what the file already
 holds (run the timed pairs first), with each checkout's src_lines (the line
 count of src/himcf/*.py), and a table of both sides is printed.
 
@@ -141,12 +143,22 @@ def per_step_calls(run) -> dict:
     return out
 
 
+def per_call_calls(fn) -> dict:
+    """Calls of one fn(), after a warm-up call that fills the caches it uses."""
+    fn()
+    out, _ = profiled_calls(fn)
+    out["total"] = out["python"] + out["c"]
+    return out
+
+
 def call_counts() -> dict:
-    """Per-step profiled calls of the himcf on sys.path (see --counts)."""
-    from himcf.flow import FlowConfig, run_support_flows
+    """Profiled calls per step, or per call, of the himcf on sys.path (see --counts)."""
+    from himcf.flow import FlowConfig, run_support_flow, run_support_flows
     from himcf.grids import AngleGrid
     from himcf.lagrangian import run_lagrangian_flow
+    from himcf.monitors import curvature_evolution_residual
     from himcf.presets import ellipse_curve, ellipse_support
+    from himcf.support import curve_to_support
 
     def support_run(N, B, steps, dt=1e-3):
         s = ellipse_support(AngleGrid(N), 2.0, 1.0, speed=0.5)
@@ -160,6 +172,13 @@ def call_counts() -> dict:
     counts = {f"support N={N} B={B}": per_step_calls(partial(support_run, N, B))
               for N in COUNT_N for B in COUNT_B}
     counts[f"lagrangian M={COUNT_M}"] = per_step_calls(lagrangian_run)
+    polygon, grid = ellipse_curve(512, 2.0, 1.0), AngleGrid(128)
+    counts["curve_to_support M=512 N=128, one call"] = per_call_calls(
+        partial(curve_to_support, polygon, grid))
+    s = ellipse_support(grid, 1.5, 1.0, -0.5)    # as the verify curvature-equation suite
+    traj = run_support_flow(s.S, s.V, FlowConfig(N=128, dt=1e-3, t_end=0.3, record_every=10))
+    counts["curvature_evolution_residual verify run, one call"] = per_call_calls(
+        partial(curvature_evolution_residual, traj))
     return counts
 
 
@@ -295,7 +314,8 @@ def write_counts(sides: dict, out: str) -> None:
     """Both sides' call_counts and src_lines under "counts" in out; a table is printed."""
     counts = {side: side_counts(path) for side, path in sides.items()}
     lines = {side: src_lines(path) for side, path in sides.items()}
-    update_report(out, "counts", {"unit": "profiled calls per accepted step", **counts,
+    update_report(out, "counts", {"unit": "profiled calls per accepted step, or per call "
+                                          "in a row named one call", **counts,
                                   "src_lines": lines})
     print("| run | parent C + Python = total | change C + Python = total | change |")
     print("|---|---|---|---|")

@@ -66,7 +66,6 @@ from .support import (
     SupportState,
     curvature_from_support,
     curve_to_support,
-    length_from_support,
     support_to_curve,
 )
 

@@ -73,16 +73,16 @@ def _derivative_multipliers(n: int, order: int) -> np.ndarray:
 
 
 def periodic_derivative(values: np.ndarray, order: int) -> np.ndarray:
-    """Spectral order-th derivative of a real periodic sample sequence."""
+    """Spectral order-th derivative of real periodic samples (..., n), row by row."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d sample sequence")
+    if v.ndim == 0:
+        raise ValueError("expected samples along a last axis")
     if not np.all(np.isfinite(v)):
         raise NonFinite("non-finite samples (an overflow or NaN)")
-    spectrum = rfft(v) * _derivative_multipliers(v.size, order)
-    return _pocketfft.irfft(spectrum, 1.0 / v.size, out=(np.empty(v.size),))
+    spectrum = rfft(v) * _derivative_multipliers(v.shape[-1], order)
+    return _pocketfft.irfft(spectrum, 1.0 / v.shape[-1], out=(np.empty(v.shape),))
 
 
 @lru_cache(maxsize=64)
@@ -106,9 +106,11 @@ def support_derivatives(sv: np.ndarray, out: np.ndarray | None = None,
     if not np.logical_and.reduce(np.isfinite(sv), axis=None):
         raise NonFinite("non-finite samples (an overflow or NaN)")
     n = sv.shape[-1]
-    if spectrum is None:
-        spectrum = np.empty(sv.shape[:-1] + (n // 2 + 1,), complex)
+    half = sv.shape[:-1] + (n // 2 + 1,)
+    spectrum = np.empty(half, complex) if spectrum is None else spectrum
     d = np.empty(sv.shape) if out is None else out
+    if d.shape != sv.shape or spectrum.shape != half:
+        raise ValueError(f"out must be {sv.shape} and spectrum {half}")
     _RFFT[n % 2](sv, 1.0, out=(spectrum,))
     np.multiply(spectrum, _support_multipliers(n), out=spectrum)
     _pocketfft.irfft(spectrum, 1.0 / n, out=(d,))

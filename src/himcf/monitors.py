@@ -351,22 +351,18 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> float:
     dt = times[1] - times[0]
     pairs = support_derivatives(sv)
     ks = 1.0 / pairs[:, 0]
-
-    worst = 0.0
-    for i in range(1, m - 1):
-        k = ks[i]
-        k_tt = (ks[i + 1] - 2.0 * k + ks[i - 1]) / dt**2
-        k_t = (ks[i + 1] - ks[i - 1]) / (2.0 * dt)
-        k_th = periodic_derivative(k, 1)
-        k_thth = periodic_derivative(k, 2)
-        k_tth = periodic_derivative(k_t, 1)
-        S_t = sv[i, 1]
-        S_tht = pairs[i][1]
-        rhs = (k**2 * (1.0 / k**2 - S_tht**2) * k_thth
-               + 2.0 * k * S_tht * k_tth
-               + 4.0 * k**2 * S_tht * S_t * k_th
-               - KTT_COEFFICIENT_C * k_th**2 / k**KTT_COEFFICIENT_P
-               - 4.0 * k * S_t * k_t
-               + k**3 * (S_tht**2 - 2.0 * S_t**2 - 1.0 / k**2))
-        worst = max(worst, float(np.max(np.abs(k_tt - rhs))))
-    return worst
+    k = ks[1:-1]
+    k_tt = (ks[2:] - 2.0 * k + ks[:-2]) / dt**2
+    k_t = (ks[2:] - ks[:-2]) / (2.0 * dt)
+    k_th = periodic_derivative(k, 1)
+    k_thth = periodic_derivative(k, 2)
+    k_tth = periodic_derivative(k_t, 1)
+    S_t = sv[1:-1, 1]
+    S_tht = pairs[1:-1, 1]
+    rhs = (k**2 * (1.0 / k**2 - S_tht**2) * k_thth
+           + 2.0 * k * S_tht * k_tth
+           + 4.0 * k**2 * S_tht * S_t * k_th
+           - KTT_COEFFICIENT_C * k_th**2 / k**KTT_COEFFICIENT_P
+           - 4.0 * k * S_t * k_t
+           + k**3 * (S_tht**2 - 2.0 * S_t**2 - 1.0 / k**2))
+    return float(np.max(np.abs(k_tt - rhs)))

@@ -111,7 +111,7 @@ def unpack_curve(y: np.ndarray):
 
 def convexity_check(s: SupportState) -> np.ndarray:
     """Return S''+S, raising ConvexityLost if any sample is <= default_eps_convex(L)."""
-    eps = default_eps_convex(length_from_support(s))
+    eps = default_eps_convex(float(support_lengths(s.S)))
     rho = support_derivatives(s.sv)[0]
     if np.min(rho) <= eps:
         j = int(np.argmin(rho))
@@ -126,13 +126,8 @@ def curvature_from_support(s: SupportState) -> np.ndarray:
     return 1.0 / convexity_check(s)
 
 
-def length_from_support(s: SupportState) -> float:
-    """Curve length: the trapezoid (here: exact spectral) quadrature of S."""
-    return float(support_lengths(s.S))
-
-
 def support_lengths(S: np.ndarray) -> np.ndarray:
-    """length_from_support of each row of support samples S (..., N)."""
+    """Curve length of each row of S (..., N): the trapezoid (here exact) quadrature of S."""
     return TWO_PI * (np.add.reduce(S, axis=-1) / S.shape[-1])
 
 
@@ -147,21 +142,13 @@ def support_to_curve(s: SupportState) -> PlaneCurve:
     return PlaneCurve(P=np.column_stack([x, y]), sigma=s.V, t=s.t)
 
 
-def _point_in_convex(P: np.ndarray, q: np.ndarray) -> bool:
-    # Strict interiority wrt every edge half-plane of a CCW convex polygon.
+def _origin_inside(P: np.ndarray) -> bool:
+    # Strict interiority of the origin wrt every edge half-plane of a CCW convex polygon.
     e = PolygonGeometry(P).edges
-    rel = q[None, :] - P
-    cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-    return bool(np.all(cross > 0.0))
+    return bool(np.all(e[:, 1] * P[:, 0] - e[:, 0] * P[:, 1] > 0.0))
 
 
-def _trig_eval(coeff: np.ndarray, weights: np.ndarray, freq: np.ndarray,
-               a: float, order: int = 0) -> float:
-    phase = np.exp(1j * freq * a) * (1j * freq) ** order
-    return float(np.real(np.sum(weights * coeff * phase)))
-
-
-def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -> SupportState:
+def curve_to_support(c: PlaneCurve, grid: AngleGrid) -> SupportState:
     """Sample the support function of a convex polygon on a normal-angle grid.
 
     For each grid angle the integer arg-max of <P_i, nu> is refined by a local
@@ -169,7 +156,8 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -
     the trigonometric interpolant of the vertex coordinates, which recovers
     the smooth curve's support to near machine precision.  If Newton cannot be
     trusted (non-negative local second derivative, or no convergence, as on
-    coarse polygonal data) the quadratic value is kept.
+    coarse polygonal data) the quadratic value is kept.  An origin outside
+    the polygon is replaced by the vertex centroid, the state's center.
 
     The returned state has V = 0; velocities are the caller's to supply.
     """
@@ -178,13 +166,10 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -
         raise NotConvex("input polygon is not strictly convex (CCW)")
 
     shift = np.zeros(2)
-    origin = np.zeros(2)
-    if not _point_in_convex(P, origin):
-        if not recenter:
-            raise OriginNotInterior("origin is not strictly inside the curve")
+    if not _origin_inside(P):
         shift = P.mean(axis=0)
         P = P - shift
-        if not _point_in_convex(P, origin):
+        if not _origin_inside(P):
             raise OriginNotInterior("centroid recentering failed to give an interior origin")
 
     M = P.shape[0]
@@ -195,39 +180,37 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid, *, recenter: bool = True) -
     if M % 2 == 0:
         weights[-1] = 1.0 / M
 
-    theta = grid.theta
-    S = np.empty(grid.N)
-    for j in range(grid.N):
-        nu = (np.cos(theta[j]), np.sin(theta[j]))
-        g = P[:, 0] * nu[0] + P[:, 1] * nu[1]
-        i = int(np.argmax(g))
-        gm, g0, gp = g[i - 1], g[i], g[(i + 1) % M]
-        denom = 2.0 * g0 - gp - gm
-        if denom > 0.0:
-            value = g0 + (gp - gm) ** 2 / (8.0 * denom)
-            offset = 0.5 * (gp - gm) / denom
-        else:
-            value = g0
-            offset = 0.0
+    cos, sin = np.cos(grid.theta)[:, None], np.sin(grid.theta)[:, None]
+    g = P[:, 0] * cos + P[:, 1] * sin                      # (N, M): <P_i, nu_j>
+    rows = np.arange(grid.N)
+    i = np.argmax(g, axis=1)
+    gm, g0, gp = g[rows, i - 1], g[rows, i], g[rows, (i + 1) % M]
+    denom = 2.0 * g0 - gp - gm
+    fit = denom > 0.0
+    S = g0 + np.divide((gp - gm) ** 2, 8.0 * denom, out=np.zeros(grid.N), where=fit)
+    offset = np.divide(0.5 * (gp - gm), denom, out=np.zeros(grid.N), where=fit)
 
-        coeff = fx * nu[0] + fy * nu[1]
-        a = TWO_PI * (i + offset) / M
-        converged = False
-        for _ in range(8):
-            d1 = _trig_eval(coeff, weights, freq, a, order=1)
-            d2 = _trig_eval(coeff, weights, freq, a, order=2)
-            if d2 >= 0.0:
-                break
-            step = d1 / d2
-            a -= step
-            if abs(step) < 1e-14:
-                converged = True
-                break
-        if converged and abs(a - TWO_PI * i / M) <= 1.5 * TWO_PI / M:
-            # Newton replaces the quadratic fit but never undercuts the attained
-            # discrete maximum (at a vertex it lands an ulp below it).
-            value = max(_trig_eval(coeff, weights, freq, a), g0)
-        S[j] = value
+    wc = weights * (fx * cos + fy * sin)                   # (N, M//2 + 1)
+    a = TWO_PI * (i + offset) / M
+    converged = np.zeros(grid.N, dtype=bool)
+    live = rows
+    for _ in range(8):
+        phase = np.exp(1j * freq * a[live, None])
+        d1 = np.real(np.sum(wc[live] * (phase * (1j * freq)), axis=1))
+        d2 = np.real(np.sum(wc[live] * (phase * (1j * freq) ** 2), axis=1))
+        concave = ~(d2 >= 0.0)
+        live, step = live[concave], d1[concave] / d2[concave]
+        a[live] -= step
+        small = np.abs(step) < 1e-14
+        converged[live[small]] = True
+        live = live[~small]
+        if live.size == 0:
+            break
+    near = np.flatnonzero(converged & (np.abs(a - TWO_PI * i / M) <= 1.5 * TWO_PI / M))
+    # Newton replaces the quadratic fit but never undercuts the attained
+    # discrete maximum (at a vertex it lands an ulp below it).
+    polished = np.real(np.sum(wc[near] * np.exp(1j * freq * a[near, None]), axis=1))
+    S[near] = np.maximum(polished, g0[near])
 
     return SupportState(grid=grid, S=S, V=np.zeros(grid.N), t=c.t,
                         center=(float(shift[0]), float(shift[1])))

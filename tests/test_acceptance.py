@@ -32,7 +32,7 @@ from himcf.radial import (
     integrate_radial_ode,
     sphere_geometry,
 )
-from himcf.support import length_from_support, support_to_curve
+from himcf.support import support_lengths, support_to_curve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,7 +176,7 @@ def test_criterion_07_outcome_scenarios():
     # case with 1/zeta + min f > 0: expansion to the horizon
     s0 = ellipse_support(AngleGrid(128), 1.5, 1.0, speed=1.0)
     grow = _support_run(s0.S, s0.V, N=128, t_end=2.0, record_every=10)
-    lengths = np.array([length_from_support(s) for s in grow.snapshots])
+    lengths = support_lengths(grow.data[:, 0])
     times = grow.times
     second_half = lengths[times >= 1.0]
     case1 = (grow.termination.kind == "HorizonReached"
@@ -186,7 +186,7 @@ def test_criterion_07_outcome_scenarios():
     shrink = _support_run(np.ones(128), -2.0 * np.ones(128), N=128, dt=1e-3,
                           t_end=1.0, record_every=10)
     T_star = 0.5 * math.log(3.0)
-    L = np.array([length_from_support(s) for s in shrink.snapshots])
+    L = support_lengths(shrink.data[:, 0])
     tt = shrink.times
     # second differences need the uniformly spaced part of the schedule
     # (the final bisected snapshot is off-cadence)

@@ -26,7 +26,7 @@ from himcf.flow import (
 )
 from himcf.grids import AngleGrid, support_derivatives
 from himcf.presets import circle_support, cosine_series, ellipse_support
-from himcf.support import SupportState, default_eps_convex, length_from_support
+from himcf.support import SupportState, default_eps_convex, support_lengths
 
 
 def fd_rhs(S, V, dtheta):
@@ -154,7 +154,7 @@ class TestRunSupportFlow:
         traj = run_support_flow(s0.S, s0.V, FlowConfig(N=128, t_end=1.0,
                                                        record_every=5))
         assert traj.termination.kind == "HorizonReached"
-        lengths = [length_from_support(s) for s in traj.snapshots]
+        lengths = support_lengths(traj.data[:, 0])
         assert np.all(np.diff(lengths) > 0)
 
     @pytest.mark.parametrize("S0, V0, error", [

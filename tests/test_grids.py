@@ -57,7 +57,7 @@ def test_rejects_bad_order_and_nonfinite():
     with pytest.raises(ValueError):
         periodic_derivative(np.array([1.0, np.nan] + [0.0] * 14), 1)
     with pytest.raises(ValueError):
-        periodic_derivative(np.ones((4, 4)), 1)
+        periodic_derivative(np.float64(1.0), 1)
 
 
 @pytest.mark.parametrize("n", [16, 18, 64, 128, 512])
@@ -101,6 +101,17 @@ def test_support_derivatives_reject_mismatched_rows():
             support_derivatives(bad)
 
 
+@pytest.mark.parametrize("buffer, shape", [("out", (2, 15)), ("out", (1, 2, 16)),
+                                           ("spectrum", (2, 8)), ("spectrum", (2, 10))])
+def test_support_derivatives_refuse_wrong_buffers_before_writing(buffer, shape):
+    # The gufuncs take any core length, so the shapes are checked before a transform.
+    sv = np.array([2.0 + np.cos(AngleGrid(16).theta), np.zeros(16)])
+    given = np.full(shape, 7.0, dtype=complex if buffer == "spectrum" else float)
+    with pytest.raises(ValueError):
+        support_derivatives(sv, **{buffer: given})
+    assert np.all(given == 7.0)
+
+
 # The kernels call numpy's pocketfft gufuncs directly; these tests hold them to
 # the public np.fft round trip bit for bit, at even and odd lengths.
 
@@ -125,11 +136,15 @@ def test_rfft_equals_np_fft_bit_for_bit(n, shape):
     assert spectrum.tobytes() == np.fft.rfft(x).tobytes()
 
 
-@pytest.mark.parametrize("n", [16, 17, 18, 64, 128, 512])
+# A 1-d case keeps the plain id n; a (2, 4) stack of rows is "n-2x4".
+@pytest.mark.parametrize("n, shape", [pytest.param(n, shape, id=f"{n}-2x4" if shape else str(n))
+                                      for shape in [(), (2, 4)] for n in [16, 17, 18, 64, 128, 512]])
 @pytest.mark.parametrize("order", [1, 2])
-def test_periodic_derivative_equals_the_public_round_trip(n, order):
-    v = 2.0 + np.random.default_rng(n).standard_normal(n)
-    assert periodic_derivative(v, order).tobytes() == public_derivative(v, order).tobytes()
+def test_periodic_derivative_equals_the_public_round_trip(n, shape, order):
+    v = 2.0 + np.random.default_rng(n).standard_normal(shape + (n,))
+    d = periodic_derivative(v, order)
+    assert d.shape == v.shape
+    assert d.tobytes() == public_derivative(v, order).tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 17, 18, 64, 128, 512])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from himcf.errors import ConvexityLost, NotConvex, OriginNotInterior
+from himcf.errors import ConvexityLost, NotConvex
 import himcf.support
 from himcf.grids import AngleGrid
 from himcf.presets import ellipse_support
@@ -13,7 +13,7 @@ from himcf.support import (
     SupportState,
     curvature_from_support,
     curve_to_support,
-    length_from_support,
+    support_lengths,
     support_to_curve,
 )
 
@@ -26,6 +26,28 @@ def dense_ellipse_polygon(a, b, M=2048):
     s = 2 * np.pi * np.arange(M) / M
     P = np.column_stack([a * np.cos(s), b * np.sin(s)])
     return PlaneCurve(P=P, sigma=np.zeros(M))
+
+
+# Values the former per-angle conversion loop gave on the polygon of
+# TestCurveToSupport.test_every_newton_outcome_on_a_coarse_random_polygon.
+NEWTON_OUTCOMES_S = np.array([
+    2.0260987088506193, 2.007036367955309, 1.9648350275672142, 1.925817919971972,
+    1.8754992032108007, 1.8149266928139318, 1.7135704285758693, 1.6604691266288212,
+    1.5932810305058027, 1.5113532622414807, 1.396506399295778, 1.2909230875013167,
+    1.1982678663364916, 1.1191149400763776, 1.0515425377843541, 1.0102571102321412,
+    1.007063930765504, 1.0180368889025773, 1.0709669402235094, 1.1095820523839388,
+    1.2069038106636272, 1.2942956807438761, 1.4012050346545268, 1.4765795039439837,
+    1.600562649661879, 1.686474208329346, 1.7561677818452357, 1.8210453488116825,
+    1.8841216423001936, 1.935470377159302, 2.011789427207555, 2.0367329330345685,
+    2.0428284944424924, 2.0301222660218317, 1.9989264276945138, 1.9498860067962123,
+    1.8841573351391598, 1.8040315262333173, 1.7204957456345644, 1.6687021165766354,
+    1.5916624243097024, 1.4995208341675894, 1.3931196214783415, 1.2760400975091366,
+    1.1989603700184583, 1.130275237667863, 1.0547431169827008, 1.0096623692736912,
+    1.0025141745952257, 1.04173667619756, 1.0592859191517325, 1.094095108111959,
+    1.1510043455458818, 1.2305707288031504, 1.3000963132162722, 1.4524472847876886,
+    1.593713212268108, 1.7206767075572764, 1.8315759112876335, 1.8525819208631262,
+    1.8897031770123884, 1.9358197338228265, 1.968076715071893, 2.0031832836985606,
+])
 
 
 def make_state(grid, S, V=None):
@@ -104,6 +126,17 @@ class TestCurveToSupport:
         np.testing.assert_allclose(back.S, ellipse_support(AngleGrid(128), 2.0, 1.0, 0.0).S,
                                    rtol=0.0, atol=1e-13)
 
+    def test_every_newton_outcome_on_a_coarse_random_polygon(self):
+        # 24 vertices at random parameters of the 2:1 ellipse, converted to
+        # N = 64: Newton stops on d2 >= 0 at 23 angles, fails to converge at
+        # 2, lands too far from the arg-max vertex at 1 and polishes 38.  The
+        # values are those of the per-angle loop the conversion replaced.
+        s_par = np.sort(np.random.default_rng(3).uniform(0.0, 2 * np.pi, 24))
+        curve = PlaneCurve(P=np.column_stack([2.0 * np.cos(s_par), np.sin(s_par)]),
+                           sigma=np.zeros(24))
+        state = curve_to_support(curve, AngleGrid(64))
+        np.testing.assert_allclose(state.S, NEWTON_OUTCOMES_S, rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("x0", [0.0, 5.0])
     def test_odd_vertex_count_equals_the_np_fft_reference(self, x0, monkeypatch):
         # grids.rfft calls numpy's pocketfft gufunc; the reference transforms
@@ -134,14 +167,6 @@ class TestCurveToSupport:
         c = support_to_curve(state)
         radii = np.hypot(c.P[:, 0] - 5.0, c.P[:, 1])
         np.testing.assert_allclose(radii, 1.0, atol=1e-8)
-
-    def test_noninterior_origin_without_recentering(self):
-        M = 256
-        s_par = 2 * np.pi * np.arange(M) / M
-        P = np.column_stack([5.0 + np.cos(s_par), np.sin(s_par)])
-        with pytest.raises(OriginNotInterior):
-            curve_to_support(PlaneCurve(P=P, sigma=np.zeros(M)), AngleGrid(64),
-                             recenter=False)
 
     def test_nonconvex_polygon_rejected(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.2], [0.0, -1.0]])
@@ -178,14 +203,13 @@ class TestCurvature:
 
 class TestLength:
     def test_circle(self):
-        grid = AngleGrid(64)
-        assert length_from_support(make_state(grid, np.full(64, 1.5))) == \
+        assert support_lengths(np.full(64, 1.5)) == \
             pytest.approx(3 * np.pi, abs=1e-12)
 
     def test_ellipse_perimeter(self):
         grid = AngleGrid(256)
         S = ellipse_support_samples(2.0, 1.0, grid.theta)
-        L = length_from_support(make_state(grid, S))
+        L = support_lengths(S)
         exact, _ = quad(
             lambda s: np.sqrt(4 * np.sin(s) ** 2 + np.cos(s) ** 2), 0, 2 * np.pi)
         assert exact == pytest.approx(9.688448, abs=1e-4)
@@ -193,7 +217,7 @@ class TestLength:
 
     def test_translated_disk(self):
         grid = AngleGrid(64)
-        L = length_from_support(make_state(grid, 1.0 + 0.1 * np.cos(grid.theta)))
+        L = support_lengths(1.0 + 0.1 * np.cos(grid.theta))
         assert L == pytest.approx(2 * np.pi, abs=1e-12)
 
 
@@ -207,8 +231,7 @@ def test_translation_leaves_curvature_and_length_alone(a, b):
     k0 = curvature_from_support(make_state(grid, base))
     k1 = curvature_from_support(make_state(grid, shifted))
     np.testing.assert_allclose(k0, k1, atol=1e-10)
-    assert length_from_support(make_state(grid, shifted)) == \
-        pytest.approx(length_from_support(make_state(grid, base)), abs=1e-10)
+    assert support_lengths(shifted) == pytest.approx(support_lengths(base), abs=1e-10)
 
 
 def test_state_requires_matching_shapes():
