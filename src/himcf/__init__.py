@@ -60,7 +60,7 @@ from .radial import (
     integrate_radial_ode,
     sphere_geometry,
 )
-from .report import CheckRecord, MonitorReport, margin_record, residual_record
+from .report import CheckRecord, margin_record, residual_record
 from .support import (
     PlaneCurve,
     SupportState,

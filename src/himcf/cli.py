@@ -8,9 +8,9 @@ produces byte-identical output.
 
 Exit codes: 0 the run reached a classified termination (convexity loss is a
 normal outcome, not an error); 1 configuration problem or an output
-directory that cannot be written; 2 a monitored
-invariant failed or an internal bracket was violated.  Nonzero exits put a
-one-object JSON description of the error on stderr.
+directory that cannot be written; 2 a monitored invariant or an internal
+check failed.  Each error class names its code (errors.py).  Nonzero exits
+put a one-object JSON description of the error on stderr.
 """
 from __future__ import annotations
 
@@ -24,20 +24,7 @@ import sys
 import numpy as np
 
 from .curves import PolygonGeometry, polygon_hausdorff
-from .errors import (
-    CflViolation,
-    ConvexityLost,
-    HimcfError,
-    InsufficientData,
-    InvalidConfig,
-    InvalidForcing,
-    InvalidInitialRadius,
-    NonFinite,
-    NotConvex,
-    OriginNotInterior,
-    OutOfDomain,
-    PreconditionFailed,
-)
+from .errors import HimcfError, InvalidConfig, InvalidForcing, OutOfDomain
 from .flow import FlowConfig, FlowTrajectory, run_support_flow, run_support_flows
 from .grids import TWO_PI, AngleGrid, support_derivatives
 from .lagrangian import run_lagrangian_flow, tangential_velocity_max
@@ -73,23 +60,8 @@ from .radial import (
     integrate_radial_ode,
     sphere_geometry,
 )
-from .report import CheckRecord, MonitorReport, margin_record, residual_record
+from .report import CheckRecord, margin_record, residual_record
 from .support import PlaneCurve, SupportState, support_lengths, support_to_curve, unpack_curve
-
-_CONFIG_ERRORS = (
-    InvalidConfig,
-    InvalidInitialRadius,
-    InvalidForcing,
-    NotConvex,
-    OriginNotInterior,
-    ConvexityLost,
-    PreconditionFailed,
-    InsufficientData,
-    OutOfDomain,
-    CflViolation,
-    NonFinite,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     # Argparse wants to exit(2) on usage problems; route them through the
@@ -164,25 +136,18 @@ def _series(raw) -> list[float]:
     return [_real(v) for v in items]
 
 
-def _grid(n: int) -> AngleGrid:
-    try:
-        return AngleGrid(n)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc))
-
-
 def _emit_error(exc: BaseException) -> None:
     sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
 
 
 def _finish(path: str, summary: dict, records, flags=()) -> int:
     """Add the monitors, flags and verdict to summary and write it; exit 0 or 2."""
-    monitor = MonitorReport(records=tuple(records))
+    passed = all(r.passed for r in records)
     summary["monitors"] = [r.as_dict() for r in sorted(records, key=lambda r: r.name)]
     summary["flags"] = sorted(flags)
-    summary["passed"] = monitor.passed
+    summary["passed"] = passed
     write_text_atomic(path, json_text(summary))
-    return 0 if monitor.passed else 2
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------- radial
@@ -314,7 +279,7 @@ def _curve_from_spec(spec: dict, M: int) -> PlaneCurve:
             raise InvalidConfig("ellipse vertices take a constant speed")
         return ellipse_curve(M, _opt(None, spec, "a", 2.0, _real),
                              _opt(None, spec, "b", 1.0, _real), speed[0])
-    return support_to_curve(_support_from_spec(spec, _grid(M)))
+    return support_to_curve(_support_from_spec(spec, AngleGrid(M)))
 
 
 def _outline_indices(count: int, limit: int = 13) -> list[int]:
@@ -372,7 +337,7 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
     support_traj = None
     lagrangian_traj = None
     if solver in ("support", "both"):
-        state0 = _support_from_spec(spec, _grid(N))
+        state0 = _support_from_spec(spec, AngleGrid(N))
         support_traj = run_support_flow(state0.S, state0.V, cfg)
     if solver in ("lagrangian", "both"):
         curve0 = _curve_from_spec(spec, M)
@@ -381,11 +346,11 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
     primary = support_traj if support_traj is not None else lagrangian_traj
     outcome = classify_outcome(primary, outcome_inputs_from_trajectory(primary))
 
-    records = list(primary.monitor.records)
+    records = list(primary.monitor)
     hausdorff = None
     if solver == "both":
         records.extend(dataclasses.replace(r, name="lagrangian-" + r.name)
-                       for r in lagrangian_traj.monitor.records)
+                       for r in lagrangian_traj.monitor)
         if support_traj.termination.kind == lagrangian_traj.termination.kind == "HorizonReached":
             hausdorff = polygon_hausdorff(support_traj.polygon(-1), lagrangian_traj.polygon(-1))
 
@@ -452,7 +417,7 @@ def _containment_config(args, config: dict, preset: dict) -> FlowConfig:
 
 
 def _run_containment_pair(outer_spec: dict, inner_spec: dict, cfg: FlowConfig):
-    pair = [_support_from_spec(spec, _grid(cfg.N)) for spec in (outer_spec, inner_spec)]
+    pair = [_support_from_spec(spec, AngleGrid(cfg.N)) for spec in (outer_spec, inner_spec)]
     require_ordered_start(*(s.sv for s in pair))
     outer, inner = run_support_flows([s.S for s in pair], [s.V for s in pair], cfg)
     return outer, inner, check_containment(outer, inner)
@@ -588,7 +553,7 @@ def _suite_length() -> list[CheckRecord]:
     circle = circle_support(grid, 1.0, -1.0)
     cfg = FlowConfig(N=128, dt=2.5e-4, t_end=0.05, record_every=2)
     circle_report = check_length_identities(run_support_flow(circle.S, circle.V, cfg))
-    first = circle_report.records[0]
+    first = circle_report[0]
 
     ellipse = ellipse_support(grid, 1.5, 1.0, -0.8)
     cfg = FlowConfig(N=128, dt=1e-3, t_end=0.5, record_every=5)
@@ -598,9 +563,9 @@ def _suite_length() -> list[CheckRecord]:
         # exact and the residual is pure time-differencing error.
         residual_record("length/circle-first-identity", first.worst,
                         tolerance=1e-6, t_worst=first.t_worst),
-        dataclasses.replace(ellipse_report.records[0],
+        dataclasses.replace(ellipse_report[0],
                             name="length/ellipse-first-identity"),
-        dataclasses.replace(ellipse_report.records[1],
+        dataclasses.replace(ellipse_report[1],
                             name="length/ellipse-second-identity"),
     ]
 
@@ -734,12 +699,9 @@ def main(argv=None) -> int:
             raise InvalidConfig(f"a subcommand is required ({' | '.join(_COMMANDS)})")
         config = _load_config(args.config)
         return args.func(args, config, _out_dir(args, config))
-    except _CONFIG_ERRORS as exc:
-        _emit_error(exc)
-        return 1
     except HimcfError as exc:
         _emit_error(exc)
-        return 2
+        return exc.exit_code
     except OSError as exc:      # the output directory cannot be made or written
         _emit_error(exc)
         return 1

@@ -1,28 +1,35 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each names its CLI exit code.
+
+exit_code 1: a configuration that cannot run; 2 (the base's): a failed check.
+"""
 
 
 class HimcfError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 2
 
-class InvalidConfig(HimcfError):
-    pass
+
+class InvalidConfig(HimcfError, ValueError):
+    exit_code = 1
 
 
 class InvalidInitialRadius(HimcfError):
-    pass
+    exit_code = 1
 
 
 class InvalidForcing(HimcfError):
-    pass
+    exit_code = 1
 
 
 class NotConvex(HimcfError):
-    pass
+    exit_code = 1
 
 
 class ConvexityLost(HimcfError):
     """Strict convexity S_thth + S > eps failed; carries time/angle when known."""
+
+    exit_code = 1
 
     def __init__(self, message, t=None, theta=None):
         super().__init__(message)
@@ -31,7 +38,7 @@ class ConvexityLost(HimcfError):
 
 
 class OriginNotInterior(HimcfError):
-    pass
+    exit_code = 1
 
 
 class DegenerateEdge(HimcfError):
@@ -39,7 +46,7 @@ class DegenerateEdge(HimcfError):
 
 
 class CflViolation(HimcfError):
-    pass
+    exit_code = 1
 
 
 class BracketViolation(HimcfError):
@@ -47,16 +54,18 @@ class BracketViolation(HimcfError):
 
 
 class PreconditionFailed(HimcfError):
-    pass
+    exit_code = 1
 
 
 class InsufficientData(HimcfError):
-    pass
+    exit_code = 1
 
 
 class OutOfDomain(HimcfError):
-    pass
+    exit_code = 1
 
 
 class NonFinite(HimcfError, ValueError):
     """Samples or a state went inf/NaN, as when a run overflows double precision."""
+
+    exit_code = 1

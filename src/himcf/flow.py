@@ -42,7 +42,7 @@ from .curves import PolygonGeometry, discrete_curvature
 from .errors import (CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NonFinite,
                      NotConvex)
 from .grids import TWO_PI, AngleGrid, support_derivatives
-from .report import MonitorReport, margin_record
+from .report import CheckRecord, margin_record
 from .support import (PlaneCurve, SupportState, default_eps_convex, support_lengths,
                       support_to_curve, unpack_curve)
 
@@ -163,7 +163,7 @@ class FlowTrajectory:
     times: np.ndarray
     data: np.ndarray
     termination: Termination
-    monitor: MonitorReport
+    monitor: tuple[CheckRecord, ...]
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -458,12 +458,12 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
                       for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy())
     trajectories = []
     for (times, data, termination, member, cfl_margin), eps in zip(runs, floors):
-        monitor = MonitorReport(records=(
+        monitor = (
             margin_record("run-convexity-floor", float(np.min(member[1, 0]) - eps),
                           tolerance=0.0, note="final S''+S margin above the configured floor"),
             margin_record("run-cfl-compliance",
                           float(cfl_margin) if math.isfinite(cfl_margin) else 0.0,
                           tolerance=1e-15, note="min over steps of (allowed dt - taken dt)"),
-        ))
+        )
         trajectories.append(FlowTrajectory(times, data, termination, monitor))
     return tuple(trajectories)

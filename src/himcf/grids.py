@@ -18,7 +18,7 @@ import numpy as np
 # The C module np.fft.rfft / irfft call; a numpy that moves it fails this import.
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import NonFinite
+from .errors import InvalidConfig, NonFinite
 
 TWO_PI = 2.0 * np.pi
 _RFFT = (_pocketfft.rfft_n_even, _pocketfft.rfft_n_odd)   # by n % 2, with fct = 1; irfft: 1/n
@@ -38,7 +38,7 @@ class AngleGrid:
 
     def __post_init__(self):
         if self.N < 16 or self.N % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 16, got {self.N}")
+            raise InvalidConfig(f"grid size must be even and >= 16, got {self.N}")
 
     @property
     def theta(self) -> np.ndarray:

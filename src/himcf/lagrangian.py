@@ -30,7 +30,7 @@ from .curves import (PolygonGeometry, cyclic_shift, require_edge_lengths,
                      resample_equal_arclength)
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
-from .report import MonitorReport, margin_record
+from .report import margin_record
 from .support import PlaneCurve, unpack_curve
 
 RESAMPLE_INTERVAL = 50
@@ -142,9 +142,9 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
         _resample_every_interval)
 
     k_final = curve.derivatives.curvature
-    monitor = MonitorReport(records=(
+    monitor = (
         margin_record("run-convexity-floor", float(np.min(k_final)),
                       tolerance=0.0,
                       note="final discrete curvature stays positive"),
-    ))
+    )
     return FlowTrajectory(times, data, termination, monitor)

@@ -27,7 +27,7 @@ from .errors import InsufficientData, InvalidConfig, OutOfDomain, PreconditionFa
 from .flow import FlowTrajectory
 from .grids import TWO_PI, AngleGrid, periodic_derivative, support_derivatives
 from .radial import classify_regime, closed_form_radius, closed_form_velocity, sphere_geometry
-from .report import CheckRecord, MonitorReport, margin_record, residual_record
+from .report import CheckRecord, margin_record, residual_record
 from .support import support_lengths
 
 # k_theta^2 coefficient of the curvature evolution equation, fixed by the
@@ -141,7 +141,7 @@ def _uniform_prefix(times: np.ndarray, rtol: float = 1e-9) -> int:
     return 1 + int(np.argmax(np.append(np.abs(d - d[0]) > rtol * max(d[0], 1e-300), True)))
 
 
-def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
+def check_length_identities(traj: FlowTrajectory) -> tuple[CheckRecord, CheckRecord]:
     """Residuals of dL/dt and d^2L/dt^2 against their curvature integrals.
 
     Time derivatives are central differences over the uniformly spaced
@@ -171,8 +171,8 @@ def check_length_identities(traj: FlowTrajectory) -> MonitorReport:
                                t_worst=float(times[i + 1]) if r[i] > 0.0 else None)
 
     L_scale = float(np.max(L))
-    return MonitorReport(records=(record("length-identity-first", r1, 1e-3 * L_scale),
-                                  record("length-identity-second", r2, 1e-2 * L_scale)))
+    return (record("length-identity-first", r1, 1e-3 * L_scale),
+            record("length-identity-second", r2, 1e-2 * L_scale))
 
 
 def classify_outcome(traj: FlowTrajectory, inputs: OutcomeInputs) -> OutcomeReport:

@@ -1,7 +1,7 @@
 """Check-record plumbing shared by the flow runners and the monitor suite."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,3 @@ def residual_record(name: str, residual: float, tolerance: float, *,
                        passed=bool(residual <= tolerance), kind="residual",
                        t_worst=t_worst, theta_worst=theta_worst, note=note)
 
-
-@dataclass(frozen=True)
-class MonitorReport:
-    records: tuple[CheckRecord, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)

@@ -154,15 +154,15 @@ def test_criterion_05_containment_principle():
 def test_criterion_06_length_identities():
     circle = _support_run(np.ones(128), -np.ones(128), N=128, dt=2.5e-4,
                           t_end=0.05, record_every=2)
-    circle_first = next(r for r in check_length_identities(circle).records
+    circle_first = next(r for r in check_length_identities(circle)
                         if "first" in r.name)
 
     s0 = ellipse_support(AngleGrid(128), 1.5, 1.0, speed=-0.8)
     ellipse = _support_run(s0.S, s0.V, N=128, dt=1e-3, t_end=0.5,
                            record_every=5)
     report = check_length_identities(ellipse)
-    e_first = next(r for r in report.records if "first" in r.name)
-    e_second = next(r for r in report.records if "second" in r.name)
+    e_first = next(r for r in report if "first" in r.name)
+    e_second = next(r for r in report if "second" in r.name)
 
     ok = (circle_first.worst <= 1e-6 and e_first.passed and e_second.passed)
     _report(6, "length-identities", ok,

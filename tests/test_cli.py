@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, file outputs, determinism."""
 import csv
+import inspect
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import himcf.cli
+import himcf.errors
 import himcf.flow
 from himcf.cli import _support_from_spec
 from himcf.errors import PreconditionFailed
@@ -22,6 +24,17 @@ from himcf.presets import circle_support, cosine_series, ellipse_support
 CLI = [sys.executable, "-m", "himcf"]
 PAIR = {"outer": {"preset": "circle", "r0": 2.0, "speed": 0.5},
         "inner": {"preset": "circle", "r0": 1.0, "speed": 0.3}}
+
+# The exit code of every error class: 1 for a configuration that cannot run,
+# 2 for a failed internal check.  A new class fails the test until it is here.
+EXIT_CODES = {
+    "HimcfError": 2, "DegenerateEdge": 2, "BracketViolation": 2,
+    "InvalidConfig": 1, "InvalidInitialRadius": 1, "InvalidForcing": 1, "NotConvex": 1,
+    "OriginNotInterior": 1, "ConvexityLost": 1, "PreconditionFailed": 1,
+    "InsufficientData": 1, "OutOfDomain": 1, "CflViolation": 1, "NonFinite": 1,
+}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(himcf.errors, inspect.isclass)
+                 if issubclass(cls, himcf.errors.HimcfError)]
 
 
 def cap_address_space():
@@ -207,6 +220,24 @@ class TestVerify:
 
 
 class TestErrorContract:
+    def test_every_error_class_has_its_exit_code_in_the_table(self):
+        assert {cls.__name__: cls.exit_code for cls in ERROR_CLASSES} == EXIT_CODES
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_an_error_from_a_subcommand_exits_with_its_code_and_one_json_error(
+            self, error, tmp_path, capsys, monkeypatch):
+        # Reaches the classes no argv raises, such as BracketViolation.
+        def raises(args, config, out_dir):
+            raise error("raised by the subcommand")
+
+        _, *rest = himcf.cli._COMMANDS["radial"]
+        monkeypatch.setitem(himcf.cli._COMMANDS, "radial", (raises, *rest))
+        out = tmp_path / "out"
+        assert himcf.cli.main(["radial", "--out-dir", str(out)]) == EXIT_CODES[error.__name__]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": error.__name__, "message": "raised by the subcommand"}
+        assert not out.exists()
+
     def test_invalid_radius_is_exit_1_with_json_error(self, tmp_path):
         proc, _ = run_cli(["radial", "--geometry", "circle", "--r0", "-1"],
                           tmp_path, expect=1)
@@ -261,6 +292,7 @@ class TestErrorContract:
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)
         assert err["error"] in ("InvalidConfig", "InvalidForcing")
+        assert proc.returncode == getattr(himcf.errors, err["error"]).exit_code
 
     @pytest.mark.parametrize("solver", ["support", "lagrangian"])
     def test_overflowing_speed_is_exit_1_with_one_json_error(self, solver, tmp_path):
@@ -271,6 +303,7 @@ class TestErrorContract:
         err = json.loads(proc.stderr)
         assert err["error"] in ("NonFinite", "CflViolation")
         assert "dt must be positive" not in err["message"]
+        assert proc.returncode == getattr(himcf.errors, err["error"]).exit_code
 
     @pytest.mark.parametrize("shape", [["--preset", "circle", "--r0", "1e300"],
                                        ["--preset", "fourier", "--coeffs", "1e300"]])

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from himcf.errors import InvalidConfig
 from himcf.grids import AngleGrid, periodic_derivative, rfft, support_derivatives
 
 
@@ -17,7 +18,10 @@ def test_grid_samples_are_uniform():
 
 @pytest.mark.parametrize("bad", [15, 17, 14, 0, -16])
 def test_grid_rejects_odd_or_small_sizes(bad):
+    # InvalidConfig is a ValueError, so code that checks for either catches it.
     with pytest.raises(ValueError):
+        AngleGrid(bad)
+    with pytest.raises(InvalidConfig):
         AngleGrid(bad)
 
 
