@@ -22,8 +22,10 @@ With --counts nothing is timed.  For each checkout a fresh interpreter
 counts, with sys.setprofile, the Python and C calls per accepted step of
 fixed-dt support runs at N in COUNT_N and B in COUNT_B and of a Lagrangian
 run at COUNT_M vertices, and the calls of one curve_to_support of a
-512-vertex ellipse to N = 128 and of one curvature_evolution_residual of
-the verify curvature-equation run.  The counts are exact for one Python and
+512-vertex ellipse to N = 128, of one curvature_evolution_residual of
+the verify curvature-equation run, and of one in-process himcf.cli.main
+call of the README's `curve ... --both-solvers` example (CLI_ARGV), written
+into a temporary directory.  The counts are exact for one Python and
 numpy version.  They go under "counts" in --out, next to what the file already
 holds (run the timed pairs first), with each checkout's src_lines (the line
 count of src/himcf/*.py), and a table of both sides is printed.
@@ -44,8 +46,10 @@ The output file's directory is created if it is missing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import glob
+import io
 import json
 import os
 import platform
@@ -53,6 +57,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from functools import partial
 
@@ -62,6 +67,9 @@ COUNT_N = (64, 128, 256, 512)
 COUNT_B = (1, 2)
 COUNT_M = 256
 COUNT_STEPS = (10, 30)    # two run lengths; their difference is the per-step work
+# The README's two-solver example, as perfbench's cli-cross-solver runs it.
+CLI_ARGV = ["curve", "--preset", "ellipse", "--a", "2", "--b", "1", "--speed", "0.5",
+            "--t-end", "0.5", "--both-solvers"]
 LAYER_N = (64, 128, 256, 512)
 LAYER_SETS = 5
 LAYER_REPEAT = 7
@@ -153,6 +161,7 @@ def per_call_calls(fn) -> dict:
 
 def call_counts() -> dict:
     """Profiled calls per step, or per call, of the himcf on sys.path (see --counts)."""
+    from himcf.cli import main as cli_main
     from himcf.flow import FlowConfig, run_support_flow, run_support_flows
     from himcf.grids import AngleGrid
     from himcf.lagrangian import run_lagrangian_flow
@@ -169,6 +178,12 @@ def call_counts() -> dict:
         curve = ellipse_curve(COUNT_M, 2.0, 1.0, speed=0.5)
         return [run_lagrangian_flow(curve, 0.5, FlowConfig(dt=dt, t_end=steps * dt))]
 
+    def cli_run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):    # the one-line report
+            code = cli_main(argv)
+        if code != 0:
+            raise RuntimeError(f"himcf {' '.join(argv)} exited with {code}")
+
     counts = {f"support N={N} B={B}": per_step_calls(partial(support_run, N, B))
               for N in COUNT_N for B in COUNT_B}
     counts[f"lagrangian M={COUNT_M}"] = per_step_calls(lagrangian_run)
@@ -179,6 +194,9 @@ def call_counts() -> dict:
     traj = run_support_flow(s.S, s.V, FlowConfig(N=128, dt=1e-3, t_end=0.3, record_every=10))
     counts["curvature_evolution_residual verify run, one call"] = per_call_calls(
         partial(curvature_evolution_residual, traj))
+    with tempfile.TemporaryDirectory() as out_dir:
+        counts["cli curve --both-solvers README ellipse, one call"] = per_call_calls(
+            partial(cli_run, CLI_ARGV + ["--out-dir", out_dir]))
     return counts
 
 

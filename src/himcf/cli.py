@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -675,15 +676,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="himcf",
                      description="Hyperbolic inverse mean curvature flow toolkit")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for command, (func, help_text, names) in _COMMANDS.items():
+    for command, (_, help_text, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in ("out_dir", "config", *names):
             p.add_argument("--" + name.replace("_", "-"), dest=name)
-        p.set_defaults(func=func)
     sub.choices["curve"].add_argument("--both-solvers", dest="both_solvers",
                                       action="store_true")
     sub.choices["verify"].add_argument("suites", nargs="*", metavar="suite",
@@ -692,13 +693,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        args = build_parser().parse_args(argv)
+        if args.command is None:
             raise InvalidConfig(f"a subcommand is required ({' | '.join(_COMMANDS)})")
         config = _load_config(args.config)
-        return args.func(args, config, _out_dir(args, config))
+        return _COMMANDS[args.command][0](args, config, _out_dir(args, config))
     except HimcfError as exc:
         _emit_error(exc)
         return exc.exit_code

@@ -33,23 +33,23 @@ def vector_norms(v: np.ndarray) -> np.ndarray:
 
 
 class PolygonGeometry:
-    """The one geometry pass: every stencil of P from its two neighbour arrays.
+    """The one geometry pass: every stencil of P from one padded copy of it.
 
-    Entry i belongs to vertex i, which edge e[i] = P[i+1] - P[i] leaves and
-    e[i-1] = P[i] - P[i-1] enters.  The pass checks nothing; curvature and
-    frame raise DegenerateEdge where their stencils degenerate.
+    Entry i belongs to vertex i, which edge e[i] = P[i+1] - P[i] leaves and e[i-1] =
+    P[i] - P[i-1] enters.  P padded by a vertex at each end gives e[i-1], i = 0 ... M, and
+    their lengths once; prev_edges/edges and prev_lengths/lengths are views of them.  The
+    pass checks nothing; curvature and frame raise DegenerateEdge on degenerate stencils.
     """
 
     def __init__(self, P: np.ndarray):
-        P_next = cyclic_shift(P, -1, axis=-2)
-        P_prev = cyclic_shift(P, 1, axis=-2)
-        self.prev_edges = e_prev = P - P_prev
-        self.edges = e = P_next - P
-        self.lengths = vector_norms(e)
-        self.prev_lengths = vector_norms(e_prev)
+        padded = np.concatenate((P[..., -1:, :], P, P[..., :1, :]), axis=-2)
+        e = padded[..., 1:, :] - padded[..., :-1, :]
+        lengths = vector_norms(e)
+        self.prev_edges, self.edges = e_prev, e = e[..., :-1, :], e[..., 1:, :]
+        self.prev_lengths, self.lengths = lengths[..., :-1], lengths[..., 1:]
         self.cross = e_prev[..., 0] * e[..., 1] - e_prev[..., 1] * e[..., 0]
         self.triangle = self.prev_lengths * self.lengths * vector_norms(e_prev + e)
-        self.chord = P_next - P_prev
+        self.chord = padded[..., 2:, :] - padded[..., :-2, :]
 
     @property
     def length(self) -> float:
@@ -70,7 +70,7 @@ class PolygonGeometry:
         if np.minimum.reduce(norm, axis=None) <= 0.0:
             raise DegenerateEdge("coincident neighbor vertices")
         T = self.chord / norm[..., None]
-        return T, np.stack([T[..., 1], -T[..., 0]], axis=-1)
+        return T, T[..., ::-1] * (1.0, -1.0)
 
     @property
     def turning_angles(self) -> np.ndarray:

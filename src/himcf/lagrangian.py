@@ -5,12 +5,12 @@ The normal form of the flow moves each boundary point with
     dP/dt = sigma * nu(P),      dsigma/dt = 1/k(P),
 
 nu and k read off the polygon itself (chord tangents, circumscribed-circle
-curvature), all from one PolygonGeometry pass that a curve caches as
-PlaneCurve.derivatives: validating an accepted step computes it, and the
-CFL bound, the next first stage and the final record reuse it.  No
-tangential motion is prescribed, so vertices slowly cluster;
-every RESAMPLE_INTERVAL accepted steps the polygon is redistributed to equal
-arc length with sigma transported by periodic cubic interpolation.
+curvature), all from one PolygonGeometry pass (P padded by a vertex at each
+end, each edge and its length formed once) that a curve caches as
+PlaneCurve.derivatives: validating an accepted step computes it, and the CFL
+bound, the next first stage and the final record reuse it.  No tangential
+motion is prescribed, so vertices slowly cluster; every RESAMPLE_INTERVAL
+accepted steps they are respaced to equal arc length, sigma with them.
 
 This solver shares no discretization with the support-PDE solver, which is
 the point: agreement of the two is the module's strongest correctness check.

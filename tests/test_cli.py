@@ -600,6 +600,26 @@ class TestDeterminism:
         for fname in ("curve.csv", "curve_summary.json", "curve.svg"):
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
 
+    def test_an_argv_run_twice_in_process_gives_the_same_bytes(self, tmp_path, capsys):
+        # One process shares the parser and module state between runs; other
+        # subcommands in between, one run and one refused by the parser, must
+        # not leak into the second run.
+        argv = ["curve", "--preset", "ellipse", "--a", "1.5", "--b", "1",
+                "--speed", "0.4", "--t-end", "0.2", "--both-solvers"]
+
+        def run(args, out):
+            code = himcf.cli.main([*args, "--out-dir", str(out)])
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            return code, capsys.readouterr(), files
+
+        first = run(argv, tmp_path / "a")
+        assert run(["radial", "--geometry", "sphere", "--n", "3"], tmp_path / "r")[0] == 0
+        assert run(["radial", "--no-such-flag"], tmp_path / "e")[0] == 1
+        second = run(argv, tmp_path / "b")
+        assert first[0] == 0 and sorted(first[2]) == ["curve.csv", "curve.svg",
+                                                      "curve_summary.json"]
+        assert second == first
+
 
 def test_import_does_not_load_scipy():
     code = "import sys, himcf, himcf.cli; print('scipy' in sys.modules)"

@@ -185,7 +185,8 @@ def roll_normal_angles(P):
 
 def geometry_arrays(g):
     """Every array of a geometry pass, its checked views included."""
-    return {"edges": g.edges, "lengths": g.lengths, "prev_lengths": g.prev_lengths,
+    return {"edges": g.edges, "prev_edges": g.prev_edges, "lengths": g.lengths,
+            "prev_lengths": g.prev_lengths,
             "cross": g.cross, "dot": g.dot, "triangle": g.triangle, "chord": g.chord,
             "curvature": g.curvature, "tangent": g.frame[0], "normal": g.frame[1],
             "turning_angles": g.turning_angles, "normal_angles": g.normal_angles}
@@ -213,9 +214,11 @@ def test_cyclic_shift_is_roll(shape, axis, shift):
 
 class TestBatchedStencils:
     STACK = random_convex_polygons(T=6, M=97, seed=11)
+    # The triangle's one-vertex padding at each end touches every row.
+    SINGLES = [*STACK, random_convex_polygons(T=1, M=3, seed=12)[0]]
 
     def test_single_polygons_match_the_roll_reference_bit_for_bit(self):
-        for P in self.STACK:
+        for P in self.SINGLES:
             assert np.array_equal(PolygonGeometry(P).edges, roll_edges(P))
             assert np.array_equal(PolygonGeometry(P).lengths, np.hypot(*roll_edges(P).T))
             for got, ref in zip(discrete_tangent_normal(P), roll_tangent_normal(P)):
@@ -224,12 +227,13 @@ class TestBatchedStencils:
             assert np.array_equal(PolygonGeometry(P).turning_angles, roll_turning_angles(P))
 
     def test_geometry_pass_matches_the_roll_reference_bit_for_bit(self):
-        for P in self.STACK:
+        for P in self.SINGLES:
             e = roll_edges(P)
             e_prev = np.roll(e, 1, axis=0)
             lengths = np.hypot(*e.T)
             reference = {
-                "edges": e, "lengths": lengths, "prev_lengths": np.roll(lengths, 1),
+                "edges": e, "prev_edges": e_prev, "lengths": lengths,
+                "prev_lengths": np.roll(lengths, 1),
                 "cross": e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0],
                 "dot": np.sum(e_prev * e, axis=1),
                 "triangle": np.roll(lengths, 1) * lengths * np.hypot(*(e_prev + e).T),

@@ -208,29 +208,36 @@ class TestSharedStepping:
                                 FlowConfig(t_end=0.1))
         assert len(calls) < 10
 
-    def test_ten_shifts_per_accepted_step(self, monkeypatch):
-        # The geometry pass (two shifts) runs once for the initial state's
-        # check (the set-up constant), then per accepted step once for each
-        # of stages 2-4 and once to validate the candidate; the CFL bound
-        # adds sigma's two shifts, and stage 1, the bound's geometry and the
-        # final record reuse the validated state's pass.
-        SETUP_CALLS = 2
+    def test_four_geometry_passes_and_two_shifts_per_accepted_step(self, monkeypatch):
+        # The geometry pass runs once for the initial state's check (the
+        # set-up constant), then per accepted step once for each of stages
+        # 2-4 and once to validate the candidate; stage 1, the CFL bound and
+        # the final record reuse the validated state's pass.  The CFL bound
+        # shifts sigma twice, and nothing else shifts.
+        SETUP_PASSES = 1
         c = ellipse_curve(64, 2.0, 1.0, speed=-1.0)
-        calls = []
+        passes, shifts = [], []
+        init = PolygonGeometry.__init__
         shift = himcf.curves.cyclic_shift
         assert himcf.lagrangian.cyclic_shift is shift
 
-        def counted(a, k, axis):
-            calls.append(k)
+        def counted_pass(self, P):
+            passes.append(P.shape)
+            init(self, P)
+
+        def counted_shift(a, k, axis):
+            shifts.append(k)
             return shift(a, k, axis)
 
-        monkeypatch.setattr(himcf.curves, "cyclic_shift", counted)
-        monkeypatch.setattr(himcf.lagrangian, "cyclic_shift", counted)
+        monkeypatch.setattr(PolygonGeometry, "__init__", counted_pass)
+        monkeypatch.setattr(himcf.curves, "cyclic_shift", counted_shift)
+        monkeypatch.setattr(himcf.lagrangian, "cyclic_shift", counted_shift)
         traj = run_lagrangian_flow(c, c.sigma, FlowConfig(dt=1e-3, t_end=0.02))
         assert traj.termination.kind == "HorizonReached"
         steps = len(traj.snapshots) - 1
         assert steps == 20 < RESAMPLE_INTERVAL
-        assert len(calls) == 10 * steps + SETUP_CALLS
+        assert len(passes) == 4 * steps + SETUP_PASSES == 81
+        assert len(shifts) == 2 * steps == 40
 
     def test_recorded_snapshots_hold_only_the_floats(self):
         c = ellipse_curve(256, 2.0, 1.0, speed=0.5)
