@@ -21,21 +21,24 @@ its own checkout's `perfbench/_out` and `perfbench/_results`.
 With --counts nothing is timed.  For each checkout a fresh interpreter
 counts, with sys.setprofile, the Python and C calls per accepted step of
 fixed-dt support runs at N in COUNT_N and B in COUNT_B and of a Lagrangian
-run at COUNT_M vertices, and the calls of one curve_to_support of a
-512-vertex ellipse to N = 128, of one curvature_evolution_residual of
-the verify curvature-equation run, and of one in-process himcf.cli.main
-call of the README's `curve ... --both-solvers` example (CLI_ARGV), written
-into a temporary directory.  The counts are exact for one Python and
+run at COUNT_M vertices, and the calls of one resample_equal_arclength of
+that run's COUNT_M-vertex ellipse with its sigma (a run resamples once per
+RESAMPLE_INTERVAL accepted steps, outside the per-step difference), of one
+curve_to_support of a 512-vertex ellipse to N = 128, of one
+curvature_evolution_residual of the verify curvature-equation run, and of
+one in-process himcf.cli.main call of the README's `curve ... --both-solvers`
+example (CLI_ARGV), written into a temporary directory.  The counts are exact for one Python and
 numpy version.  They go under "counts" in --out, next to what the file already
 holds (run the timed pairs first), with each checkout's src_lines (the line
 count of src/himcf/*.py), and a table of both sides is printed.
 
 With --layers the stage layers of layer_calls (the spectral kernel, one
 stage, step_supports at B = 1 and 2, the CFL and admissibility checks at N
-in LAYER_N; a Lagrangian step at M = 2N, curve_to_support of a 512-vertex
-polygon, polygon_hausdorff) are timed instead, again in one fresh
-interpreter per checkout.  Each layer gets LAYER_SETS sets, each the minimum
-over LAYER_REPEAT loops, sized to take about LAYER_LOOP_S, of the time per
+in LAYER_N; a fixed-dt Lagrangian run of LAYER_LAGRANGIAN_STEPS steps at
+M = 2N, so that every step meets a new curve as in a run; curve_to_support
+of a 512-vertex polygon, polygon_hausdorff) are timed instead, again in one
+fresh interpreter per checkout.  Each layer gets LAYER_SETS sets, each the
+minimum over LAYER_REPEAT loops, sized to take about LAYER_LOOP_S, of the time per
 call; the two checkouts time their loops in turn.  The set minima (in
 microseconds per call) and their spread go under "layers" in --out, and a
 table of both sides is printed, with the sets in which the change's minimum
@@ -71,7 +74,8 @@ COUNT_STEPS = (10, 30)    # two run lengths; their difference is the per-step wo
 CLI_ARGV = ["curve", "--preset", "ellipse", "--a", "2", "--b", "1", "--speed", "0.5",
             "--t-end", "0.5", "--both-solvers"]
 LAYER_N = (64, 128, 256, 512)
-LAYER_SETS = 5
+LAYER_SETS = 15           # 5 sets could not resolve a 5-10 % change of one layer
+LAYER_LAGRANGIAN_STEPS = 20
 LAYER_REPEAT = 7
 LAYER_LOOP_S = 0.02       # target seconds of one timed loop of calls
 
@@ -162,6 +166,7 @@ def per_call_calls(fn) -> dict:
 def call_counts() -> dict:
     """Profiled calls per step, or per call, of the himcf on sys.path (see --counts)."""
     from himcf.cli import main as cli_main
+    from himcf.curves import resample_equal_arclength
     from himcf.flow import FlowConfig, run_support_flow, run_support_flows
     from himcf.grids import AngleGrid
     from himcf.lagrangian import run_lagrangian_flow
@@ -187,6 +192,9 @@ def call_counts() -> dict:
     counts = {f"support N={N} B={B}": per_step_calls(partial(support_run, N, B))
               for N in COUNT_N for B in COUNT_B}
     counts[f"lagrangian M={COUNT_M}"] = per_step_calls(lagrangian_run)
+    curve = ellipse_curve(COUNT_M, 2.0, 1.0, speed=0.5)
+    counts[f"resample_equal_arclength M={COUNT_M}, one call"] = per_call_calls(
+        partial(resample_equal_arclength, curve.P, [curve.sigma]))
     polygon, grid = ellipse_curve(512, 2.0, 1.0), AngleGrid(128)
     counts["curve_to_support M=512 N=128, one call"] = per_call_calls(
         partial(curve_to_support, polygon, grid))
@@ -203,16 +211,18 @@ def call_counts() -> dict:
 def layer_calls() -> dict:
     """Each stage layer of the himcf on sys.path as a call without arguments (see --layers)."""
     from himcf.curves import polygon_hausdorff
-    from himcf.flow import (_stage_rhs, _stage_work, cfl_bound, step_supports,
+    from himcf.flow import (FlowConfig, _stage_rhs, _stage_work, cfl_bound, step_supports,
                             validate_support_state)
     from himcf.grids import AngleGrid, support_derivatives
-    from himcf.lagrangian import step_lagrangian
+    from himcf.lagrangian import run_lagrangian_flow
     from himcf.presets import ellipse_curve, ellipse_support
     from himcf.support import curve_to_support, support_lengths
 
     P, Q = ellipse_curve(256, 2.0, 1.0).P, ellipse_curve(256, 2.1, 0.9).P
     calls = {"polygon_hausdorff M=256": lambda: polygon_hausdorff(P, Q)}
     polygon = ellipse_curve(512, 2.0, 1.0)
+    dt = 1e-4
+    lagrangian_cfg = FlowConfig(dt=dt, t_end=LAYER_LAGRANGIAN_STEPS * dt)
     for N in LAYER_N:
         grid = AngleGrid(N)
         s = ellipse_support(grid, 2.0, 1.0, speed=0.5)
@@ -230,7 +240,8 @@ def layer_calls() -> dict:
             "step_supports B=2": partial(step_supports, members, 1e-3, work),
             "cfl_bound": partial(cfl_bound, members[0]),
             "validate_support_state": partial(validate_support_state, members[0], 1e-8, L0),
-            "step_lagrangian M=2N": partial(step_lagrangian, curve, 1e-4),
+            f"run_lagrangian_flow {LAYER_LAGRANGIAN_STEPS} steps M=2N":
+                partial(run_lagrangian_flow, curve, 0.5, lagrangian_cfg),
             "curve_to_support M=512": partial(curve_to_support, polygon, grid),
         }.items()})
     return calls

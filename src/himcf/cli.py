@@ -330,7 +330,6 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
     cfg = FlowConfig(
         N=N,
         dt=_opt(args, config, "dt", None, _real),
-        cfl_safety=_opt(args, config, "cfl_safety", None, _real),
         t_end=_opt(args, config, "t_end", 1.0, _real),
         record_every=_opt(args, config, "record_every", 1, _count),
     )
@@ -669,7 +668,7 @@ _COMMANDS = {
                ("geometry", "n", "r0", "r1", "dt", "t_end", "forcing_constant")),
     "curve": (cmd_curve, "support-PDE / Lagrangian curve flow",
               ("preset", "r0", "a", "b", "coeffs", "speed", "solver", "N",
-               "vertices", "dt", "cfl_safety", "t_end", "record_every")),
+               "vertices", "dt", "t_end", "record_every")),
     "containment": (cmd_containment, "ordered pairs stay ordered",
                     ("scenario", "N", "dt", "t_end", "eps_convex", "record_every")),
     "verify": (cmd_verify, "run the invariant suites", ()),

@@ -7,20 +7,9 @@ general smooth curves.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import DegenerateEdge
-
-
-def cyclic_shift(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """Periodic shift, result[i] = a[i - shift] along axis, from two slices."""
-    axis %= a.ndim
-    cut = -shift % a.shape[axis]
-    head = (slice(None),) * axis
-    return np.concatenate((a[head + (slice(cut, None),)], a[head + (slice(None, cut),)]),
-                          axis=axis)
 
 
 # The polygon stencils below take P of shape (..., M, 2): one polygon or a
@@ -38,7 +27,8 @@ class PolygonGeometry:
     Entry i belongs to vertex i, which edge e[i] = P[i+1] - P[i] leaves and e[i-1] =
     P[i] - P[i-1] enters.  P padded by a vertex at each end gives e[i-1], i = 0 ... M, and
     their lengths once; prev_edges/edges and prev_lengths/lengths are views of them.  The
-    pass checks nothing; curvature and frame raise DegenerateEdge on degenerate stencils.
+    pass checks nothing; curvature and frame are formed when read and raise DegenerateEdge
+    on degenerate stencils.
     """
 
     def __init__(self, P: np.ndarray):
@@ -56,14 +46,14 @@ class PolygonGeometry:
         """Perimeter of a single polygon."""
         return float(np.add.reduce(self.lengths))
 
-    @cached_property
+    @property
     def curvature(self) -> np.ndarray:
         """Signed curvature from the circumscribed circle of each vertex triple."""
         if np.minimum.reduce(self.triangle, axis=None) <= 0.0:
             raise DegenerateEdge("zero-length edge in curvature stencil")
         return 2.0 * self.cross / self.triangle
 
-    @cached_property
+    @property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit tangent (chord central difference) and outward unit normal."""
         norm = vector_norms(self.chord)
@@ -145,9 +135,9 @@ def periodic_spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
         raise ValueError("need M >= 3 knot values and M + 1 increasing knots")
     yk = y.reshape(M, -1)
     hk = h[:, None]
-    h_prev = cyclic_shift(h, 1, axis=0)
-    slope = (cyclic_shift(yk, -1, axis=0) - yk) / hk
-    rhs = 3 * (hk * cyclic_shift(slope, 1, axis=0) + h_prev[:, None] * slope)
+    h_prev = np.roll(h, 1)
+    slope = (np.roll(yk, -1, axis=0) - yk) / hk
+    rhs = 3 * (hk * np.roll(slope, 1, axis=0) + h_prev[:, None] * slope)
     col = np.zeros(M - 1)
     col[0], col[-1] = -h[0], -h[-3]
     sol = _thomas(h[:-1], 2 * (h_prev + h)[:-1], h_prev[:-1],
@@ -156,7 +146,7 @@ def periodic_spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     s_last = ((rhs[-1] - h[-2] * s1[0] - h[-1] * s1[-1])
               / (2 * (h[-1] + h[-2]) + h[-2] * s2[0] + h[-1] * s2[-1]))
     s = np.vstack([s1 + s_last * s2, s_last])
-    t = (s + cyclic_shift(s, -1, axis=0) - 2 * slope) / hk
+    t = (s + np.roll(s, -1, axis=0) - 2 * slope) / hk
     quadratic, cubic = (slope - s) / hk - t, t / hk
 
     xq = np.asarray(xq, dtype=float)

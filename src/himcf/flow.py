@@ -19,9 +19,10 @@ stage: an accepted step costs four stacked transforms and builds no state.
 The principal part has characteristic speeds |k S_theta_t| +- 1, giving the
 CFL bound
 
-    dt <= cfl_safety * dtheta / (max |k V_theta| + 1).
+    dt <= safety * dtheta / (max |k V_theta| + 1),
 
-cfl_safety is capped at 0.9: with the spectral mode count N/2 the cap lands
+safety = DEFAULT_CFL_SAFETY for adaptive steps.  A fixed dt is policed with
+FIXED_DT_CFL_LIMIT = 0.9: with the spectral mode count N/2 that limit lands
 on the imaginary-axis stability limit of classical RK4 (0.9*pi ~ 2.83).
 
 A run's convexity floor eps comes from FlowConfig.convexity_floor alone: a
@@ -71,13 +72,12 @@ class FlowConfig:
     """Solver knobs shared by the support and Lagrangian integrators.
 
     Exactly one stepping mode is active: fixed dt when dt is given, else
-    adaptive CFL stepping with the given (or default) safety factor.
+    adaptive CFL stepping.
     eps_convex is the one settable convexity floor; see convexity_floor.
     """
 
     N: int = 128
     dt: float | None = None
-    cfl_safety: float | None = None
     t_end: float = 1.0
     eps_convex: float | None = None     # None: default_eps_convex(L0) at run start
     record_every: int = 1
@@ -88,9 +88,6 @@ class FlowConfig:
                 f"eps_convex must be positive and finite, got {self.eps_convex}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
-        if self.cfl_safety is not None and not (0.0 < self.cfl_safety <= 0.9):
-            raise InvalidConfig(
-                f"cfl_safety must lie in (0, 0.9], got {self.cfl_safety}")
         if not 0.0 < self.t_end < math.inf:
             raise InvalidConfig(f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1:
@@ -108,8 +105,6 @@ class FlowConfig:
 
     @cached_property
     def safety(self) -> float:
-        if self.cfl_safety is not None:
-            return self.cfl_safety
         return DEFAULT_CFL_SAFETY if self.adaptive else FIXED_DT_CFL_LIMIT
 
     def next_dt(self, bound: float, t: float) -> float:

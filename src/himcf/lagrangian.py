@@ -8,7 +8,9 @@ nu and k read off the polygon itself (chord tangents, circumscribed-circle
 curvature), all from one PolygonGeometry pass (P padded by a vertex at each
 end, each edge and its length formed once) that a curve caches as
 PlaneCurve.derivatives: validating an accepted step computes it, and the CFL
-bound, the next first stage and the final record reuse it.  No tangential
+bound, the next first stage and the final record reuse it.  The pass keeps
+no curvature or frame; each is formed when read, and a stage reads each once.
+The CFL bound differences sigma on one copy padded the same way.  No tangential
 motion is prescribed, so vertices slowly cluster; every RESAMPLE_INTERVAL
 accepted steps they are respaced to equal arc length, sigma with them.
 
@@ -26,8 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .curves import (PolygonGeometry, cyclic_shift, require_edge_lengths,
-                     resample_equal_arclength)
+from .curves import PolygonGeometry, require_edge_lengths, resample_equal_arclength
 from .errors import DegenerateEdge, InvalidConfig, NotConvex
 from .flow import LENGTH_VANISH_REL, FlowConfig, FlowTrajectory, _Violation, integrate, rk4
 from .report import margin_record
@@ -36,20 +37,15 @@ from .support import PlaneCurve, unpack_curve
 RESAMPLE_INTERVAL = 50
 
 
-def _normal_curvature(g: PolygonGeometry):
-    """Outward normal and curvature of a stage polygon, with degeneracy checks."""
+def _velocity(g: PolygonGeometry, sigma: np.ndarray) -> np.ndarray:
+    """Packed rates [sigma * nu, 1/k] of a stage polygon, with degeneracy checks."""
     require_edge_lengths(g.lengths)
     k = g.curvature
     if np.minimum.reduce(k) <= 0.0:
         raise NotConvex(f"non-positive discrete curvature at vertex {int(np.argmin(k))}")
-    return g.frame[1], k
-
-
-def _velocity(g: PolygonGeometry, sigma: np.ndarray) -> np.ndarray:
-    nu, k = _normal_curvature(g)
     rates = np.empty(3 * sigma.size)
     P_rate, sigma_rate = unpack_curve(rates)
-    np.multiply(sigma[:, None], nu, out=P_rate)
+    np.multiply(sigma[:, None], g.frame[1], out=P_rate)
     np.divide(1.0, k, out=sigma_rate)
     return rates
 
@@ -87,9 +83,9 @@ def lagrangian_cfl_bound(c: PlaneCurve) -> float:
     k sigma~_theta the arc-length derivative of sigma.
     """
     g = c.derivatives
-    dsig = cyclic_shift(c.sigma, -1, axis=-1) - cyclic_shift(c.sigma, 1, axis=-1)
+    padded = np.concatenate((c.sigma[-1:], c.sigma, c.sigma[:1]))
     # Central difference over the two adjacent edges: vertex i-1 to i+1.
-    sigma_s = dsig / (g.lengths + g.prev_lengths)
+    sigma_s = (padded[2:] - padded[:-2]) / (g.lengths + g.prev_lengths)
     speed = float(np.maximum.reduce(np.abs(sigma_s))) + 1.0
     return float(np.minimum.reduce(g.turning_angles)) / speed
 
@@ -131,7 +127,7 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
     if not np.all(np.isfinite(sigma0)):
         raise InvalidConfig("initial normal speed must be finite")
     curve = PlaneCurve(P=F0.P, sigma=sigma0, t=F0.t)
-    _normal_curvature(curve.derivatives)    # raises on degenerate/non-convex data
+    _velocity(curve.derivatives, curve.sigma)    # raises on degenerate/non-convex data
 
     L0 = curve.derivatives.length
     eps = cfg.convexity_floor(L0)

@@ -294,6 +294,15 @@ class TestErrorContract:
         assert err["error"] in ("InvalidConfig", "InvalidForcing")
         assert proc.returncode == getattr(himcf.errors, err["error"]).exit_code
 
+    def test_cfl_safety_is_not_an_option(self, tmp_path):
+        # No CFL safety factor is settable: a tiny one puts t_end millions of steps away.
+        proc, _ = run_cli(["curve", "--cfl-safety", "1e-9", "--t-end", "0.01", "--N", "32",
+                           "--vertices", "32"], tmp_path, expect=1)
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "InvalidConfig"
+        assert "unrecognized arguments: --cfl-safety" in err["message"]
+
     @pytest.mark.parametrize("solver", ["support", "lagrangian"])
     def test_overflowing_speed_is_exit_1_with_one_json_error(self, solver, tmp_path):
         proc, _ = run_cli(["curve", "--preset", "circle", "--speed", "0,1e200",

@@ -5,7 +5,6 @@ from scipy.interpolate import CubicSpline
 
 from himcf.curves import (
     PolygonGeometry,
-    cyclic_shift,
     discrete_curvature,
     discrete_tangent_normal,
     periodic_spline,
@@ -202,14 +201,6 @@ def random_convex_polygons(T, M, seed):
         a, b = rng.uniform(0.5, 3.0, 2)
         stack[i] = np.column_stack([a * r * np.cos(s), b * r * np.sin(s)]) + rng.normal(size=2)
     return stack
-
-
-@pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 2), 0), ((3, 6, 2), -2),
-                                         ((3, 6), -1), ((4, 1, 3), 1)])
-@pytest.mark.parametrize("shift", [-1, 1, 2])
-def test_cyclic_shift_is_roll(shape, axis, shift):
-    a = np.arange(np.prod(shape), dtype=float).reshape(shape)
-    assert np.array_equal(cyclic_shift(a, shift, axis=axis), np.roll(a, shift, axis=axis))
 
 
 class TestBatchedStencils:

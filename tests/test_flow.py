@@ -381,12 +381,6 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             FlowConfig(dt=0.0)
 
-    def test_bad_safety(self):
-        with pytest.raises(InvalidConfig):
-            FlowConfig(cfl_safety=0.95)
-        with pytest.raises(InvalidConfig):
-            FlowConfig(cfl_safety=0.0)
-
     def test_bad_horizon_and_cadence(self):
         with pytest.raises(InvalidConfig):
             FlowConfig(t_end=0.0)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import himcf.curves
 import himcf.lagrangian
 from himcf.curves import (
     PolygonGeometry,
@@ -19,14 +18,14 @@ from himcf.flow import FlowConfig, run_support_flow
 from himcf.grids import AngleGrid
 from himcf.lagrangian import (
     RESAMPLE_INTERVAL,
-    _normal_curvature,
+    _velocity,
     lagrangian_cfl_bound,
     run_lagrangian_flow,
     step_lagrangian,
     tangential_velocity_max,
 )
 from himcf.presets import circle_curve, ellipse_curve, ellipse_support
-from himcf.support import PlaneCurve, support_to_curve
+from himcf.support import PlaneCurve, support_to_curve, unpack_curve
 from test_flow import retained_bytes_per_snapshot
 
 
@@ -84,9 +83,11 @@ class TestGeometry:
                 s = np.sort(rng.uniform(0.0, 2 * np.pi, M))
                 a, b = rng.uniform(0.2, 4.0, 2)
                 P = np.column_stack([a * np.cos(s), b * np.sin(s)]) + rng.normal(size=2)
-                for got, ref in zip(_normal_curvature(PolygonGeometry(P)),
-                                    three_pass_geometry(P)):
-                    assert np.array_equal(got, ref)
+                sigma = rng.uniform(-1.0, 1.0, M)
+                P_rate, sigma_rate = unpack_curve(_velocity(PolygonGeometry(P), sigma))
+                nu, k = three_pass_geometry(P)
+                assert np.array_equal(P_rate, sigma[:, None] * nu)
+                assert np.array_equal(sigma_rate, 1.0 / k)
 
     @pytest.mark.parametrize("case", ["collided", "near-collided", "spike", "dented",
                                       "collinear"])
@@ -106,7 +107,7 @@ class TestGeometry:
         with pytest.raises((DegenerateEdge, NotConvex)) as ref:
             three_pass_geometry(P)
         with pytest.raises(ref.type) as got:
-            _normal_curvature(PolygonGeometry(P))
+            _velocity(PolygonGeometry(P), np.ones(len(P)))
         assert str(got.value) == str(ref.value)
 
 
@@ -208,36 +209,26 @@ class TestSharedStepping:
                                 FlowConfig(t_end=0.1))
         assert len(calls) < 10
 
-    def test_four_geometry_passes_and_two_shifts_per_accepted_step(self, monkeypatch):
+    def test_four_geometry_passes_per_accepted_step(self, monkeypatch):
         # The geometry pass runs once for the initial state's check (the
         # set-up constant), then per accepted step once for each of stages
         # 2-4 and once to validate the candidate; stage 1, the CFL bound and
-        # the final record reuse the validated state's pass.  The CFL bound
-        # shifts sigma twice, and nothing else shifts.
+        # the final record reuse the validated state's pass.
         SETUP_PASSES = 1
         c = ellipse_curve(64, 2.0, 1.0, speed=-1.0)
-        passes, shifts = [], []
+        passes = []
         init = PolygonGeometry.__init__
-        shift = himcf.curves.cyclic_shift
-        assert himcf.lagrangian.cyclic_shift is shift
 
         def counted_pass(self, P):
             passes.append(P.shape)
             init(self, P)
 
-        def counted_shift(a, k, axis):
-            shifts.append(k)
-            return shift(a, k, axis)
-
         monkeypatch.setattr(PolygonGeometry, "__init__", counted_pass)
-        monkeypatch.setattr(himcf.curves, "cyclic_shift", counted_shift)
-        monkeypatch.setattr(himcf.lagrangian, "cyclic_shift", counted_shift)
         traj = run_lagrangian_flow(c, c.sigma, FlowConfig(dt=1e-3, t_end=0.02))
         assert traj.termination.kind == "HorizonReached"
         steps = len(traj.snapshots) - 1
         assert steps == 20 < RESAMPLE_INTERVAL
         assert len(passes) == 4 * steps + SETUP_PASSES == 81
-        assert len(shifts) == 2 * steps == 40
 
     def test_recorded_snapshots_hold_only_the_floats(self):
         c = ellipse_curve(256, 2.0, 1.0, speed=0.5)
