@@ -203,6 +203,22 @@ def random_convex_polygons(T, M, seed):
     return stack
 
 
+# The padded copy wraps each end to the other, so starting the polygon at
+# another vertex only rotates every array of the pass; the stacks run the
+# wrap on each row.  normal_angles is left out: np.unwrap anchors at entry 0.
+@pytest.mark.parametrize("shape", [(7, 2), (5, 2), (3, 6, 2), (97, 2), (4, 1, 3, 2)])
+@pytest.mark.parametrize("shift", [-1, 1, 2])
+def test_geometry_pass_commutes_with_a_cyclic_shift(shift, shape):
+    *stack, M, _ = shape
+    P = random_convex_polygons(T=int(np.prod(stack)), M=M, seed=M).reshape(shape)
+    got = geometry_arrays(PolygonGeometry(np.roll(P, shift, axis=-2)))
+    for name, ref in geometry_arrays(PolygonGeometry(P)).items():
+        if name == "normal_angles":
+            continue
+        vertex_axis = -2 if ref.shape == P.shape else -1
+        assert np.array_equal(got[name], np.roll(ref, shift, axis=vertex_axis)), name
+
+
 class TestBatchedStencils:
     STACK = random_convex_polygons(T=6, M=97, seed=11)
     # The triangle's one-vertex padding at each end touches every row.

@@ -14,6 +14,7 @@ import himcf.grids
 import himcf.support
 from himcf.errors import CflViolation, ConvexityLost, InvalidConfig, NonFinite
 from himcf.flow import (
+    DEFAULT_CFL_SAFETY,
     FIXED_DT_CFL_LIMIT,
     FlowConfig,
     _stage_rhs,
@@ -380,6 +381,15 @@ class TestConfigValidation:
     def test_bad_dt(self):
         with pytest.raises(InvalidConfig):
             FlowConfig(dt=0.0)
+
+    def test_bad_safety(self):
+        # No safety factor is settable, so none outside (0, 0.9] can be in force:
+        # adaptive steps take the default and a fixed dt is policed at the RK4 limit.
+        with pytest.raises(TypeError, match="cfl_safety"):
+            FlowConfig(cfl_safety=0.95)
+        assert FlowConfig().safety == DEFAULT_CFL_SAFETY
+        assert FlowConfig(dt=1e-3).safety == FIXED_DT_CFL_LIMIT
+        assert 0.0 < DEFAULT_CFL_SAFETY < FIXED_DT_CFL_LIMIT == 0.9
 
     def test_bad_horizon_and_cadence(self):
         with pytest.raises(InvalidConfig):

@@ -111,6 +111,19 @@ class TestGeometry:
         assert str(got.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("M", [3, 8, 257])
+def test_cfl_bound_matches_the_roll_reference_bit_for_bit(M):
+    # Every start vertex once, so the steepest sigma difference also meets the wrap.
+    P = ellipse_curve(M, 2.0, 1.0, speed=0.5).P
+    sigma = np.random.default_rng(M).uniform(-1.0, 1.0, M)
+    for k in range(M):
+        c = PlaneCurve(P=np.roll(P, k, axis=0), sigma=np.roll(sigma, k))
+        g = PolygonGeometry(c.P)
+        sigma_s = (np.roll(c.sigma, -1) - np.roll(c.sigma, 1)) / (g.lengths + g.prev_lengths)
+        bound = np.min(g.turning_angles) / (np.max(np.abs(sigma_s)) + 1.0)
+        assert lagrangian_cfl_bound(c) == bound, k
+
+
 class TestRun:
     def test_fixed_dt_above_cfl_bound_is_rejected(self):
         c = circle_curve(256, 1.0, speed=0.5)
