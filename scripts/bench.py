@@ -36,7 +36,9 @@ With --layers the stage layers of layer_calls (the spectral kernel, one
 stage, step_supports at B = 1 and 2, the CFL and admissibility checks at N
 in LAYER_N; a fixed-dt Lagrangian run of LAYER_LAGRANGIAN_STEPS steps at
 M = 2N, so that every step meets a new curve as in a run; curve_to_support
-of a 512-vertex polygon, polygon_hausdorff) are timed instead, again in one
+of a 512-vertex polygon, polygon_hausdorff; and, from the two runs of the
+CLI_ARGV example, svg_text of the outlines that cmd_curve draws and the CSV
+blocks of its Lagrangian trajectory) are timed instead, again in one
 fresh interpreter per checkout.  Each layer gets LAYER_SETS sets, each the
 minimum over LAYER_REPEAT loops, sized to take about LAYER_LOOP_S, of the time per
 call; the two checkouts time their loops in turn.  The set minima (in
@@ -210,16 +212,30 @@ def call_counts() -> dict:
 
 def layer_calls() -> dict:
     """Each stage layer of the himcf on sys.path as a call without arguments (see --layers)."""
+    from himcf.cli import _csv_blocks, _curve_from_spec, _outline_indices, _support_from_spec
     from himcf.curves import polygon_hausdorff
-    from himcf.flow import (FlowConfig, _stage_rhs, _stage_work, cfl_bound, step_supports,
-                            validate_support_state)
+    from himcf.flow import (FlowConfig, _stage_rhs, _stage_work, cfl_bound, run_support_flow,
+                            step_supports, validate_support_state)
     from himcf.grids import AngleGrid, support_derivatives
     from himcf.lagrangian import run_lagrangian_flow
+    from himcf.output import svg_text
     from himcf.presets import ellipse_curve, ellipse_support
     from himcf.support import curve_to_support, support_lengths
 
     P, Q = ellipse_curve(256, 2.0, 1.0).P, ellipse_curve(256, 2.1, 0.9).P
     calls = {"polygon_hausdorff M=256": lambda: polygon_hausdorff(P, Q)}
+    # The two runs of CLI_ARGV, as cmd_curve sets them up from its spec and defaults.
+    spec, cfg = {"preset": "ellipse", "a": "2", "b": "1", "speed": "0.5"}, FlowConfig(t_end=0.5)
+    state0, curve0 = _support_from_spec(spec, AngleGrid(cfg.N)), _curve_from_spec(spec, 256)
+    runs = [run_support_flow(state0.S, state0.V, cfg),
+            run_lagrangian_flow(curve0, curve0.sigma, cfg)]
+    outlines = [traj.polygon(i) for traj in runs for i in _outline_indices(len(traj.times))]
+    calls.update({
+        f"svg_text of the README --both-solvers outlines ({len(outlines)})":
+            partial(svg_text, outlines),
+        f"list(_csv_blocks) of the README Lagrangian run ({len(runs[1].times)} x 256)":
+            lambda: list(_csv_blocks(runs[1])),
+    })
     polygon = ellipse_curve(512, 2.0, 1.0)
     dt = 1e-4
     lagrangian_cfg = FlowConfig(dt=dt, t_end=LAYER_LAGRANGIAN_STEPS * dt)

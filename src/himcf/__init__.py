@@ -64,7 +64,6 @@ from .report import CheckRecord, margin_record, residual_record
 from .support import (
     PlaneCurve,
     SupportState,
-    curvature_from_support,
     curve_to_support,
     support_to_curve,
 )

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .curves import PolygonGeometry, polygon_hausdorff
+from .curves import PolygonGeometry, polygon_hausdorff, unwrapped_angles
 from .errors import HimcfError, InvalidConfig, InvalidForcing, OutOfDomain
 from .flow import FlowConfig, FlowTrajectory, run_support_flow, run_support_flows
 from .grids import TWO_PI, AngleGrid, support_derivatives
@@ -283,10 +283,9 @@ def _curve_from_spec(spec: dict, M: int) -> PlaneCurve:
     return support_to_curve(_support_from_spec(spec, AngleGrid(M)))
 
 
-def _outline_indices(count: int, limit: int = 13) -> list[int]:
-    if count <= limit:
-        return list(range(count))
-    return sorted(set(np.linspace(0, count - 1, limit).round().astype(int).tolist()))
+def _outline_indices(count: int) -> list[int]:
+    # 13 snapshots spread evenly from first to last; every one of a shorter trajectory.
+    return sorted(set(np.linspace(0, count - 1, 13).round().astype(int).tolist()))
 
 
 # Snapshots per batched kernel or stencil call when writing a curve CSV; a
@@ -297,7 +296,7 @@ _CSV_CHUNK = 16
 def _csv_blocks(traj: FlowTrajectory):
     """Per snapshot: normal angle, support value, speed and curvature per point.
 
-    One spectral kernel call or polygon geometry pass per chunk of data rows.
+    One spectral kernel call, or one polygon geometry pass and frame, per chunk of data rows.
     """
     for start in range(0, len(traj.times), _CSV_CHUNK):
         rows = traj.data[start:start + _CSV_CHUNK]
@@ -308,7 +307,8 @@ def _csv_blocks(traj: FlowTrajectory):
         else:
             P, sigma = unpack_curve(rows)
             g = PolygonGeometry(P)
-            columns = [np.mod(g.normal_angles, TWO_PI), np.sum(P * g.frame[1], axis=-1),
+            nu = g.frame[1]
+            columns = [np.mod(unwrapped_angles(nu), TWO_PI), np.sum(P * nu, axis=-1),
                        sigma, g.curvature]
         yield from zip(traj.times[start:start + _CSV_CHUNK].tolist(), np.stack(columns, axis=-1))
 

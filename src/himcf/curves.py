@@ -75,8 +75,12 @@ class PolygonGeometry:
     @property
     def normal_angles(self) -> np.ndarray:
         """Unwrapped outward-normal angle per vertex, increasing by 2*pi per loop."""
-        nu = self.frame[1]
-        return np.unwrap(np.arctan2(nu[..., 1], nu[..., 0]), axis=-1)
+        return unwrapped_angles(self.frame[1])
+
+
+def unwrapped_angles(nu: np.ndarray) -> np.ndarray:
+    """Angles of the unit vectors nu (..., M, 2), unwrapped along the vertex axis."""
+    return np.unwrap(np.arctan2(nu[..., 1], nu[..., 0]), axis=-1)
 
 
 # Views of the pass for callers that hold vertices.  No package code calls

@@ -285,7 +285,7 @@ def step_support(s: SupportState, dt: float) -> SupportState:
     wraps by name (tests/test_benchmark_hooks.py).
     """
     S, V = step_supports([[s.sv, support_derivatives(s.sv)]], dt, _stage_work(1, s.grid.N))[0, 0]
-    return SupportState(grid=s.grid, S=S, V=V, t=s.t + dt, center=s.center)
+    return SupportState(grid=s.grid, S=S, V=V, t=s.t + dt)
 
 
 def validate_support_state(member: np.ndarray, eps: float, L0: float) -> _Violation | None:
@@ -305,8 +305,7 @@ def validate_support_state(member: np.ndarray, eps: float, L0: float) -> _Violat
     return None
 
 
-def bisect_to_violation(batch, dt, first_bad: _Violation, attempt,
-                        tol: float = _BISECT_TOL):
+def bisect_to_violation(batch, dt, first_bad: _Violation, attempt):
     """Shrink a violating step of a batch of one member to the admissibility boundary.
 
     attempt(batch, h) -> ([candidate | None], [violation | None]).  Returns the
@@ -316,7 +315,7 @@ def bisect_to_violation(batch, dt, first_bad: _Violation, attempt,
     lo, hi = 0.0, dt
     good = None
     bad = first_bad
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         (cand,), (v,) = attempt(batch, mid)
         if v is None:

@@ -44,10 +44,6 @@ class AngleGrid:
     def theta(self) -> np.ndarray:
         return _grid_theta(self.N)
 
-    @property
-    def dtheta(self) -> float:
-        return TWO_PI / self.N
-
 
 @lru_cache(maxsize=64)
 def _grid_theta(n: int) -> np.ndarray:

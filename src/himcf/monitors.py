@@ -133,12 +133,12 @@ def check_containment(outer: FlowTrajectory, inner: FlowTrajectory) -> CheckReco
                          t_worst=float(outer.times[i]), theta_worst=float(AngleGrid(N).theta[j]))
 
 
-def _uniform_prefix(times: np.ndarray, rtol: float = 1e-9) -> int:
-    """Length of the longest uniformly spaced snapshot prefix."""
+def _uniform_prefix(times: np.ndarray) -> int:
+    """Length of the longest uniformly spaced snapshot prefix (spacing equal to 1e-9 relative)."""
     if times.size < 2:
         return times.size
     d = np.diff(times)
-    return 1 + int(np.argmax(np.append(np.abs(d - d[0]) > rtol * max(d[0], 1e-300), True)))
+    return 1 + int(np.argmax(np.append(np.abs(d - d[0]) > 1e-9 * max(d[0], 1e-300), True)))
 
 
 def check_length_identities(traj: FlowTrajectory) -> tuple[CheckRecord, CheckRecord]:

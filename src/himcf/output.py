@@ -72,8 +72,8 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def svg_text(polylines, width: int = 640, height: int = 640) -> str:
-    """Static SVG 1.1 with one closed polyline outline per snapshot.
+def svg_text(polylines) -> str:
+    """Static SVG 1.1, 640 x 640 pixels, with one closed polyline outline per snapshot.
 
     The viewBox is the padded bounding box of every snapshot, so the image
     frames the whole evolution.  First outline dark, last accented, the rest
@@ -92,8 +92,7 @@ def svg_text(polylines, width: int = 640, height: int = 640) -> str:
     stroke = 0.004 * max(w, h)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="640" height="640" '
         f'viewBox="{x0!r} {y0!r} {w!r} {h!r}">',
         f'<rect x="{x0!r}" y="{y0!r}" '
         f'width="{w!r}" height="{h!r}" fill="white"/>',
@@ -106,7 +105,7 @@ def svg_text(polylines, width: int = 640, height: int = 640) -> str:
             color = "#c03028"
         else:
             color = "#9aa3b2"
-        pts = " ".join(["%r,%r" % (x, y) for x, y in p.tolist()])
+        pts = " ".join(["%r,%r"] * len(p)) % tuple(p.ravel().tolist())
         parts.append(
             f'<polygon points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke!r}"/>')

@@ -30,7 +30,7 @@ from .errors import (
     InvalidInitialRadius,
     NonFinite,
 )
-from .flow import fixed_step_count
+from .flow import _BISECT_TOL, fixed_step_count
 from .grids import _readonly
 
 _ZERO_DISCRIMINANT_RTOL = 1e-12
@@ -95,7 +95,6 @@ class RegimeReport:
 
 @dataclass(frozen=True)
 class RadialTrajectory:
-    geometry: RadialGeometry
     times: np.ndarray
     r: np.ndarray
     r_t: np.ndarray
@@ -248,7 +247,7 @@ def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
 
     Halts early with an extinction marker when r crosses zero; the crossing
     time is refined by bisection on the cubic Hermite dense output of the
-    offending step, to 1e-6 in t.
+    offending step, to flow._BISECT_TOL (1e-6) in t.
     """
     rows = _march(lambda _t, w=geometry.stiffness: w, r0, r1, dt, t_end)
     extinction = None
@@ -256,13 +255,13 @@ def integrate_radial_ode(geometry: RadialGeometry, r0: float, r1: float,
         (t, ra, va), (_, rb, vb) = rows[-2:].tolist()
         extinction = t + _bisect_zero(ra, va, rb, vb, min(dt, t_end - t))
         rows = rows[:-1]
-    return RadialTrajectory(geometry=geometry, times=rows[:, 0], r=rows[:, 1], r_t=rows[:, 2],
+    return RadialTrajectory(times=rows[:, 0], r=rows[:, 1], r_t=rows[:, 2],
                             extinction_time=extinction)
 
 
-def _bisect_zero(r0, v0, r1, v1, dt, tol: float = 1e-6) -> float:
+def _bisect_zero(r0, v0, r1, v1, dt) -> float:
     lo, hi = 0.0, dt
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if _hermite_r(r0, v0, r1, v1, dt, mid) > 0.0:
             lo = mid

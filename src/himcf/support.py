@@ -40,16 +40,13 @@ class SupportState:
     """Support samples S, velocity samples V = dS/dt, at flow time t.
 
     S and V are the rows of one read-only (2, N) array sv, the input shape of
-    grids.support_derivatives.  center is the point the support values are
-    measured about; it is only nonzero for states produced by curve_to_support
-    on input whose origin was not interior (the recorded recentering shift).
+    grids.support_derivatives; S is measured about the origin.
     """
 
     grid: AngleGrid
     S: np.ndarray
     V: np.ndarray
     t: float = 0.0
-    center: tuple[float, float] = (0.0, 0.0)
     sv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,11 +118,6 @@ def convexity_check(s: SupportState) -> np.ndarray:
     return rho
 
 
-def curvature_from_support(s: SupportState) -> np.ndarray:
-    """Pointwise curvature k = 1/(S'' + S)."""
-    return 1.0 / convexity_check(s)
-
-
 def support_lengths(S: np.ndarray) -> np.ndarray:
     """Curve length of each row of S (..., N): the trapezoid (here exact) quadrature of S."""
     return TWO_PI * (np.add.reduce(S, axis=-1) / S.shape[-1])
@@ -136,9 +128,8 @@ def support_to_curve(s: SupportState) -> PlaneCurve:
     convexity_check(s)
     theta = s.grid.theta
     Sp = periodic_derivative(s.S, 1)
-    cx, cy = s.center
-    x = s.S * np.cos(theta) - Sp * np.sin(theta) + cx
-    y = s.S * np.sin(theta) + Sp * np.cos(theta) + cy
+    x = s.S * np.cos(theta) - Sp * np.sin(theta)
+    y = s.S * np.sin(theta) + Sp * np.cos(theta)
     return PlaneCurve(P=np.column_stack([x, y]), sigma=s.V, t=s.t)
 
 
@@ -156,21 +147,16 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid) -> SupportState:
     the trigonometric interpolant of the vertex coordinates, which recovers
     the smooth curve's support to near machine precision.  If Newton cannot be
     trusted (non-negative local second derivative, or no convergence, as on
-    coarse polygonal data) the quadratic value is kept.  An origin outside
-    the polygon is replaced by the vertex centroid, the state's center.
+    coarse polygonal data) the quadratic value is kept.  The origin must lie
+    strictly inside the polygon (OriginNotInterior otherwise).
 
     The returned state has V = 0; velocities are the caller's to supply.
     """
     P = np.asarray(c.P, dtype=float)
     if np.min(PolygonGeometry(P).cross) <= 0.0:
         raise NotConvex("input polygon is not strictly convex (CCW)")
-
-    shift = np.zeros(2)
     if not _origin_inside(P):
-        shift = P.mean(axis=0)
-        P = P - shift
-        if not _origin_inside(P):
-            raise OriginNotInterior("centroid recentering failed to give an interior origin")
+        raise OriginNotInterior("the origin is not strictly inside the polygon")
 
     M = P.shape[0]
     fx, fy = rfft(P.T)
@@ -212,5 +198,4 @@ def curve_to_support(c: PlaneCurve, grid: AngleGrid) -> SupportState:
     polished = np.real(np.sum(wc[near] * np.exp(1j * freq * a[near, None]), axis=1))
     S[near] = np.maximum(polished, g0[near])
 
-    return SupportState(grid=grid, S=S, V=np.zeros(grid.N), t=c.t,
-                        center=(float(shift[0]), float(shift[1])))
+    return SupportState(grid=grid, S=S, V=np.zeros(grid.N), t=c.t)

@@ -15,11 +15,13 @@ import himcf.cli
 import himcf.errors
 import himcf.flow
 from himcf.cli import _support_from_spec
+from himcf.curves import PolygonGeometry
 from himcf.errors import PreconditionFailed
 from himcf.flow import FIXED_DT_CFL_LIMIT, FlowConfig, cfl_bound, run_support_flows
 from himcf.grids import AngleGrid, support_derivatives
+from himcf.lagrangian import run_lagrangian_flow
 from himcf.monitors import check_containment
-from himcf.presets import circle_support, cosine_series, ellipse_support
+from himcf.presets import circle_support, cosine_series, ellipse_curve, ellipse_support
 
 CLI = [sys.executable, "-m", "himcf"]
 PAIR = {"outer": {"preset": "circle", "r0": 2.0, "speed": 0.5},
@@ -154,6 +156,22 @@ class TestCurve:
         svg = (out / "curve.svg").read_text()
         assert svg.startswith("<svg")
         assert "<polygon" in svg
+
+    def test_a_lagrangian_csv_chunk_forms_one_frame(self, monkeypatch):
+        # The normal angles and <P, nu> of a chunk of snapshots share one frame.
+        curve = ellipse_curve(32, 2.0, 1.0, 0.5)
+        traj = run_lagrangian_flow(curve, curve.sigma, FlowConfig(dt=1e-3, t_end=0.04))
+        frame = PolygonGeometry.frame
+        formed = []
+
+        def counted(g):
+            formed.append(g)
+            return frame.fget(g)
+
+        monkeypatch.setattr(PolygonGeometry, "frame", property(counted))
+        rows = list(himcf.cli._csv_blocks(traj))
+        assert len(rows) == len(traj.times) == 41
+        assert len(formed) == math.ceil(41 / himcf.cli._CSV_CHUNK) == 3
 
 
 class TestContainment:

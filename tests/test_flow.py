@@ -25,7 +25,7 @@ from himcf.flow import (
     run_support_flows,
     step_support,
 )
-from himcf.grids import AngleGrid, support_derivatives
+from himcf.grids import TWO_PI, AngleGrid, support_derivatives
 from himcf.presets import circle_support, cosine_series, ellipse_support
 from himcf.support import SupportState, default_eps_convex, support_lengths
 
@@ -87,7 +87,7 @@ class TestRhs:
             + 0.02 * np.sin(3 * grid.theta)
         V = 0.3 * np.sin(grid.theta) + 0.1 * rng.uniform() * np.cos(2 * grid.theta)
         s = SupportState(grid=grid, S=S, V=V)
-        np.testing.assert_allclose(acceleration(s), fd_rhs(S, V, grid.dtheta),
+        np.testing.assert_allclose(acceleration(s), fd_rhs(S, V, TWO_PI / grid.N),
                                    atol=1e-6)
 
     def test_convexity_loss_raises(self):

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from himcf.errors import InvalidConfig
-from himcf.grids import AngleGrid, periodic_derivative, rfft, support_derivatives
+from himcf.grids import TWO_PI, AngleGrid, periodic_derivative, rfft, support_derivatives
 
 
 def test_grid_samples_are_uniform():
     g = AngleGrid(64)
     assert g.theta.shape == (64,)
     assert g.theta[0] == 0.0
-    np.testing.assert_allclose(np.diff(g.theta), g.dtheta, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.diff(g.theta), TWO_PI / 64, rtol=0, atol=1e-15)
     # periodic closure: theta_N would land on 2*pi
-    assert g.theta[-1] + g.dtheta == pytest.approx(2 * np.pi, abs=1e-15)
+    assert g.theta[-1] + TWO_PI / 64 == pytest.approx(2 * np.pi, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [15, 17, 14, 0, -16])

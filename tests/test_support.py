@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from himcf.errors import ConvexityLost, NotConvex
+from himcf.errors import ConvexityLost, NotConvex, OriginNotInterior
 import himcf.support
 from himcf.grids import AngleGrid
 from himcf.presets import ellipse_support
 from himcf.support import (
     PlaneCurve,
     SupportState,
-    curvature_from_support,
+    convexity_check,
     curve_to_support,
     support_lengths,
     support_to_curve,
@@ -137,14 +137,12 @@ class TestCurveToSupport:
         state = curve_to_support(curve, AngleGrid(64))
         np.testing.assert_allclose(state.S, NEWTON_OUTCOMES_S, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("x0", [0.0, 5.0])
-    def test_odd_vertex_count_equals_the_np_fft_reference(self, x0, monkeypatch):
+    def test_odd_vertex_count_equals_the_np_fft_reference(self, monkeypatch):
         # grids.rfft calls numpy's pocketfft gufunc; the reference transforms
-        # each coordinate with np.fft.rfft.  x0 = 5 moves the origin outside,
-        # so the recentred polygon is the one transformed.
+        # each coordinate with np.fft.rfft.
         M = 257
         s_par = 2 * np.pi * np.arange(M) / M
-        curve = PlaneCurve(P=np.column_stack([x0 + 2.0 * np.cos(s_par), np.sin(s_par)]),
+        curve = PlaneCurve(P=np.column_stack([2.0 * np.cos(s_par), np.sin(s_par)]),
                            sigma=np.zeros(M))
         grid = AngleGrid(128)
         state = curve_to_support(curve, grid)
@@ -154,19 +152,17 @@ class TestCurveToSupport:
                             lambda PT: (np.fft.rfft(PT[0]), np.fft.rfft(PT[1])))
         reference = curve_to_support(curve, grid)
         assert state.S.tobytes() == reference.S.tobytes()
-        assert state.center == reference.center
 
-    def test_noninterior_origin_recenters_and_records_shift(self):
+    @pytest.mark.parametrize("x0", [5.0, 1.0])
+    def test_noninterior_origin_is_refused(self, x0):
+        # The support function is measured about the origin, so a circle
+        # that does not hold it strictly inside (x0 = 1: on the boundary) has
+        # no support state; the conversion does not move the curve.
         M = 512
         s_par = 2 * np.pi * np.arange(M) / M
-        P = np.column_stack([5.0 + np.cos(s_par), np.sin(s_par)])
-        state = curve_to_support(PlaneCurve(P=P, sigma=np.zeros(M)), AngleGrid(64))
-        np.testing.assert_allclose(state.S, 1.0, atol=1e-8)
-        np.testing.assert_allclose(state.center, (5.0, 0.0), atol=1e-12)
-        # reconstruction undoes the recorded shift
-        c = support_to_curve(state)
-        radii = np.hypot(c.P[:, 0] - 5.0, c.P[:, 1])
-        np.testing.assert_allclose(radii, 1.0, atol=1e-8)
+        P = np.column_stack([x0 + np.cos(s_par), np.sin(s_par)])
+        with pytest.raises(OriginNotInterior):
+            curve_to_support(PlaneCurve(P=P, sigma=np.zeros(M)), AngleGrid(64))
 
     def test_nonconvex_polygon_rejected(self):
         P = np.array([[1.0, 0.0], [0.0, 1.0], [0.2, 0.2], [0.0, -1.0]])
@@ -177,18 +173,18 @@ class TestCurveToSupport:
 class TestCurvature:
     def test_circle(self):
         grid = AngleGrid(64)
-        k = curvature_from_support(make_state(grid, np.full(64, 2.0)))
+        k = 1.0 / convexity_check(make_state(grid, np.full(64, 2.0)))
         np.testing.assert_allclose(k, 0.5, atol=1e-13)
 
     def test_translated_disk_curvature_is_one(self):
         grid = AngleGrid(64)
-        k = curvature_from_support(make_state(grid, 1.0 + 0.1 * np.cos(grid.theta)))
+        k = 1.0 / convexity_check(make_state(grid, 1.0 + 0.1 * np.cos(grid.theta)))
         np.testing.assert_allclose(k, 1.0, atol=1e-10)
 
     def test_ellipse_extremes(self):
         grid = AngleGrid(256)
         S = ellipse_support_samples(2.0, 1.0, grid.theta)
-        k = curvature_from_support(make_state(grid, S))
+        k = 1.0 / convexity_check(make_state(grid, S))
         # normal angle 0 hits the (a, 0) vertex, pi/2 the (0, b) one
         assert k[0] == pytest.approx(2.0, abs=1e-6)
         assert k[64] == pytest.approx(0.25, abs=1e-6)
@@ -197,7 +193,7 @@ class TestCurvature:
         grid = AngleGrid(64)
         S = 1.0 + 0.5 * np.cos(4 * grid.theta)
         with pytest.raises(ConvexityLost) as err:
-            curvature_from_support(make_state(grid, S))
+            convexity_check(make_state(grid, S))
         assert err.value.theta is not None
 
 
@@ -228,8 +224,8 @@ def test_translation_leaves_curvature_and_length_alone(a, b):
     grid = AngleGrid(64)
     base = 2.0 + 0.1 * np.cos(2 * grid.theta)
     shifted = base + a * np.cos(grid.theta) + b * np.sin(grid.theta)
-    k0 = curvature_from_support(make_state(grid, base))
-    k1 = curvature_from_support(make_state(grid, shifted))
+    k0 = 1.0 / convexity_check(make_state(grid, base))
+    k1 = 1.0 / convexity_check(make_state(grid, shifted))
     np.testing.assert_allclose(k0, k1, atol=1e-10)
     assert support_lengths(shifted) == pytest.approx(support_lengths(base), abs=1e-10)
 
