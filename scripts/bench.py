@@ -25,26 +25,32 @@ run at COUNT_M vertices, and the calls of one resample_equal_arclength of
 that run's COUNT_M-vertex ellipse with its sigma (a run resamples once per
 RESAMPLE_INTERVAL accepted steps, outside the per-step difference), of one
 curve_to_support of a 512-vertex ellipse to N = 128, of one
-curvature_evolution_residual of the verify curvature-equation run, and of
-one in-process himcf.cli.main call of the README's `curve ... --both-solvers`
-example (CLI_ARGV), written into a temporary directory.  The counts are exact for one Python and
-numpy version.  They go under "counts" in --out, next to what the file already
-holds (run the timed pairs first), with each checkout's src_lines (the line
-count of src/himcf/*.py), and a table of both sides is printed.
+curvature_evolution_residual of the verify curvature-equation run, of one
+in-process himcf.cli.main call of the README's `curve ... --both-solvers`
+example (CLI_ARGV), written into a temporary directory, and of one adaptive
+support run (ADAPTIVE_RUN), whose row also holds its accepted steps: a
+change that keeps them keeps the adaptive step schedule.  The counts are
+exact for one Python and numpy version.  They go under "counts" in --out,
+next to what the file already holds (run the timed pairs first), with each
+checkout's src_lines (the line count of src/himcf/*.py), and a table of both
+sides is printed.
 
-With --layers the stage layers of layer_calls (the spectral kernel, one
-stage, step_supports at B = 1 and 2, the CFL and admissibility checks at N
-in LAYER_N; a fixed-dt Lagrangian run of LAYER_LAGRANGIAN_STEPS steps at
-M = 2N, so that every step meets a new curve as in a run; curve_to_support
-of a 512-vertex polygon, polygon_hausdorff; and, from the two runs of the
-CLI_ARGV example, svg_text of the outlines that cmd_curve draws and the CSV
-blocks of its Lagrangian trajectory) are timed instead, again in one
-fresh interpreter per checkout.  Each layer gets LAYER_SETS sets, each the
-minimum over LAYER_REPEAT loops, sized to take about LAYER_LOOP_S, of the time per
-call; the two checkouts time their loops in turn.  The set minima (in
-microseconds per call) and their spread go under "layers" in --out, and a
-table of both sides is printed, with the sets in which the change's minimum
-is below the parent's set of the same index.
+With --layers the stage layers of layer_calls (the spectral kernel and one
+stage as a run's stages call them, step_supports at B = 1 and 2, the CFL and
+admissibility checks at N in LAYER_N; a fixed-dt Lagrangian run of
+LAYER_LAGRANGIAN_STEPS steps at M = 2N, so that every step meets a new curve
+as in a run; curve_to_support of a 512-vertex polygon, polygon_hausdorff;
+and, from the two runs of the CLI_ARGV example, svg_text of the outlines that
+cmd_curve draws and the CSV blocks of its Lagrangian trajectory) are timed
+instead, again in one fresh interpreter per checkout.  Each layer gets
+LAYER_SETS sets, each the minimum over LAYER_REPEAT loops, sized to take about
+LAYER_LOOP_S, of the time per call; the two checkouts time their loops in
+turn.  The parent's interpreter starts first for the first half of the sets
+and the change's for the second half, so that a bias of one interpreter slot
+shows as a split between them.
+The set minima (in microseconds per call) and their spread go under "layers"
+in --out, and a table of both sides is printed, with the sets in which the
+change's minimum is below the parent's set of the same index, per half.
 
 The output file's directory is created if it is missing.
 """
@@ -75,8 +81,10 @@ COUNT_STEPS = (10, 30)    # two run lengths; their difference is the per-step wo
 # The README's two-solver example, as perfbench's cli-cross-solver runs it.
 CLI_ARGV = ["curve", "--preset", "ellipse", "--a", "2", "--b", "1", "--speed", "0.5",
             "--t-end", "0.5", "--both-solvers"]
+# The adaptive --counts row: the README ellipse's support run (a, b, speed, N, t_end).
+ADAPTIVE_RUN = (2.0, 1.0, 0.5, 128, 0.5)
 LAYER_N = (64, 128, 256, 512)
-LAYER_SETS = 15           # 5 sets could not resolve a 5-10 % change of one layer
+LAYER_SETS = 16           # half in each start order; 5 sets could not resolve 5-10 %
 LAYER_LAGRANGIAN_STEPS = 20
 LAYER_REPEAT = 7
 LAYER_LOOP_S = 0.02       # target seconds of one timed loop of calls
@@ -207,6 +215,11 @@ def call_counts() -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
         counts["cli curve --both-solvers README ellipse, one call"] = per_call_calls(
             partial(cli_run, CLI_ARGV + ["--out-dir", out_dir]))
+    a, b, speed, N, t_end = ADAPTIVE_RUN
+    s = ellipse_support(AngleGrid(N), a, b, speed=speed)
+    adaptive = partial(run_support_flow, s.S, s.V, FlowConfig(N=N, t_end=t_end))
+    counts[f"adaptive support run {a:g}:{b:g} ellipse N={N} to t={t_end:g}, one call"] = {
+        **per_call_calls(adaptive), "steps": len(adaptive().times) - 1}
     return counts
 
 
@@ -214,8 +227,9 @@ def layer_calls() -> dict:
     """Each stage layer of the himcf on sys.path as a call without arguments (see --layers)."""
     from himcf.cli import _csv_blocks, _curve_from_spec, _outline_indices, _support_from_spec
     from himcf.curves import polygon_hausdorff
-    from himcf.flow import (FlowConfig, _stage_rhs, _stage_work, cfl_bound, run_support_flow,
-                            step_supports, validate_support_state)
+    import himcf.flow
+    from himcf.flow import (FlowConfig, cfl_bound, run_support_flow, step_supports,
+                            validate_support_state)
     from himcf.grids import AngleGrid, support_derivatives
     from himcf.lagrangian import run_lagrangian_flow
     from himcf.output import svg_text
@@ -244,14 +258,12 @@ def layer_calls() -> dict:
         s = ellipse_support(grid, 2.0, 1.0, speed=0.5)
         y = np.array([[s.S, s.V], [1.5 * s.S, s.V]])
         members = np.stack([y, support_derivatives(y)], axis=1)
-        work = _stage_work(2, N)
-        out, spectrum = np.empty((2, N)), np.empty((2, N // 2 + 1), complex)
-        stage = np.empty((2, 1, 2, N))
+        kernel, stage, work = _stage_layers(himcf.flow, members[:1])
         L0 = float(support_lengths(s.S))
         curve = ellipse_curve(2 * N, 2.0, 1.0, speed=0.5)
         calls.update({f"{name} N={N}": fn for name, fn in {
-            "support_derivatives": partial(support_derivatives, s.sv, out, spectrum),
-            "_stage_rhs stage": partial(_stage_rhs, y[:1], stage[0], stage[1], work[1][:1]),
+            "spectral kernel as a stage calls it": kernel,
+            "one RK4 stage (kernel and rhs)": stage,
             "step_supports B=1": partial(step_supports, members[:1], 1e-3, work),
             "step_supports B=2": partial(step_supports, members, 1e-3, work),
             "cfl_bound": partial(cfl_bound, members[0]),
@@ -261,6 +273,27 @@ def layer_calls() -> dict:
             "curve_to_support M=512": partial(curve_to_support, polygon, grid),
         }.items()})
     return calls
+
+
+def _stage_layers(flow, member):
+    """(kernel, stage, work) of one member, as a run's stages call them, on either stage API.
+
+    A flow with _stage_work (before prepared stages) has each stage call
+    _stage_rhs with its buffers, and _stage_rhs call support_derivatives with
+    out and spectrum; a later one holds a _Stage per batch size in _Stages.
+    """
+    y, N = member[:, 0], member.shape[-1]
+    if hasattr(flow, "_stage_work"):
+        work = flow._stage_work(2, N)
+        u, _, k, d = work[0][:, :1]
+        u[...] = y
+        return (partial(flow.support_derivatives, u, d, work[1][:1]),
+                partial(flow._stage_rhs, u, d, k, work[1][:1]), work)
+    work = flow._Stages()
+    stage = work[member.shape]
+    stage.u[...] = y
+    return (partial(flow.support_pair, stage.u, stage.S, stage.d, stage.rho, *stage.plan),
+            partial(stage.rhs, stage.u), work)
 
 
 def serve_layers() -> None:
@@ -285,9 +318,23 @@ def serve_layers() -> None:
 def layer_times(sides: dict) -> dict:
     """LAYER_SETS sets of each layer per side, from one serve_layers interpreter per checkout.
 
-    Within a set the two sides time their LAYER_REPEAT loops in turn, the side
-    that goes first alternating, so drift in the host's speed reaches both alike.
+    The first half of the sets start the parent's interpreter first, the second
+    half the change's (a new pair of interpreters), since one slot can be
+    faster whatever code it runs.  Within a set the two sides time their
+    LAYER_REPEAT loops in turn, the side that goes first alternating, so drift
+    in the host's speed reaches both alike.
     """
+    times = {side: {} for side in sides}
+    for order in (list(sides), list(sides)[::-1]):
+        for side, rows in _layer_sets({side: sides[side] for side in order},
+                                      LAYER_SETS // 2).items():
+            for name, sets in rows.items():
+                times[side].setdefault(name, []).extend(sets)
+    return times
+
+
+def _layer_sets(sides: dict, count: int) -> dict:
+    # count sets of every layer, from interpreters started in the order of sides.
     procs = {side: subprocess.Popen(
         [sys.executable, "-c", "import bench; bench.serve_layers()"], env=_checkout_env(path),
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for side, path in sides.items()}
@@ -305,7 +352,7 @@ def layer_times(sides: dict) -> dict:
     try:
         names = [ask(side) for side in procs][-1]
         times = {side: {name: [] for name in names} for side in procs}
-        for _ in range(LAYER_SETS):
+        for _ in range(count):
             for name in names:
                 loops = {side: [] for side in procs}
                 for r in range(LAYER_REPEAT):
@@ -380,16 +427,21 @@ def write_layers(sides: dict, out: str) -> None:
                             "spread_pct": 100.0 * (max(sets) - min(sets)) / min(sets)}
                      for name, sets in rows.items()}
               for side, rows in times.items()}
+    half = LAYER_SETS // 2
     update_report(out, "layers", {
-        "unit": "us per call", "sets": LAYER_SETS, "repeat": LAYER_REPEAT, **layers})
-    print("| layer | parent min [spread] | change min [spread] | change | sets won |")
+        "unit": "us per call", "sets": 2 * half, "repeat": LAYER_REPEAT,
+        "orientations": [f"sets 1-{half}: parent started first",
+                         f"sets {half + 1}-{2 * half}: change started first"], **layers})
+    print("| layer | parent min [spread] | change min [spread] | change "
+          "| sets won, parent first / change first |")
     print("|---|---|---|---|---|")
     for name, p in layers["parent"].items():
         c = layers["change"][name]
-        won = sum(b < a for a, b in zip(p["sets"], c["sets"]))
+        won = [b < a for a, b in zip(p["sets"], c["sets"])]
         print(f"| {name} | {p['min']:.4g} [{p['spread_pct']:.1f} %] | "
               f"{c['min']:.4g} [{c['spread_pct']:.1f} %] | "
-              f"{100.0 * (c['min'] - p['min']) / p['min']:+.1f} % | {won}/{len(p['sets'])} |")
+              f"{100.0 * (c['min'] - p['min']) / p['min']:+.1f} % | "
+              f"{sum(won[:half])}/{half} / {sum(won[half:])}/{half} |")
 
 
 def _bench_number(path: str) -> int | None:

@@ -6,15 +6,16 @@ The flow in normal-angle gauge is the quasilinear wave equation
          = k (S_theta_t)^2 + 1/k,          k = 1/(S_thth + S),
 
 integrated as the first-order system S' = V, V' = rhs with classical RK4 and
-spectral theta-derivatives.  One kernel, grids.support_derivatives, gives the
+spectral theta-derivatives.  One kernel body, grids.support_pair, gives the
 pair [S_thth + S, V_theta] of any (..., 2, N) stack of rows [S, V] from one
 FFT round trip.  A run holds its live members as one (B, 2, 2, N) array,
 member b = [[S, V], [S_thth + S, V_theta]]: members on one fixed-dt schedule
 step together (run_support_flows; run_support_flow is B = 1), each ending on
-its own and equal to its solo run bit for bit.  A step forms its stages in
-work arrays allocated once per run and returns the candidates with their
-pairs, which validate them and give an accepted member's CFL bound and first
-stage: an accepted step costs four stacked transforms and builds no state.
+its own and equal to its solo run bit for bit.  It makes its work arrays,
+their row views and the kernel's constants once per live batch size (_Stage).
+A step returns the candidates with their pairs, which validate them and give
+an accepted member's CFL bound and first stage: an accepted step costs four
+stacked transforms and builds no state.
 
 The principal part has characteristic speeds |k S_theta_t| +- 1, giving the
 CFL bound
@@ -42,7 +43,7 @@ import numpy as np
 from .curves import PolygonGeometry, discrete_curvature
 from .errors import (CflViolation, ConvexityLost, DegenerateEdge, InvalidConfig, NonFinite,
                      NotConvex)
-from .grids import TWO_PI, AngleGrid, support_derivatives
+from .grids import TWO_PI, AngleGrid, kernel_plan, support_derivatives, support_pair
 from .report import CheckRecord, margin_record
 from .support import (PlaneCurve, SupportState, default_eps_convex, support_lengths,
                       support_to_curve, unpack_curve)
@@ -217,26 +218,6 @@ def cfl_bound(member) -> float:
     return TWO_PI / rho.size / speed
 
 
-def _stage_rhs(y: np.ndarray, d: np.ndarray, out=None, spectrum=None) -> np.ndarray:
-    """[V, V_theta^2/rho + rho] of (..., 2, N) stacks y = [S, V], d = [rho, V_theta], into out.
-
-    Given a spectrum buffer it is a whole stage: d is first set to y's kernel pair.
-    """
-    if spectrum is not None:
-        support_derivatives(y, d, spectrum)
-    # Stages only guard against sign loss; the eps ceiling is enforced on
-    # completed candidate states, where the violation can be classified.
-    rho = d[..., 0, :]
-    m = np.minimum.reduce(rho, axis=None)
-    if m <= 0.0:
-        raise ConvexityLost(f"S''+S = {m:.3e} <= 0")
-    out = np.empty(y.shape) if out is None else out
-    out[..., 0, :] = y[..., 1, :]
-    a = out[..., 1, :]
-    np.add(np.divide(np.square(d[..., 1, :], out=a), rho, out=a), rho, out=a)
-    return out
-
-
 def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray, out=None, u=None) -> np.ndarray:
     """Classical RK4 step of the array y, y' = rhs(y); k1 = rhs(y) is given.
 
@@ -253,28 +234,61 @@ def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray, out=None, u=None) -> np.n
     return np.add(y, np.multiply(dt / 6.0, out, out=out), out=out)
 
 
-def _stage_work(B: int, N: int):
-    # Stage buffers of up to B members: input, k1, k and pair; the spectrum.
-    return np.empty((4, B, 2, N)), np.empty((B, 2, N // 2 + 1), complex)
+class _Stage:
+    """The RK4 stage of b members at N points; work arrays, row views and kernel plan made once.
+
+    rhs(u), u the buffer where rk4 forms stage inputs, sets d to u's pair by one
+    support_pair call; stage 1 passes an accepted member's pair and runs no transform.
+    """
+
+    def __init__(self, b: int, N: int):
+        self.u, k1, k, self.d = np.empty((4, b, 2, N))
+        self.plan = (np.empty((b, 2, N), bool), np.empty((b, 2, N // 2 + 1), complex),
+                     *kernel_plan(N))
+        self.S, self.rho = self.u[:, 0], self.d[:, 0]
+        self.rows = (self.u[:, 1], self.rho, self.d[:, 1], k, k[:, 0], k[:, 1])
+        self.k1_rows = (k1, k1[:, 0], k1[:, 1])
+
+    def rhs(self, y: np.ndarray, pair: np.ndarray | None = None) -> np.ndarray:
+        """[V, V_theta^2/rho + rho] of a (b, 2, N) stage input y = [S, V] (u without pair)."""
+        if pair is None:
+            support_pair(y, self.S, self.d, self.rho, *self.plan)
+            V, rho, V_th, k, k_S, a = self.rows
+        else:
+            V, rho, V_th = y[:, 1], pair[:, 0], pair[:, 1]
+            k, k_S, a = self.k1_rows
+        # Stages only guard against sign loss; the eps ceiling is enforced on
+        # completed candidate states, where the violation can be classified.
+        m = np.minimum.reduce(rho, axis=None)
+        if m <= 0.0:
+            raise ConvexityLost(f"S''+S = {m:.3e} <= 0")
+        k_S[...] = V
+        np.add(np.divide(np.square(V_th, out=a), rho, out=a), rho, out=a)
+        return k
 
 
-def step_supports(members, dt: float, work) -> np.ndarray:
+class _Stages(dict):
+    """A support run's _Stage per live stack shape (b, 2, 2, N), each made at its first step."""
+
+    def __missing__(self, shape):
+        self[shape] = stage = _Stage(shape[0], shape[-1])
+        return stage
+
+
+def step_supports(members, dt: float, work: _Stages) -> np.ndarray:
     """One RK4 step of S' = V, V' = V_theta^2/rho + rho for live members at one t.
 
     members is a (B, 2, 2, N) stack or sequence of [[S, V], [S''+S, V_theta]];
     returns the candidates, with their pairs, as a new stack.  Each stage is one
-    kernel call into work, a run's _stage_work of at least B rows.  dt is not policed.
+    kernel call in work, the run's _Stages.  dt is not policed.
     """
     if not dt > 0.0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
     members = np.asarray(members, dtype=float)
-    b = members.shape[0]
-    real, spectrum = work
-    u, k1, k, d = real[:, :b]
+    stage = work[members.shape]
     y, cand = members[:, 0], np.empty(members.shape)
-    rk4(partial(_stage_rhs, d=d, out=k, spectrum=spectrum[:b]), y, dt,
-        _stage_rhs(y, members[:, 1], k1), out=cand[:, 0], u=u)
-    support_derivatives(cand[:, 0], cand[:, 1], spectrum[:b])
+    rk4(stage.rhs, y, dt, stage.rhs(y, members[:, 1]), out=cand[:, 0], u=stage.u)
+    support_pair(cand[:, 0], cand[:, 0, 0], cand[:, 1], cand[:, 1, 0], *stage.plan)
     return cand
 
 
@@ -284,7 +298,7 @@ def step_support(s: SupportState, dt: float) -> SupportState:
     No run calls it; it stays as a hook point that perfbench/tracing.py
     wraps by name (tests/test_benchmark_hooks.py).
     """
-    S, V = step_supports([[s.sv, support_derivatives(s.sv)]], dt, _stage_work(1, s.grid.N))[0, 0]
+    S, V = step_supports([[s.sv, support_derivatives(s.sv)]], dt, _Stages())[0, 0]
     return SupportState(grid=s.grid, S=S, V=V, t=s.t + dt)
 
 
@@ -447,7 +461,7 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
 
     # Every member cfl_bound sees has passed validation, so S''+S > eps there.
     runs = integrate(members, 0.0, cfg, cfl_bound,
-                     partial(step_supports, work=_stage_work(len(members), cfg.N)),
+                     partial(step_supports, work=_Stages()),
                      [partial(validate_support_state, eps=eps, L0=L0)
                       for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy())
     trajectories = []

@@ -82,33 +82,38 @@ def periodic_derivative(values: np.ndarray, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _support_multipliers(n: int) -> np.ndarray:
+def kernel_plan(n: int) -> tuple:
+    """support_pair's constants at n points: the [2nd, 1st] multiplier table, rfft, 1/n."""
     table = np.stack([_derivative_multipliers(n, 2), _derivative_multipliers(n, 1)])
     table.setflags(write=False)
-    return table
+    return table, _RFFT[n % 2], 1.0 / n
 
 
-def support_derivatives(sv: np.ndarray, out: np.ndarray | None = None,
-                        spectrum: np.ndarray | None = None) -> np.ndarray:
-    """[S_thth + S, V_theta] of a (..., 2, N) float array of rows [S, V]: the one stage kernel.
+def support_pair(sv, S, d, rho, finite, spectrum, table, rfft, inv_n) -> np.ndarray:
+    """Kernel body: d = [S_thth + S, V_theta] of a (..., 2, N) stack sv; checks finiteness only.
+
+    S and rho are the S rows of sv and d; finite (None: new) and spectrum are
+    scratch shaped like sv and (..., 2, N//2 + 1) complex; the rest is kernel_plan(N).
+    """
+    if not np.logical_and.reduce(np.isfinite(sv, out=finite), axis=None):
+        raise NonFinite("non-finite samples (an overflow or NaN)")
+    rfft(sv, 1.0, out=(spectrum,))
+    np.multiply(spectrum, table, out=spectrum)
+    _pocketfft.irfft(spectrum, inv_n, out=(d,))
+    np.add(rho, S, out=rho)
+    return d
+
+
+def support_derivatives(sv: np.ndarray) -> np.ndarray:
+    """[S_thth + S, V_theta] of a (..., 2, N) float stack of rows [S, V]; the kernel's entry.
 
     One FFT round trip serves the whole stack (a batch of B members costs one
     transform); each row equals the periodic_derivative call bit for bit.
-    The pair is written to out and the half spectrum to spectrum, shaped
-    (..., 2, N) and (..., 2, N//2 + 1) complex, when the caller gives them.
+    The shape is checked here, then support_pair does the work.
     """
     if sv.ndim < 2 or sv.shape[-2] != 2:
         raise ValueError(f"expected a (..., 2, N) stack of rows [S, V], got {sv.shape}")
-    if not np.logical_and.reduce(np.isfinite(sv), axis=None):
-        raise NonFinite("non-finite samples (an overflow or NaN)")
-    n = sv.shape[-1]
-    half = sv.shape[:-1] + (n // 2 + 1,)
-    spectrum = np.empty(half, complex) if spectrum is None else spectrum
-    d = np.empty(sv.shape) if out is None else out
-    if d.shape != sv.shape or spectrum.shape != half:
-        raise ValueError(f"out must be {sv.shape} and spectrum {half}")
-    _RFFT[n % 2](sv, 1.0, out=(spectrum,))
-    np.multiply(spectrum, _support_multipliers(n), out=spectrum)
-    _pocketfft.irfft(spectrum, 1.0 / n, out=(d,))
-    d[..., 0, :] += sv[..., 0, :]
-    return d
+    d = np.empty(sv.shape)
+    spectrum = np.empty(sv.shape[:-1] + (sv.shape[-1] // 2 + 1,), complex)
+    return support_pair(sv, sv[..., 0, :], d, d[..., 0, :], None, spectrum,
+                        *kernel_plan(sv.shape[-1]))

@@ -1,10 +1,8 @@
 """Support-function PDE solver: RHS, stepping, full runs, termination."""
 import functools
 import gc
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from himcf.flow import (
     DEFAULT_CFL_SAFETY,
     FIXED_DT_CFL_LIMIT,
     FlowConfig,
-    _stage_rhs,
     cfl_bound,
     fixed_step_count,
     rk4,
@@ -61,8 +58,9 @@ def retained_bytes_per_snapshot(run):
 
 
 def acceleration(s):
-    """The acceleration row of the stage right-hand side at a state."""
-    return _stage_rhs(s.sv, support_derivatives(s.sv))[1]
+    """The acceleration row of the stage right-hand side at a state (stage 1 of a step)."""
+    stage = himcf.flow._Stages()[(1, 2, 2, s.grid.N)]
+    return stage.rhs(s.sv[None], support_derivatives(s.sv)[None])[0, 1]
 
 
 class TestRhs:
@@ -229,24 +227,25 @@ class TestDerivativeReuse:
             assert np.array_equal(a.S, b.S) and np.array_equal(a.V, b.V)
 
     def test_four_stacked_transforms_per_accepted_step(self, monkeypatch):
-        # The kernel runs once for the initial states' validation (the
-        # set-up constant), then per accepted step once for each of stages
-        # 2-4 and once to validate the candidates; the CFL bound, stage 1 and
-        # the final margin reuse a validated state's pair.  A batch of B
-        # members pays the same count: every call takes a (B, 2, N) stack.
+        # The kernel body runs once for the initial states' validation (the
+        # set-up constant, through the public support_derivatives), then per
+        # accepted step once for each of stages 2-4 and once to validate the
+        # candidates; the CFL bound, stage 1 and the final margin reuse a
+        # validated state's pair.  A batch of B members pays the same count:
+        # every call takes a (B, 2, N) stack.
         SETUP_CALLS = 1
-        kernel = himcf.flow.support_derivatives
-        assert himcf.support.support_derivatives is kernel
+        kernel = himcf.grids.support_pair
+        assert himcf.flow.support_pair is kernel
         S0, V0 = self.initial()
         for B in (1, 2):
             calls = []
 
-            def counted(sv, *out):
+            def counted(sv, *args):
                 calls.append(np.shape(sv))
-                return kernel(sv, *out)
+                return kernel(sv, *args)
 
-            monkeypatch.setattr(himcf.flow, "support_derivatives", counted)
-            monkeypatch.setattr(himcf.support, "support_derivatives", counted)
+            monkeypatch.setattr(himcf.flow, "support_pair", counted)
+            monkeypatch.setattr(himcf.grids, "support_pair", counted)
             trajs = run_support_flows([S0, 1.5 * S0][:B], [V0, V0][:B],
                                       FlowConfig(N=self.N, dt=self.DT, t_end=self.T_END))
             steps = len(trajs[0].snapshots) - 1
@@ -255,6 +254,22 @@ class TestDerivativeReuse:
             assert set(calls) == {(B, 2, self.N)}
             for traj in trajs:
                 assert traj.termination.kind == "HorizonReached"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_stage_input_raises_through_the_prepared_stage(self, bad):
+        # Every stage input passes the kernel body's finiteness check: a value
+        # put into the stage buffer, and a step whose stage-2 input overflows.
+        N = self.N
+        s0 = circle_support(AngleGrid(N), 1.0, -1e300)
+        work = himcf.flow._Stages()
+        stage = work[(1, 2, 2, N)]
+        stage.u[...] = s0.sv
+        stage.u[0, 0, 5] = bad
+        with pytest.raises(NonFinite):
+            stage.rhs(stage.u)
+        members = np.array([[s0.sv, support_derivatives(s0.sv)]])
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            himcf.flow.step_supports(members, 1e10, work)
 
     def test_a_batched_run_builds_no_support_state(self, monkeypatch):
         S0, V0 = self.initial()
@@ -423,7 +438,7 @@ def _reference_kernel(sv):
     if not np.isfinite(sv).all():
         raise NonFinite("non-finite samples (an overflow or NaN)")
     n = sv.shape[-1]
-    d = np.fft.irfft(np.fft.rfft(sv) * himcf.grids._support_multipliers(n), n)
+    d = np.fft.irfft(np.fft.rfft(sv) * himcf.grids.kernel_plan(n)[0], n)
     d[..., 0, :] += sv[..., 0, :]
     return d
 
@@ -476,9 +491,10 @@ class TestInPlaceStep:
                                           FlowConfig(N=N, dt=1e-3, t_end=0.05), monkeypatch)
         assert [len(run.times) for run in runs] == [51] * B
 
-    def test_adaptive_expanding_run(self, monkeypatch):
-        s0 = ellipse_support(AngleGrid(128), 2.0, 1.0, speed=0.5)
-        [run] = self.assert_reference_runs([s0.S], [s0.V], FlowConfig(N=128, t_end=0.3),
+    @pytest.mark.parametrize("N", [64, 128, 256, 512])
+    def test_adaptive_expanding_run(self, N, monkeypatch):
+        s0 = ellipse_support(AngleGrid(N), 2.0, 1.0, speed=0.5)
+        [run] = self.assert_reference_runs([s0.S], [s0.V], FlowConfig(N=N, t_end=0.3),
                                            monkeypatch)
         assert run.termination.kind == "HorizonReached"
 
@@ -495,19 +511,11 @@ class TestInPlaceStep:
         assert [run.termination.kind for run in runs] == ["HorizonReached", "CurvatureBlowup"]
 
 
-def _load_bench():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
-    spec = importlib.util.spec_from_file_location("bench", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
-
-
-def test_profiled_call_counts_of_a_fixed_dt_run_repeat_exactly():
+def test_profiled_call_counts_of_a_fixed_dt_run_repeat_exactly(bench):
     # The instrument behind `scripts/bench.py --counts`: sys.setprofile call
     # counts are exact, so they can resolve per-step work that wall time
-    # cannot.  They change with the Python and numpy versions and are not pinned.
-    bench = _load_bench()
+    # cannot.  They change with the Python and numpy versions, so the
+    # ceilings in test_call_budget.py are kept per version.
     s0 = ellipse_support(AngleGrid(128), 2.0, 1.0, speed=0.5)
     cfg = FlowConfig(N=128, dt=1e-3, t_end=0.05)
 
