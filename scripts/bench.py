@@ -29,7 +29,10 @@ curvature_evolution_residual of the verify curvature-equation run, of one
 in-process himcf.cli.main call of the README's `curve ... --both-solvers`
 example (CLI_ARGV), written into a temporary directory, and of one adaptive
 support run (ADAPTIVE_RUN), whose row also holds its accepted steps: a
-change that keeps them keeps the adaptive step schedule.  The counts are
+change that keeps them keeps the adaptive step schedule.  One more row counts
+the step_supports calls of one spectral-adaptive pass (every run of perfbench
+seed SWEEP_SEED, inputs from this script's perfbench/), those made while
+bisecting apart from the rest.  The counts are
 exact for one Python and numpy version.  They go under "counts" in --out,
 next to what the file already holds (run the timed pairs first), with each
 checkout's src_lines (the line count of src/himcf/*.py), and a table of both
@@ -83,6 +86,10 @@ CLI_ARGV = ["curve", "--preset", "ellipse", "--a", "2", "--b", "1", "--speed", "
             "--t-end", "0.5", "--both-solvers"]
 # The adaptive --counts row: the README ellipse's support run (a, b, speed, N, t_end).
 ADAPTIVE_RUN = (2.0, 1.0, 0.5, 128, 0.5)
+# The --counts row of one spectral-adaptive pass: every run of this perfbench seed.
+SWEEP_SEED = 1
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 LAYER_N = (64, 128, 256, 512)
 LAYER_SETS = 16           # half in each start order; 5 sets could not resolve 5-10 %
 LAYER_LAGRANGIAN_STEPS = 20
@@ -220,7 +227,43 @@ def call_counts() -> dict:
     adaptive = partial(run_support_flow, s.S, s.V, FlowConfig(N=N, t_end=t_end))
     counts[f"adaptive support run {a:g}:{b:g} ellipse N={N} to t={t_end:g}, one call"] = {
         **per_call_calls(adaptive), "steps": len(adaptive().times) - 1}
+    counts[f"step_supports calls of one spectral-adaptive pass, seed {SWEEP_SEED}"] = (
+        sweep_step_calls(SWEEP_SEED))
     return counts
+
+
+def sweep_step_calls(seed: int) -> dict:
+    """step_supports calls of perfbench's spectral-adaptive runs of seed, bisection apart."""
+    import himcf.flow as flow
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(PERFBENCH)
+    counts = {"stepping": 0, "bisection": 0}
+    where = ["stepping"]
+    step, bisect = flow.step_supports, flow.bisect_to_violation
+
+    def counted_step(*args, **kwargs):
+        counts[where[-1]] += 1
+        return step(*args, **kwargs)
+
+    def counted_bisect(*args, **kwargs):
+        where.append("bisection")
+        try:
+            return bisect(*args, **kwargs)
+        finally:
+            where.pop()
+
+    flow.step_supports, flow.bisect_to_violation = counted_step, counted_bisect
+    try:
+        for case in inputs.spectral_adaptive(seed):
+            for r in case["runs"]:
+                flow.run_support_flow(r["S0"], r["V0"],
+                                      flow.FlowConfig(N=r["N"], t_end=inputs.SPECTRAL_T_END))
+    finally:
+        flow.step_supports, flow.bisect_to_violation = step, bisect
+    return {**counts, "total": counts["stepping"] + counts["bisection"]}
 
 
 def layer_calls() -> dict:
@@ -409,12 +452,15 @@ def write_counts(sides: dict, out: str) -> None:
     update_report(out, "counts", {"unit": "profiled calls per accepted step, or per call "
                                           "in a row named one call", **counts,
                                   "src_lines": lines})
-    print("| run | parent C + Python = total | change C + Python = total | change |")
+    print("| run | parent C + Python (stepping + bisection) = total | change | change |")
     print("|---|---|---|---|")
+
+    def terms(row):
+        parts = ("c", "python") if "c" in row else ("stepping", "bisection")
+        return " + ".join(f"{row[k]:g}" for k in parts) + f" = {row['total']:g}"
     for name, p in counts["parent"].items():
         c = counts["change"][name]
-        print(f"| {name} | {p['c']:g} + {p['python']:g} = {p['total']:g} | "
-              f"{c['c']:g} + {c['python']:g} = {c['total']:g} | "
+        print(f"| {name} | {terms(p)} | {terms(c)} | "
               f"{100.0 * (c['total'] - p['total']) / p['total']:+.1f} % |")
     p, c = lines["parent"], lines["change"]
     print(f"| src lines | {p} | {c} | {100.0 * (c - p) / p:+.1f} % |")

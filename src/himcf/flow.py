@@ -22,12 +22,24 @@ CFL bound
 
     dt <= safety * dtheta / (max |k V_theta| + 1),
 
-safety = DEFAULT_CFL_SAFETY for adaptive steps.  A fixed dt is policed with
-FIXED_DT_CFL_LIMIT = 0.9: with the spectral mode count N/2 that limit lands
-on the imaginary-axis stability limit of classical RK4 (0.9*pi ~ 2.83).
+safety = SUPPORT_CFL_SAFETY = 0.6 for adaptive support steps and
+DEFAULT_CFL_SAFETY = 0.5 for adaptive Lagrangian ones.  A fixed dt is policed
+with FIXED_DT_CFL_LIMIT = 0.9: with the spectral mode count N/2 that limit
+lands on the imaginary-axis stability limit of classical RK4 (0.9*pi ~ 2.83).
+Below it the safety is an accuracy choice: the RK4 step defect grows as
+safety^4.
 
 A run's convexity floor eps comes from FlowConfig.convexity_floor alone: a
 candidate with min S''+S <= eps, or a polygon with k >= 1/eps, ends the run.
+A violating step is bisected to the boundary on a re-anchored bracket (each
+valid midpoint starts the rest), so the sub-steps shrink with the bracket
+and so does a stage's undershoot of the state it steps; a whole step that
+only its stages failed is retaken from its last valid sub-step.  In a point
+collapse the window in which L <= LENGTH_VANISH_REL * L0 while S''+S > 0 is
+narrower than _BISECT_TOL, so a support bracket whose bad end is a sign loss
+ends LengthVanished when the good end's length, advanced at its exact rate
+L' = int V dtheta over the final bracket width, reaches that threshold
+(length_vanishes): the kind no longer depends on dt.
 
 Both curve solvers (this one and lagrangian.py) step through integrate (step
 rule, bisection, recording) and rk4; only their discretizations differ.
@@ -49,7 +61,8 @@ from .support import (PlaneCurve, SupportState, default_eps_convex, support_leng
                       support_to_curve, unpack_curve)
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
-DEFAULT_CFL_SAFETY = 0.5
+DEFAULT_CFL_SAFETY = 0.5          # adaptive Lagrangian steps (FlowConfig.safety)
+SUPPORT_CFL_SAFETY = 0.6          # adaptive support steps
 FIXED_DT_CFL_LIMIT = 0.9          # policing bound for user-fixed steps
 _BISECT_TOL = 1e-6                # absolute t-resolution of a located violation
 _MAX_STEPS = 2 * 10**6
@@ -108,24 +121,26 @@ class FlowConfig:
     def safety(self) -> float:
         return DEFAULT_CFL_SAFETY if self.adaptive else FIXED_DT_CFL_LIMIT
 
-    def next_dt(self, bound: float, t: float) -> float:
+    def next_dt(self, bound: float, t: float, safety: float | None = None) -> float:
         """Step size at time t given the state's CFL bound (before safety).
 
-        Adaptive runs take safety * bound; a fixed dt that exceeds it raises
-        CflViolation, and so does a step below the resolution of t or (short
-        of landing) of t_end, which could only stall.  The last step is cut
+        safety defaults to self.safety.  Adaptive runs take safety * bound;
+        a fixed dt that exceeds it raises CflViolation, and so does a step
+        below the resolution of t or (short of landing) of t_end, which
+        could only stall.  The last step is cut
         to land on t_end.  A non-finite bound (overflowed geometry) is NonFinite.
         """
         if not math.isfinite(bound):
             raise NonFinite(f"non-finite CFL bound {bound} at t = {t:.6e}")
+        safety = self.safety if safety is None else safety
         if self.adaptive:
-            dt = min(self.safety * bound, self.t_end - t)
+            dt = min(safety * bound, self.t_end - t)
         else:
             dt = min(self.dt, self.t_end - t)
-            if dt > self.safety * bound * (1.0 + 1e-12):
+            if dt > safety * bound * (1.0 + 1e-12):
                 raise CflViolation(
                     f"fixed dt = {self.dt:.3e} exceeds CFL bound "
-                    f"{self.safety * bound:.3e} at t = {t:.6f}")
+                    f"{safety * bound:.3e} at t = {t:.6f}")
         t_next = t + dt
         if not t_next > t or (t_next < self.t_end and not self.t_end + dt > self.t_end):
             raise CflViolation(
@@ -221,15 +236,16 @@ def cfl_bound(member) -> float:
 def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray, out=None, u=None) -> np.ndarray:
     """Classical RK4 step of the array y, y' = rhs(y); k1 = rhs(y) is given.
 
-    Stage inputs y + (0.5*dt)*k are formed in u and y + (dt/6) * (((k1 + 2 k2)
-    + 2 k3) + k4) in out (new arrays if not given); rhs may reuse one buffer.
+    Stage inputs y + (0.5*dt)*k, and 2 k3 once its stage input is spent, are
+    formed in u and y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) in out (new
+    arrays if not given); rhs may reuse one buffer but must not keep u.
     """
     out = np.empty(y.shape, y.dtype) if out is None else out
     u = np.empty(y.shape, y.dtype) if u is None else u
     k = rhs(np.add(y, np.multiply(0.5 * dt, k1, out=u), out=u))
     np.add(k1, np.multiply(2.0, k, out=out), out=out)
     k = rhs(np.add(y, np.multiply(0.5 * dt, k, out=u), out=u))
-    np.add(out, 2.0 * k, out=out)
+    np.add(out, np.multiply(2.0, k, out=u), out=out)
     np.add(out, rhs(np.add(y, np.multiply(dt, k, out=u), out=u)), out=out)
     return np.add(y, np.multiply(dt / 6.0, out, out=out), out=out)
 
@@ -319,30 +335,53 @@ def validate_support_state(member: np.ndarray, eps: float, L0: float) -> _Violat
     return None
 
 
-def bisect_to_violation(batch, dt, first_bad: _Violation, attempt):
-    """Shrink a violating step of a batch of one member to the admissibility boundary.
+def length_vanishes(member: np.ndarray, width: float, L0: float) -> bool:
+    """Whether a member's length, advanced for width at its exact rate L' = int V dtheta, is vanished.
 
-    attempt(batch, h) -> ([candidate | None], [violation | None]).  Returns the
-    last valid sub-stepped member (None if even tiny steps fail) and its step,
-    the boundary violation, and the step to it (the final bracket's midpoint).
+    That is L + width * L' <= LENGTH_VANISH_REL * L0, the LengthVanished test
+    of validate_support_state a width ahead.
+    """
+    S, V = member[0]
+    return support_lengths(S) + width * support_lengths(V) <= LENGTH_VANISH_REL * L0
+
+
+def bisect_to_violation(member, dt, first_bad: _Violation, attempt, vanishes=None):
+    """Shrink a violating step of one member to its admissibility boundary.
+
+    attempt(batch, h) -> ([candidate | None], [violation | None]) steps a batch
+    by h.  The bracket re-anchors: each valid midpoint starts the sub-steps of
+    the rest, so they shrink with the bracket, and so does a stage's
+    undershoot of the state it steps.  A sign loss (ConvexityLost) at the bad
+    end is LengthVanished if vanishes(good end, final bracket width) holds.
+    If every sub-step was valid, the step's end is retaken from the good end,
+    so a violation that only a whole step's stages met ends nothing.  Returns
+    the last valid member (member itself if even tiny steps fail) and its
+    step, the boundary violation (None if the retaken end is valid: the
+    member and its step are then the step's valid end), and the step to the
+    final bracket's midpoint.
     """
     lo, hi = 0.0, dt
-    good = None
+    good = member
     bad = first_bad
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        (cand,), (v,) = attempt(batch, mid)
+        (cand,), (v,) = attempt([good], mid - lo)
         if v is None:
-            lo = mid
-            good = cand
+            lo, good = mid, cand
         else:
-            hi = mid
-            bad = v
+            hi, bad = mid, v
+    if hi == dt and lo > 0.0:
+        # Every sub-step was valid: retake the step's end from the good end.
+        (cand,), (bad,) = attempt([good], dt - lo)
+        if bad is None:
+            return cand, dt, None, dt
+    if bad.kind == "ConvexityLost" and vanishes is not None and vanishes(good, hi - lo):
+        bad = _Violation("LengthVanished")
     return good, lo, bad, 0.5 * (lo + hi)
 
 
 def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
-              after_accept=None):
+              after_accept=None, adaptive_safety=DEFAULT_CFL_SAFETY, vanishes=None):
     """Step members at time t to cfg.t_end on one schedule; the loop of both curve solvers.
 
     step(members, h) returns the candidates as a sequence of the kind it takes
@@ -352,7 +391,11 @@ def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
     first); validators[i](candidate) is member i's first violation or None.  A
     step raising ConvexityLost, NotConvex or DegenerateEdge is a ConvexityLost
     violation (a batch is then retried member by member).  A violating member
-    is bisected alone to its admissibility boundary and ends there.
+    is bisected alone to its admissibility boundary and ends there, unless
+    the step's retaken end is valid (bisect_to_violation), which it then
+    takes as its candidate; vanishes[i](member, width), if given, is member
+    i's length rule for a sign loss at the boundary.  Adaptive steps take adaptive_safety
+    times the bound, fixed ones are policed at FIXED_DT_CFL_LIMIT.
     after_accept(member, steps) may replace an accepted member before the
     record_every cadence; a violation of the replacement ends the member at
     the accepted one.  row(member) is the new float row a kept member is
@@ -377,7 +420,7 @@ def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
     ends = [None] * len(members)        # (termination, final member, its t) once ended
     cfl_margins = [math.inf] * len(members)
     live = list(range(len(members)))
-    safety = cfg.safety
+    safety = adaptive_safety if cfg.adaptive else FIXED_DT_CFL_LIMIT
     steps = 0
     while live and t < cfg.t_end - 1e-12:
         if steps >= _MAX_STEPS:
@@ -385,7 +428,7 @@ def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
 
         for i, m in zip(live, members):
             b = bound(m)
-            dt = cfg.next_dt(b, t)
+            dt = cfg.next_dt(b, t, safety)
             margin = safety * b - dt
             if margin < cfl_margins[i]:
                 cfl_margins[i] = margin
@@ -396,11 +439,13 @@ def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
         for j, (i, cand, violation) in enumerate(zip(live, cands, violations)):
             if violation is not None:
                 good, lo, bad, h_bad = bisect_to_violation(
-                    members[j:j + 1], dt, violation, lambda batch, h, i=i: attempt(batch, h, (i,)))
-                end = Termination(bad.kind, t=t + h_bad, theta=bad.theta)
-                ends[i] = (end, members[j], t) if good is None else (end, good, t + lo)
-                dropped = True
-                continue
+                    members[j], dt, violation, lambda batch, h, i=i: attempt(batch, h, (i,)),
+                    None if vanishes is None else vanishes[i])
+                if bad is not None:
+                    ends[i] = (Termination(bad.kind, t=t + h_bad, theta=bad.theta), good, t + lo)
+                    dropped = True
+                    continue
+                cands[j] = cand = good
             if after_accept is not None:
                 replaced = after_accept(cand, steps)
                 if replaced is not cand:
@@ -463,7 +508,9 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
     runs = integrate(members, 0.0, cfg, cfl_bound,
                      partial(step_supports, work=_Stages()),
                      [partial(validate_support_state, eps=eps, L0=L0)
-                      for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy())
+                      for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy(),
+                     adaptive_safety=SUPPORT_CFL_SAFETY,
+                     vanishes=[partial(length_vanishes, L0=L0) for L0 in L0s])
     trajectories = []
     for (times, data, termination, member, cfl_margin), eps in zip(runs, floors):
         monitor = (

@@ -12,8 +12,10 @@ import himcf.grids
 import himcf.support
 from himcf.errors import CflViolation, ConvexityLost, InvalidConfig, NonFinite
 from himcf.flow import (
+    _BISECT_TOL,
     DEFAULT_CFL_SAFETY,
     FIXED_DT_CFL_LIMIT,
+    SUPPORT_CFL_SAFETY,
     FlowConfig,
     cfl_bound,
     fixed_step_count,
@@ -526,3 +528,63 @@ def test_profiled_call_counts_of_a_fixed_dt_run_repeat_exactly(bench):
     counts = [bench.profiled_calls(run)[0] for _ in range(3)]
     assert counts[0] == counts[1] == counts[2]
     assert counts[0]["python"] > 50 and counts[0]["c"] > 50
+
+
+# Collapsing exact circles (r0, r1): (1, -2) and perfbench spectral-adaptive
+# case 16 of seeds 1 and 7, pinned as numbers.
+COLLAPSING_CIRCLES = [(1.0, -2.0),
+                      (1.0851118279097927, -2.0411220939114645),
+                      (0.8193622924630088, -1.5794684101771093)]
+
+
+class TestCollapseKind:
+    """A point collapse ends LengthVanished at its time, whatever the step size."""
+
+    @pytest.mark.parametrize("safety", [0.125, 0.25, 0.5, 0.6, 0.7, 0.8])
+    @pytest.mark.parametrize("N", [64, 128, 256, 512])
+    @pytest.mark.parametrize("r0, r1", COLLAPSING_CIRCLES)
+    def test_a_collapsing_circle_ends_length_vanished_at_its_collapse_time(
+            self, r0, r1, N, safety, monkeypatch):
+        monkeypatch.setattr(himcf.flow, "SUPPORT_CFL_SAFETY", safety)
+        traj = run_support_flow(np.full(N, r0), np.full(N, r1), FlowConfig(N=N, t_end=1.0))
+        assert traj.termination.kind == "LengthVanished"
+        assert abs(traj.termination.t - math.atanh(r0 / abs(r1))) <= 2 * _BISECT_TOL
+
+    @pytest.mark.parametrize("safety", [0.25, 0.6, 0.8])
+    @pytest.mark.parametrize("N", [64, 128])
+    def test_a_pinch_of_a_long_curve_stays_a_convexity_loss(self, N, safety, monkeypatch):
+        # The unit circle at speed 0.5 cos 3 theta: S''+S reaches 0 at three
+        # angles while L' = int V dtheta = 0 keeps L near 2 pi, so the length
+        # rule, asked once at the sign loss, must say no.
+        theta = AngleGrid(N).theta
+        asked = []
+        rule = himcf.flow.length_vanishes
+
+        def spy(member, width, L0):
+            asked.append(bool(rule(member, width, L0)))
+            return asked[-1]
+
+        monkeypatch.setattr(himcf.flow, "SUPPORT_CFL_SAFETY", safety)
+        monkeypatch.setattr(himcf.flow, "length_vanishes", spy)
+        traj = run_support_flow(np.ones(N), 0.5 * np.cos(3 * theta), FlowConfig(N=N, t_end=1.0))
+        assert traj.termination.kind == "ConvexityLost"
+        assert traj.termination.t < 0.4
+        assert traj.length(-1) == pytest.approx(traj.length(0), rel=0.2)
+        assert asked == [False]
+
+    def test_a_whole_step_failed_only_by_its_stages_is_retaken(self, monkeypatch):
+        # At this safety the step before the collapse lands its candidate at
+        # r > 0 but its fourth stage below 0: every sub-step is valid, so the
+        # step's end is retaken from the last one and the run goes on.
+        r0, r1 = 0.6260230153735773, -1.251132113796327
+        monkeypatch.setattr(himcf.flow, "SUPPORT_CFL_SAFETY", 0.8)
+        traj = run_support_flow(np.full(64, r0), np.full(64, r1), FlowConfig(N=64, t_end=1.0))
+        assert traj.termination.kind == "LengthVanished"
+        assert abs(traj.termination.t - math.atanh(r0 / abs(r1))) <= 2 * _BISECT_TOL
+
+    def test_adaptive_support_steps_take_their_own_safety(self):
+        assert 0.0 < DEFAULT_CFL_SAFETY < SUPPORT_CFL_SAFETY < FIXED_DT_CFL_LIMIT
+        s0 = ellipse_support(AngleGrid(64), 2.0, 1.0, speed=0.5)
+        traj = run_support_flow(s0.S, s0.V, FlowConfig(N=64, t_end=0.5))
+        bound = cfl_bound([s0.sv, support_derivatives(s0.sv)])
+        assert traj.times[1] == SUPPORT_CFL_SAFETY * bound

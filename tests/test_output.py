@@ -135,17 +135,17 @@ GOLDEN = {
         "curve.svg": "c1a794a469ca110250b0420dd9799d85fe8c553575d50a7a93b29a4d39b04bf0",
         "curve_summary.json": "2169f3bd64f781210128d5ffb1df3df4df4a5dd282ecac9002ac3170ba3134e1",
     }),
-    # Ends in ConvexityLost at t = 0.380094, located by bisection.
+    # Ends in ConvexityLost at t = 0.380112, located by bisection.
     "lagrangian-bisection": (["curve", "--solver", "lagrangian", "--preset", "ellipse",
                               "--a", "1.2", "--b", "0.8", "--speed", "-1.5",
                               "--vertices", "32", "--t-end", "1"], {
-        "curve.csv": "6ed993b35f4b1930d17690a7d10b2e74fd2e7123213c0f50301a6e6fe64629aa",
-        "curve.svg": "5fe2dcadcdd9c616b41c37f6630f4c23513ecd202178139f120253f6ac4e30eb",
-        "curve_summary.json": "d6295dca5e53dbbebff986e7b16a26535226f35f02f88c4517bd0900e655e78f",
+        "curve.csv": "2121fce1ec6f72c1a0eda2bd301c1811aa38f3ecc6e5b60f0663453bf204aedb",
+        "curve.svg": "13bba8204b18dd922a63de830251a8c9dd90b4a097ec18fea22ec4a7ff2c44d7",
+        "curve_summary.json": "2902749a851bb8baaa10a502ae7bad1168b59ca79e6bbb25a4003005bd790927",
     }),
     "support": (["curve", "--solver", "support", "--N", "16"], {
-        "curve.csv": "04ad01d625c88025b6ae6f30d86d6cfca65c75beb13042933b1eb96bce11177a",
-        "curve.svg": "275f0d0cb2f31e5699e57ca9ce4d62e660d2879ad81697b87fb644cf92eae2dd",
+        "curve.csv": "9e3b333ba15c999cd51bdeb9f2aed6af6c18a101212d1727034649b45fba7df5",
+        "curve.svg": "884821addc016d5495ab8d8090a78ac4c1ffde5277f2013f3e595ead473e78fd",
     }),
     "radial-forcing-table": (["radial", "--config", "{config}"], {
         "radial.csv": "864893293a18087ab239081ce5c5dcf17c0c0c9ab792b780cefb4fe334f41f85",
@@ -186,10 +186,10 @@ GOLDEN = {
     # A collapsing circle on both solvers; the summary carries T* = ln(3)/2.
     "curve-both-collapse": (["curve", "--preset", "circle", "--r0", "1", "--speed", "-2",
                              "--N", "64", "--vertices", "64", "--both-solvers"], {
-        "curve_summary.json": "4e289c2879ff5d490b33ff755d04bc04f577f827e6379fe3ae5a08ce5ae1dd56",
+        "curve_summary.json": "7f3ab0d3e5fb876d93107e384421a32e4c88752b824890a797cc55d8365efa23",
     }),
     "verify-radial-outcomes-forced": (["verify", "radial", "outcomes", "forced-bracket"], {
-        "verify_report.json": "f7fe8d1707b6282830b0b648c3a8b7c3f34d930d32a7309cfd8625ec1e603a6b",
+        "verify_report.json": "f3280046754ff6722e7c3060aa464f40c2dc2959a45653c6b6c5ff5e2fbd139e",
     }),
 }
 
