@@ -198,7 +198,7 @@ def call_counts() -> dict:
 
     def lagrangian_run(steps, dt=1e-4):
         curve = ellipse_curve(COUNT_M, 2.0, 1.0, speed=0.5)
-        return [run_lagrangian_flow(curve, 0.5, FlowConfig(dt=dt, t_end=steps * dt))]
+        return [run_lagrangian_flow(curve, FlowConfig(dt=dt, t_end=steps * dt))]
 
     def cli_run(argv):
         with contextlib.redirect_stdout(io.StringIO()):    # the one-line report
@@ -285,7 +285,7 @@ def layer_calls() -> dict:
     spec, cfg = {"preset": "ellipse", "a": "2", "b": "1", "speed": "0.5"}, FlowConfig(t_end=0.5)
     state0, curve0 = _support_from_spec(spec, AngleGrid(cfg.N)), _curve_from_spec(spec, 256)
     runs = [run_support_flow(state0.S, state0.V, cfg),
-            run_lagrangian_flow(curve0, curve0.sigma, cfg)]
+            run_lagrangian_flow(curve0, cfg)]
     outlines = [traj.polygon(i) for traj in runs for i in _outline_indices(len(traj.times))]
     calls.update({
         f"svg_text of the README --both-solvers outlines ({len(outlines)})":
@@ -312,29 +312,17 @@ def layer_calls() -> dict:
             "cfl_bound": partial(cfl_bound, members[0]),
             "validate_support_state": partial(validate_support_state, members[0], 1e-8, L0),
             f"run_lagrangian_flow {LAYER_LAGRANGIAN_STEPS} steps M=2N":
-                partial(run_lagrangian_flow, curve, 0.5, lagrangian_cfg),
+                partial(run_lagrangian_flow, curve, lagrangian_cfg),
             "curve_to_support M=512": partial(curve_to_support, polygon, grid),
         }.items()})
     return calls
 
 
 def _stage_layers(flow, member):
-    """(kernel, stage, work) of one member, as a run's stages call them, on either stage API.
-
-    A flow with _stage_work (before prepared stages) has each stage call
-    _stage_rhs with its buffers, and _stage_rhs call support_derivatives with
-    out and spectrum; a later one holds a _Stage per batch size in _Stages.
-    """
-    y, N = member[:, 0], member.shape[-1]
-    if hasattr(flow, "_stage_work"):
-        work = flow._stage_work(2, N)
-        u, _, k, d = work[0][:, :1]
-        u[...] = y
-        return (partial(flow.support_derivatives, u, d, work[1][:1]),
-                partial(flow._stage_rhs, u, d, k, work[1][:1]), work)
+    """(kernel, stage, work) of one member, as a run's stages call them from its _Stages."""
     work = flow._Stages()
     stage = work[member.shape]
-    stage.u[...] = y
+    stage.u[...] = member[:, 0]
     return (partial(flow.support_pair, stage.u, stage.S, stage.d, stage.rho, *stage.plan),
             partial(stage.rhs, stage.u), work)
 

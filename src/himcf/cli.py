@@ -38,7 +38,6 @@ from .monitors import (
     curvature_evolution_residual,
     mean_curvature_acceleration_residual,
     metric_acceleration_residual,
-    outcome_inputs_from_trajectory,
     require_ordered_start,
 )
 from .output import json_text, svg_text, write_csv, write_text_atomic
@@ -341,10 +340,10 @@ def cmd_curve(args, config: dict, out_dir: str) -> int:
         support_traj = run_support_flow(state0.S, state0.V, cfg)
     if solver in ("lagrangian", "both"):
         curve0 = _curve_from_spec(spec, M)
-        lagrangian_traj = run_lagrangian_flow(curve0, curve0.sigma, cfg)
+        lagrangian_traj = run_lagrangian_flow(curve0, cfg)
 
     primary = support_traj if support_traj is not None else lagrangian_traj
-    outcome = classify_outcome(primary, outcome_inputs_from_trajectory(primary))
+    outcome = classify_outcome(primary)
 
     records = list(primary.monitor)
     hausdorff = None
@@ -575,7 +574,7 @@ def _suite_outcomes() -> list[CheckRecord]:
     growing = ellipse_support(grid, 1.5, 1.0, 1.0)
     cfg = FlowConfig(N=128, t_end=2.0, record_every=5)
     traj = run_support_flow(growing.S, growing.V, cfg)
-    outcome = classify_outcome(traj, outcome_inputs_from_trajectory(traj))
+    outcome = classify_outcome(traj)
     long_ok = outcome.predicted == "LongTime" and outcome.agreement
     L = support_lengths(traj.data[:, 0])
     late = L[traj.times >= 0.5 * traj.times[-1]]
@@ -583,7 +582,7 @@ def _suite_outcomes() -> list[CheckRecord]:
 
     shrinking = circle_support(grid, 1.0, -2.0)
     traj2 = run_support_flow(shrinking.S, shrinking.V, cfg)
-    outcome2 = classify_outcome(traj2, outcome_inputs_from_trajectory(traj2))
+    outcome2 = classify_outcome(traj2)
     finite_ok = outcome2.predicted == "FiniteTime" and outcome2.agreement
     horizon_margin = outcome2.T_star + 1e-2 - outcome2.observed_t
     return [
@@ -601,7 +600,7 @@ def _suite_outcomes() -> list[CheckRecord]:
 def _suite_normal_flow() -> list[CheckRecord]:
     curve = ellipse_curve(128, 1.5, 1.0, 1.0)
     cfg = FlowConfig(N=128, t_end=1.0, record_every=10)
-    traj = run_lagrangian_flow(curve, curve.sigma, cfg)
+    traj = run_lagrangian_flow(curve, cfg)
     P, sigma = unpack_curve(traj.data)
     worst = tangential_velocity_max(P, sigma)
     scale = float(np.max(np.abs(sigma)))

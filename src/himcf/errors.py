@@ -27,13 +27,12 @@ class NotConvex(HimcfError):
 
 
 class ConvexityLost(HimcfError):
-    """Strict convexity S_thth + S > eps failed; carries time/angle when known."""
+    """Strict convexity S_thth + S > eps failed; carries the angle when known."""
 
     exit_code = 1
 
-    def __init__(self, message, t=None, theta=None):
+    def __init__(self, message, theta=None):
         super().__init__(message)
-        self.t = t
         self.theta = theta
 
 

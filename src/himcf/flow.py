@@ -22,12 +22,12 @@ CFL bound
 
     dt <= safety * dtheta / (max |k V_theta| + 1),
 
-safety = SUPPORT_CFL_SAFETY = 0.6 for adaptive support steps and
-DEFAULT_CFL_SAFETY = 0.5 for adaptive Lagrangian ones.  A fixed dt is policed
-with FIXED_DT_CFL_LIMIT = 0.9: with the spectral mode count N/2 that limit
-lands on the imaginary-axis stability limit of classical RK4 (0.9*pi ~ 2.83).
-Below it the safety is an accuracy choice: the RK4 step defect grows as
-safety^4.
+each solver's adaptive steps taking its own safety, which it passes to
+integrate: SUPPORT_CFL_SAFETY = 0.6 here, lagrangian.LAGRANGIAN_CFL_SAFETY =
+0.5 there.  A fixed dt is policed with FIXED_DT_CFL_LIMIT = 0.9: with the
+spectral mode count N/2 that limit lands on the imaginary-axis stability
+limit of classical RK4 (0.9*pi ~ 2.83).  Below it the safety is an accuracy
+choice: the RK4 step defect grows as safety^4.
 
 A run's convexity floor eps comes from FlowConfig.convexity_floor alone: a
 candidate with min S''+S <= eps, or a polygon with k >= 1/eps, ends the run.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .support import (PlaneCurve, SupportState, default_eps_convex, support_leng
                       support_to_curve, unpack_curve)
 
 LENGTH_VANISH_REL = 1e-6          # LengthVanished at L <= this * L(0)
-DEFAULT_CFL_SAFETY = 0.5          # adaptive Lagrangian steps (FlowConfig.safety)
 SUPPORT_CFL_SAFETY = 0.6          # adaptive support steps
 FIXED_DT_CFL_LIMIT = 0.9          # policing bound for user-fixed steps
 _BISECT_TOL = 1e-6                # absolute t-resolution of a located violation
@@ -86,7 +85,7 @@ class FlowConfig:
     """Solver knobs shared by the support and Lagrangian integrators.
 
     Exactly one stepping mode is active: fixed dt when dt is given, else
-    adaptive CFL stepping.
+    adaptive CFL stepping at the solver's own safety.
     eps_convex is the one settable convexity floor; see convexity_floor.
     """
 
@@ -113,27 +112,17 @@ class FlowConfig:
         """The run's floor: a state ends it once min S''+S <= floor (k >= 1/floor)."""
         return default_eps_convex(L0) if self.eps_convex is None else self.eps_convex
 
-    @cached_property
-    def adaptive(self) -> bool:
-        return self.dt is None
-
-    @cached_property
-    def safety(self) -> float:
-        return DEFAULT_CFL_SAFETY if self.adaptive else FIXED_DT_CFL_LIMIT
-
-    def next_dt(self, bound: float, t: float, safety: float | None = None) -> float:
+    def next_dt(self, bound: float, t: float, safety: float) -> float:
         """Step size at time t given the state's CFL bound (before safety).
 
-        safety defaults to self.safety.  Adaptive runs take safety * bound;
-        a fixed dt that exceeds it raises CflViolation, and so does a step
-        below the resolution of t or (short of landing) of t_end, which
-        could only stall.  The last step is cut
+        Adaptive runs take safety * bound; a fixed dt that exceeds it raises
+        CflViolation, and so does a step below the resolution of t or (short
+        of landing) of t_end, which could only stall.  The last step is cut
         to land on t_end.  A non-finite bound (overflowed geometry) is NonFinite.
         """
         if not math.isfinite(bound):
             raise NonFinite(f"non-finite CFL bound {bound} at t = {t:.6e}")
-        safety = self.safety if safety is None else safety
-        if self.adaptive:
+        if self.dt is None:
             dt = min(safety * bound, self.t_end - t)
         else:
             dt = min(self.dt, self.t_end - t)
@@ -381,7 +370,7 @@ def bisect_to_violation(member, dt, first_bad: _Violation, attempt, vanishes=Non
 
 
 def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
-              after_accept=None, adaptive_safety=DEFAULT_CFL_SAFETY, vanishes=None):
+              adaptive_safety: float, after_accept=None, vanishes=None):
     """Step members at time t to cfg.t_end on one schedule; the loop of both curve solvers.
 
     step(members, h) returns the candidates as a sequence of the kind it takes
@@ -394,15 +383,16 @@ def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
     is bisected alone to its admissibility boundary and ends there, unless
     the step's retaken end is valid (bisect_to_violation), which it then
     takes as its candidate; vanishes[i](member, width), if given, is member
-    i's length rule for a sign loss at the boundary.  Adaptive steps take adaptive_safety
-    times the bound, fixed ones are policed at FIXED_DT_CFL_LIMIT.
+    i's length rule for a sign loss at the boundary.  Adaptive steps take
+    adaptive_safety, the solver's own, times the bound; fixed ones are
+    policed at FIXED_DT_CFL_LIMIT.
     after_accept(member, steps) may replace an accepted member before the
     record_every cadence; a violation of the replacement ends the member at
     the accepted one.  row(member) is the new float row a kept member is
     recorded as.  Returns per member (times, data, termination, final member,
     cfl_margin = min over steps of (allowed dt - taken dt)).
     """
-    if len(members) > 1 and cfg.adaptive:
+    if len(members) > 1 and cfg.dt is None:
         raise InvalidConfig("members share one step schedule only with a fixed dt")
 
     def attempt(batch, h, index):
@@ -420,7 +410,7 @@ def integrate(members, t: float, cfg: FlowConfig, bound, step, validators, row,
     ends = [None] * len(members)        # (termination, final member, its t) once ended
     cfl_margins = [math.inf] * len(members)
     live = list(range(len(members)))
-    safety = adaptive_safety if cfg.adaptive else FIXED_DT_CFL_LIMIT
+    safety = adaptive_safety if cfg.dt is None else FIXED_DT_CFL_LIMIT
     steps = 0
     while live and t < cfg.t_end - 1e-12:
         if steps >= _MAX_STEPS:
@@ -502,14 +492,14 @@ def run_support_flows(S0s, V0s, cfg: FlowConfig) -> tuple[FlowTrajectory, ...]:
     floors = [cfg.convexity_floor(L0) for L0 in L0s]
     if any(validate_support_state(m, eps, L0) is not None
            for m, eps, L0 in zip(members, floors, L0s)):
-        raise ConvexityLost("initial data is not strictly convex", t=0.0)
+        raise ConvexityLost("initial data is not strictly convex")
 
     # Every member cfl_bound sees has passed validation, so S''+S > eps there.
     runs = integrate(members, 0.0, cfg, cfl_bound,
                      partial(step_supports, work=_Stages()),
                      [partial(validate_support_state, eps=eps, L0=L0)
                       for eps, L0 in zip(floors, L0s)], lambda m: m[0].copy(),
-                     adaptive_safety=SUPPORT_CFL_SAFETY,
+                     SUPPORT_CFL_SAFETY,
                      vanishes=[partial(length_vanishes, L0=L0) for L0 in L0s])
     trajectories = []
     for (times, data, termination, member, cfl_margin), eps in zip(runs, floors):

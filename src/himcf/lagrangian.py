@@ -17,7 +17,8 @@ accepted steps they are respaced to equal arc length, sigma with them.
 This solver shares no discretization with the support-PDE solver, which is
 the point: agreement of the two is the module's strongest correctness check.
 What the two do share is the stepping policy (flow.integrate: the step
-rule, bisection of a violating step, the snapshot cadence) and classical
+rule, bisection of a violating step, the snapshot cadence; adaptive steps
+here take LAGRANGIAN_CFL_SAFETY times lagrangian_cfl_bound) and classical
 RK4 (flow.rk4), here on the curve packed as one array [P.ravel(), sigma],
 whose P and sigma are contiguous views; that packed row is also what a
 trajectory records, and the resampling runs as integrate's after_accept hook.
@@ -35,6 +36,7 @@ from .report import margin_record
 from .support import PlaneCurve, unpack_curve
 
 RESAMPLE_INTERVAL = 50
+LAGRANGIAN_CFL_SAFETY = 0.5       # adaptive Lagrangian steps
 
 
 def _velocity(g: PolygonGeometry, sigma: np.ndarray) -> np.ndarray:
@@ -115,18 +117,13 @@ def _resample_every_interval(c: PlaneCurve, steps: int) -> PlaneCurve:
 
 # As in run_support_flow, non-finite values raise NonFinite on their own.
 @np.errstate(all="ignore")
-def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) -> FlowTrajectory:
-    """Integrate the normal flow from curve F0 with initial speed f.
+def run_lagrangian_flow(curve: PlaneCurve, cfg: FlowConfig) -> FlowTrajectory:
+    """Integrate the normal flow from curve, whose sigma is the initial normal speed.
 
-    f may be a scalar or a per-vertex array; it becomes sigma(., 0).
     Stepping, recording and termination (horizon, convexity loss, length
     vanishing, curvature blowup, with violating steps bisected to the
     boundary) are flow.integrate's, as for the support solver.
     """
-    sigma0 = np.broadcast_to(np.asarray(f, dtype=float), (F0.M,)).copy()
-    if not np.all(np.isfinite(sigma0)):
-        raise InvalidConfig("initial normal speed must be finite")
-    curve = PlaneCurve(P=F0.P, sigma=sigma0, t=F0.t)
     _velocity(curve.derivatives, curve.sigma)    # raises on degenerate/non-convex data
 
     L0 = curve.derivatives.length
@@ -135,7 +132,7 @@ def run_lagrangian_flow(F0: PlaneCurve, f: np.ndarray | float, cfg: FlowConfig) 
         [curve], curve.t, cfg, lagrangian_cfl_bound,
         lambda cs, h: [step_lagrangian(c, h) for c in cs],
         [lambda cand: _validate_curve(cand, eps, L0)], attrgetter("packed"),
-        _resample_every_interval)
+        LAGRANGIAN_CFL_SAFETY, _resample_every_interval)
 
     k_final = curve.derivatives.curvature
     monitor = (

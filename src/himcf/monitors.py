@@ -34,6 +34,8 @@ from .support import support_lengths
 # symbolic jet-space derivation in the test suite: -C * k_theta^2 / k**P.
 KTT_COEFFICIENT_C = 2.0
 KTT_COEFFICIENT_P = 1
+# Time step of the sphere residuals' second central difference (method "finite_difference").
+FD_DT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -175,14 +177,16 @@ def check_length_identities(traj: FlowTrajectory) -> tuple[CheckRecord, CheckRec
             record("length-identity-second", r2, 1e-2 * L_scale))
 
 
-def classify_outcome(traj: FlowTrajectory, inputs: OutcomeInputs) -> OutcomeReport:
-    """Predict the fate from initial data and compare with what happened.
+def classify_outcome(traj: FlowTrajectory) -> OutcomeReport:
+    """Predict the fate from the run's initial data and compare with what happened.
 
-    LongTime when 1/zeta + f_min > 0; FiniteTime (with horizon bound T*)
-    when 1/delta + f_max < 0; Indeterminate otherwise.  Finite terminations
+    With the inputs outcome_inputs_from_trajectory(traj): LongTime when
+    1/zeta + f_min > 0; FiniteTime (with horizon bound T*) when
+    1/delta + f_max < 0; Indeterminate otherwise.  Finite terminations
     are sub-labeled PointCollapse when the length went to zero and
     CurvatureJump when curvature degenerated at positive length.
     """
+    inputs = outcome_inputs_from_trajectory(traj)
     T_star = inputs.T_star      # None unless 1/delta + f_max < 0
     if 1.0 / inputs.zeta + inputs.f_min > 0.0:
         predicted = "LongTime"
@@ -237,15 +241,14 @@ def _sphere_domain_check(n: int, r0: float, r1: float, t: float) -> None:
 
 
 def metric_acceleration_residual(n: int, r0: float, r1: float, t: float,
-                                       method: str = "closed_form",
-                                       dt: float = 1e-4) -> float:
+                                 method: str = "closed_form") -> float:
     """Residual of d^2(g_ij)/dt^2 = 2 H^{-1} h_ij + 2 <dX/dtdx_i, dX/dtdx_j>.
 
     On the round sphere both sides are multiples of the sphere metric; in
     normal coordinates at a point the max-norm residual is the coefficient
     difference |(2 r_t^2 + 2 r r_tt) - (2 r^2/n + 2 r_t^2)| with r_tt = r/n.
     method "finite_difference" replaces the left side by a second central
-    difference of g(t) = r(t)^2.
+    difference of g(t) = r(t)^2 at step FD_DT.
     """
     _sphere_domain_check(n, r0, r1, t)
     geom = sphere_geometry(n)
@@ -256,15 +259,14 @@ def metric_acceleration_residual(n: int, r0: float, r1: float, t: float,
         lhs = 2.0 * r_t * r_t + 2.0 * r * (r / n)
     elif method == "finite_difference":
         g = lambda s: closed_form_radius(geom, r0, r1, s) ** 2
-        lhs = (g(t + dt) - 2.0 * g(t) + g(t - dt)) / dt**2
+        lhs = (g(t + FD_DT) - 2.0 * g(t) + g(t - FD_DT)) / FD_DT**2
     else:
         raise InvalidConfig(f"unknown method {method!r}")
     return abs(lhs - rhs)
 
 
 def mean_curvature_acceleration_residual(n: int, r0: float, r1: float, t: float,
-                                          method: str = "closed_form",
-                                          dt: float = 1e-4) -> float:
+                                         method: str = "closed_form") -> float:
     """Residual of the mean-curvature acceleration identity on the sphere.
 
     Assembles the right side term by term in normal coordinates (sigma = I):
@@ -303,7 +305,7 @@ def mean_curvature_acceleration_residual(n: int, r0: float, r1: float, t: float,
         H_tt = n * (2.0 * r_t**2 / r**3 - r_tt / r**2)
     elif method == "finite_difference":
         Hf = lambda s: n / closed_form_radius(geom, r0, r1, s)
-        H_tt = (Hf(t + dt) - 2.0 * Hf(t) + Hf(t - dt)) / dt**2
+        H_tt = (Hf(t + FD_DT) - 2.0 * Hf(t) + Hf(t - FD_DT)) / FD_DT**2
     else:
         raise InvalidConfig(f"unknown method {method!r}")
     return abs(assembled - H_tt)

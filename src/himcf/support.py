@@ -114,7 +114,7 @@ def convexity_check(s: SupportState) -> np.ndarray:
         j = int(np.argmin(rho))
         theta_j = float(s.grid.theta[j])
         raise ConvexityLost(f"S''+S = {rho[j]:.3e} <= {eps:.3e} near theta = {theta_j:.4f}",
-                            t=s.t, theta=theta_j)
+                            theta=theta_j)
     return rho
 
 

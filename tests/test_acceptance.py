@@ -119,7 +119,7 @@ def test_criterion_04_cross_solver_equivalence():
     t_end = 0.5
     s0 = ellipse_support(AngleGrid(128), 2.0, 1.0, speed=0.5)
     sup = _support_run(s0.S, s0.V, N=128, t_end=t_end, record_every=10**6)
-    lag = run_lagrangian_flow(ellipse_curve(256, 2.0, 1.0, speed=0.5), 0.5,
+    lag = run_lagrangian_flow(ellipse_curve(256, 2.0, 1.0, speed=0.5),
                               FlowConfig(t_end=t_end, record_every=10**6))
     d = polygon_hausdorff(support_to_curve(sup.snapshots[-1]).P,
                           lag.snapshots[-1].P)
@@ -261,7 +261,7 @@ def test_criterion_09_forced_flow_bracketing():
 
 
 def test_criterion_10_normal_flow_invariant():
-    traj = run_lagrangian_flow(ellipse_curve(128, 1.5, 1.0), 1.0,
+    traj = run_lagrangian_flow(ellipse_curve(128, 1.5, 1.0, speed=1.0),
                                FlowConfig(t_end=1.0, record_every=10))
     worst = 0.0
     for snap in traj.snapshots:

@@ -23,7 +23,7 @@ CEILINGS = {
         "resample_equal_arclength M=256, one call": 154,
         "curve_to_support M=512 N=128, one call": 127,
         "curvature_evolution_residual verify run, one call": 69,
-        "cli curve --both-solvers README ellipse, one call": 20463,
+        "cli curve --both-solvers README ellipse, one call": 20426,
         ADAPTIVE: 975,
         SWEEP: 4623,
     },

@@ -160,7 +160,7 @@ class TestCurve:
     def test_a_lagrangian_csv_chunk_forms_one_frame(self, monkeypatch):
         # The normal angles and <P, nu> of a chunk of snapshots share one frame.
         curve = ellipse_curve(32, 2.0, 1.0, 0.5)
-        traj = run_lagrangian_flow(curve, curve.sigma, FlowConfig(dt=1e-3, t_end=0.04))
+        traj = run_lagrangian_flow(curve, FlowConfig(dt=1e-3, t_end=0.04))
         frame = PolygonGeometry.frame
         formed = []
 

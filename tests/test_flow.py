@@ -13,7 +13,6 @@ import himcf.support
 from himcf.errors import CflViolation, ConvexityLost, InvalidConfig, NonFinite
 from himcf.flow import (
     _BISECT_TOL,
-    DEFAULT_CFL_SAFETY,
     FIXED_DT_CFL_LIMIT,
     SUPPORT_CFL_SAFETY,
     FlowConfig,
@@ -25,7 +24,8 @@ from himcf.flow import (
     step_support,
 )
 from himcf.grids import TWO_PI, AngleGrid, support_derivatives
-from himcf.presets import circle_support, cosine_series, ellipse_support
+from himcf.lagrangian import LAGRANGIAN_CFL_SAFETY, lagrangian_cfl_bound, run_lagrangian_flow
+from himcf.presets import circle_support, cosine_series, ellipse_curve, ellipse_support
 from himcf.support import SupportState, default_eps_convex, support_lengths
 
 
@@ -228,6 +228,22 @@ class TestDerivativeReuse:
             assert a.t == b.t
             assert np.array_equal(a.S, b.S) and np.array_equal(a.V, b.V)
 
+    def test_adaptive_snapshots_equal_chained_public_steps(self):
+        # Each step is the support safety times the CFL bound of the state it starts from.
+        S0, V0 = self.initial()
+        cfg = FlowConfig(N=self.N, t_end=1.0)
+        traj = run_support_flow(S0, V0, cfg)
+        state = SupportState(grid=AngleGrid(self.N), S=S0, V=V0)
+        chained = [state]
+        while state.t < cfg.t_end - 1e-12:
+            bound = cfl_bound([state.sv, support_derivatives(state.sv)])
+            state = step_support(state, cfg.next_dt(bound, state.t, SUPPORT_CFL_SAFETY))
+            chained.append(state)
+        assert len(traj.snapshots) == len(chained) == 21
+        for a, b in zip(traj.snapshots, chained):
+            assert a.t == b.t
+            assert np.array_equal(a.S, b.S) and np.array_equal(a.V, b.V)
+
     def test_four_stacked_transforms_per_accepted_step(self, monkeypatch):
         # The kernel body runs once for the initial states' validation (the
         # set-up constant, through the public support_derivatives), then per
@@ -401,12 +417,14 @@ class TestConfigValidation:
 
     def test_bad_safety(self):
         # No safety factor is settable, so none outside (0, 0.9] can be in force:
-        # adaptive steps take the default and a fixed dt is policed at the RK4 limit.
+        # adaptive steps take their solver's constant and a fixed dt is policed
+        # at the RK4 limit.
         with pytest.raises(TypeError, match="cfl_safety"):
             FlowConfig(cfl_safety=0.95)
-        assert FlowConfig().safety == DEFAULT_CFL_SAFETY
-        assert FlowConfig(dt=1e-3).safety == FIXED_DT_CFL_LIMIT
-        assert 0.0 < DEFAULT_CFL_SAFETY < FIXED_DT_CFL_LIMIT == 0.9
+        c = ellipse_curve(64, 2.0, 1.0, speed=0.5)
+        traj = run_lagrangian_flow(c, FlowConfig(t_end=0.5))
+        assert traj.times[1] == LAGRANGIAN_CFL_SAFETY * lagrangian_cfl_bound(c)
+        assert 0.0 < LAGRANGIAN_CFL_SAFETY < FIXED_DT_CFL_LIMIT == 0.9
 
     def test_bad_horizon_and_cadence(self):
         with pytest.raises(InvalidConfig):
@@ -583,7 +601,7 @@ class TestCollapseKind:
         assert abs(traj.termination.t - math.atanh(r0 / abs(r1))) <= 2 * _BISECT_TOL
 
     def test_adaptive_support_steps_take_their_own_safety(self):
-        assert 0.0 < DEFAULT_CFL_SAFETY < SUPPORT_CFL_SAFETY < FIXED_DT_CFL_LIMIT
+        assert 0.0 < LAGRANGIAN_CFL_SAFETY < SUPPORT_CFL_SAFETY < FIXED_DT_CFL_LIMIT
         s0 = ellipse_support(AngleGrid(64), 2.0, 1.0, speed=0.5)
         traj = run_support_flow(s0.S, s0.V, FlowConfig(N=64, t_end=0.5))
         bound = cfl_bound([s0.sv, support_derivatives(s0.sv)])

@@ -14,9 +14,10 @@ from himcf.curves import (
     resample_equal_arclength,
 )
 from himcf.errors import CflViolation, DegenerateEdge, NotConvex
-from himcf.flow import FlowConfig, run_support_flow
+from himcf.flow import FIXED_DT_CFL_LIMIT, FlowConfig, run_support_flow
 from himcf.grids import AngleGrid
 from himcf.lagrangian import (
+    LAGRANGIAN_CFL_SAFETY,
     RESAMPLE_INTERVAL,
     _velocity,
     lagrangian_cfl_bound,
@@ -127,35 +128,34 @@ def test_cfl_bound_matches_the_roll_reference_bit_for_bit(M):
 class TestRun:
     def test_fixed_dt_above_cfl_bound_is_rejected(self):
         c = circle_curve(256, 1.0, speed=0.5)
-        bound = FlowConfig(dt=1.0).safety * lagrangian_cfl_bound(c)
+        bound = FIXED_DT_CFL_LIMIT * lagrangian_cfl_bound(c)
         with pytest.raises(CflViolation, match="exceeds CFL bound"):
-            run_lagrangian_flow(c, 0.5, FlowConfig(dt=1.01 * bound, t_end=0.5))
-        traj = run_lagrangian_flow(c, 0.5, FlowConfig(dt=0.5 * bound,
-                                                      t_end=10 * bound))
+            run_lagrangian_flow(c, FlowConfig(dt=1.01 * bound, t_end=0.5))
+        traj = run_lagrangian_flow(c, FlowConfig(dt=0.5 * bound, t_end=10 * bound))
         assert traj.termination.kind == "HorizonReached"
 
     def test_shrinking_circle_tracks_exponential(self):
-        traj = run_lagrangian_flow(circle_curve(256, 1.0), -1.0,
+        traj = run_lagrangian_flow(circle_curve(256, 1.0, speed=-1.0),
                                    FlowConfig(t_end=1.0, record_every=10))
         assert traj.termination.kind == "HorizonReached"
         final = traj.snapshots[-1]
         np.testing.assert_allclose(radii(final), math.exp(-1.0), atol=1e-4)
 
     def test_zero_speed_circle_expands(self):
-        traj = run_lagrangian_flow(circle_curve(192, 1.0), 0.0,
+        traj = run_lagrangian_flow(circle_curve(192, 1.0, speed=0.0),
                                    FlowConfig(t_end=1.0, record_every=20))
         L = PolygonGeometry(traj.snapshots[-1].P).length
         assert L > 2 * math.pi
 
     def test_normal_flow_keeps_tangential_velocity_tiny(self):
-        traj = run_lagrangian_flow(ellipse_curve(128, 1.5, 1.0), 1.0,
+        traj = run_lagrangian_flow(ellipse_curve(128, 1.5, 1.0, speed=1.0),
                                    FlowConfig(t_end=1.0, record_every=10))
         for snap in traj.snapshots:
             cap = 1e-6 * max(np.max(np.abs(snap.sigma)), 1e-30)
             assert tangential_velocity_max(snap.P, snap.sigma) <= cap
 
     def test_vertex_count_survives_resampling(self):
-        traj = run_lagrangian_flow(ellipse_curve(96, 1.3, 0.9), -0.3,
+        traj = run_lagrangian_flow(ellipse_curve(96, 1.3, 0.9, speed=-0.3),
                                    FlowConfig(t_end=0.6, record_every=25))
         assert all(s.M == 96 for s in traj.snapshots)
         # periodic resampling keeps vertex clustering bounded over the run
@@ -171,15 +171,15 @@ class TestRun:
         t_floor = math.log(math.sqrt(eps**2 + 3.0) - eps)
         cfg = FlowConfig(N=64, t_end=1.0, eps_convex=eps)
         support = run_support_flow(np.ones(64), np.full(64, -2.0), cfg)
-        polygon = run_lagrangian_flow(circle_curve(64, 1.0), -2.0, cfg)
+        polygon = run_lagrangian_flow(circle_curve(64, 1.0, speed=-2.0), cfg)
         for traj in (support, polygon):
             assert traj.termination.kind == "CurvatureBlowup"
             assert traj.termination.t == pytest.approx(t_floor, abs=1e-4)
 
     def test_per_vertex_speed_accepted(self):
-        c = circle_curve(128, 1.0)
         f = -0.5 + 0.05 * np.cos(np.linspace(0, 2 * np.pi, 128, endpoint=False))
-        traj = run_lagrangian_flow(c, f, FlowConfig(t_end=0.3, record_every=50))
+        traj = run_lagrangian_flow(circle_curve(128, 1.0, speed=f),
+                                   FlowConfig(t_end=0.3, record_every=50))
         assert traj.termination.kind == "HorizonReached"
 
 
@@ -189,10 +189,11 @@ class TestSharedStepping:
     def test_snapshots_equal_chained_public_steps(self):
         cfg = FlowConfig(t_end=2.0)
         c = ellipse_curve(32, 2.0, 1.0, speed=-1.0)
-        traj = run_lagrangian_flow(c, c.sigma, cfg)
+        traj = run_lagrangian_flow(c, cfg)
         chained = [c]
         while c.t < cfg.t_end - 1e-12:
-            c = step_lagrangian(c, cfg.next_dt(lagrangian_cfl_bound(c), c.t))
+            c = step_lagrangian(c, cfg.next_dt(lagrangian_cfl_bound(c), c.t,
+                                               LAGRANGIAN_CFL_SAFETY))
             if len(chained) % RESAMPLE_INTERVAL == 0:
                 P, (sigma,) = resample_equal_arclength(c.P, [c.sigma])
                 c = PlaneCurve(P=P, sigma=sigma, t=c.t)
@@ -216,10 +217,10 @@ class TestSharedStepping:
             return step(c, dt)
 
         monkeypatch.setattr(himcf.lagrangian, "step_lagrangian", counted)
-        c = circle_curve(256, 1.0)
+        P = circle_curve(256, 1.0).P
+        c = PlaneCurve(P=P, sigma=1e200 * np.cos(PolygonGeometry(P).normal_angles))
         with pytest.raises(CflViolation, match="below the resolution of t_end"):
-            run_lagrangian_flow(c, 1e200 * np.cos(PolygonGeometry(c.P).normal_angles),
-                                FlowConfig(t_end=0.1))
+            run_lagrangian_flow(c, FlowConfig(t_end=0.1))
         assert len(calls) < 10
 
     def test_four_geometry_passes_per_accepted_step(self, monkeypatch):
@@ -237,7 +238,7 @@ class TestSharedStepping:
             init(self, P)
 
         monkeypatch.setattr(PolygonGeometry, "__init__", counted_pass)
-        traj = run_lagrangian_flow(c, c.sigma, FlowConfig(dt=1e-3, t_end=0.02))
+        traj = run_lagrangian_flow(c, FlowConfig(dt=1e-3, t_end=0.02))
         assert traj.termination.kind == "HorizonReached"
         steps = len(traj.snapshots) - 1
         assert steps == 20 < RESAMPLE_INTERVAL
@@ -246,18 +247,19 @@ class TestSharedStepping:
     def test_recorded_snapshots_hold_only_the_floats(self):
         c = ellipse_curve(256, 2.0, 1.0, speed=0.5)
         per_snapshot, traj = retained_bytes_per_snapshot(
-            lambda: run_lagrangian_flow(c, c.sigma, FlowConfig(dt=1e-4, t_end=0.05)))
+            lambda: run_lagrangian_flow(c, FlowConfig(dt=1e-4, t_end=0.05)))
         assert len(traj.times) == 501
         assert per_snapshot <= 1.05 * 3 * 256 * 8
 
 
-@pytest.mark.xfail(strict=True, reason="the polygon steps through the collapse of the "
-                                       "circle; nothing in its validation sees r -> -r")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the polygon steps through the collapse of the "
+                          "circle; nothing in its validation sees r -> -r")
 @pytest.mark.parametrize("M", [32, 256])
 def test_collapsing_circle_ends_by_the_collapse_time(M):
     # sigma = -2 on the unit circle collapses it at T* = ln(3)/2, where the
     # support solver ends the run.
-    traj = run_lagrangian_flow(circle_curve(M, 1.0), -2.0, FlowConfig(t_end=1.0))
+    traj = run_lagrangian_flow(circle_curve(M, 1.0, speed=-2.0), FlowConfig(t_end=1.0))
     assert traj.termination.t < 0.5 * math.log(3.0) + 1e-2
 
 
@@ -268,7 +270,7 @@ def test_cross_solver_hausdorff_on_ellipse():
     support_traj = run_support_flow(s0.S, s0.V,
                                     FlowConfig(N=128, t_end=t_end,
                                                record_every=1000))
-    lag_traj = run_lagrangian_flow(ellipse_curve(256, 2.0, 1.0, speed=0.5), 0.5,
+    lag_traj = run_lagrangian_flow(ellipse_curve(256, 2.0, 1.0, speed=0.5),
                                    FlowConfig(t_end=t_end, record_every=1000))
     assert support_traj.termination.kind == "HorizonReached"
     assert lag_traj.termination.kind == "HorizonReached"

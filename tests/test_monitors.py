@@ -118,7 +118,7 @@ class TestLengthIdentities:
 class TestOutcome:
     def test_fast_shrinking_circle(self):
         traj = circle_run(1.0, -2.0, N=128)
-        rep = classify_outcome(traj, outcome_inputs_from_trajectory(traj))
+        rep = classify_outcome(traj)
         assert rep.predicted == "FiniteTime"
         assert rep.T_star == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
         assert rep.observed_t == pytest.approx(0.5 * math.log(3.0), abs=1e-2)
@@ -127,7 +127,7 @@ class TestOutcome:
 
     def test_expanding_ellipse_is_long_time(self):
         traj = ellipse_run(1.5, 1.0, 1.0)
-        rep = classify_outcome(traj, outcome_inputs_from_trajectory(traj))
+        rep = classify_outcome(traj)
         assert rep.predicted == "LongTime"
         assert rep.observed_termination == "HorizonReached"
         assert rep.agreement
@@ -135,7 +135,7 @@ class TestOutcome:
     def test_slow_shrinking_circle_is_still_long_time(self):
         # 1/zeta + f_min = 1 - 0.5 > 0: case (I) hypothesis holds
         traj = circle_run(1.0, -0.5)
-        rep = classify_outcome(traj, outcome_inputs_from_trajectory(traj))
+        rep = classify_outcome(traj)
         assert rep.predicted == "LongTime"
         assert rep.agreement
 
@@ -145,7 +145,7 @@ class TestOutcome:
         inputs = outcome_inputs_from_trajectory(traj)
         assert 1.0 / inputs.zeta + inputs.f_min < 0.0
         assert 1.0 / inputs.delta + inputs.f_max > 0.0
-        rep = classify_outcome(traj, inputs)
+        rep = classify_outcome(traj)
         assert rep.predicted == "Indeterminate"
         assert rep.agreement
 
@@ -187,8 +187,7 @@ class TestSphereIdentities:
         assert metric_acceleration_residual(3, 1.2, 0.4, 0.0) <= 1e-12
 
     def test_metric_residual_finite_difference(self):
-        r = metric_acceleration_residual(2, 1.0, 0.0, 0.5,
-                                         method="finite_difference", dt=1e-4)
+        r = metric_acceleration_residual(2, 1.0, 0.0, 0.5, method="finite_difference")
         assert r <= 1e-6
 
     def test_mean_curvature_residual_closed_form(self):
@@ -196,8 +195,7 @@ class TestSphereIdentities:
 
     def test_mean_curvature_residual_finite_difference(self):
         r = mean_curvature_acceleration_residual(2, 1.0, 0.0, 0.5,
-                                                 method="finite_difference",
-                                                 dt=1e-4)
+                                                 method="finite_difference")
         assert r <= 1e-6
 
     def test_mean_curvature_assembly_agrees_with_direct_differencing(self):
